@@ -9,6 +9,10 @@ Configs are JSON documents with a required "version": 1 field.  Blocks:
   sim:    protocol knobs (see ProtocolConfig), for the simulate command
   oracle: {"grid_size": int}, optional, for the oracle command
 
+Numeric fields must be JSON numbers, and integers where a count is meant;
+true/false, strings and fractions in integer fields are rejected, never
+coerced.
+
 Commands: capacity, region, threshold, simulate, oracle.  Exit codes: 0 on
 success, 2 on validation problems (anchored to a config line when one is
 known), 3 on internal numeric cross-check failures.  CSV output uses 12
@@ -72,6 +76,20 @@ class _Config:
         return InvalidConfig(f"{self.path}:{self.line_of(key)}: {message}")
 
 
+def _is_number(value: Any, integer: bool = False) -> bool:
+    """True for a JSON number (an integer if asked for).  JSON true/false are
+    not numbers here, although Python counts bools as ints."""
+    return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+
+
+def _number(cfg: _Config, key: str, value: Any, integer: bool = False):
+    """value unchanged when _is_number, else a failure on the key's line."""
+    if not _is_number(value, integer):
+        kind = "an integer" if integer else "a number"
+        raise cfg.fail(key, f"{key} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 def load_config(path: str) -> _Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -98,10 +116,20 @@ def parse_source(cfg: _Config) -> SourceSpec:
     has_cov = "covariance" in block
     if has_gains == has_cov:
         raise cfg.fail("source", "source needs exactly one of gains, covariance")
+    if has_gains:
+        if "sigma2_x" not in block:
+            raise cfg.fail("source", "gains form needs sigma2_x")
+        _number(cfg, "sigma2_x", block["sigma2_x"])
+        if not isinstance(block["gains"], list) or not all(map(_is_number, block["gains"])):
+            raise cfg.fail("gains", "gains must be a list of numbers")
+    else:
+        rows = block["covariance"]
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(map(_is_number, row)) for row in rows
+        ):
+            raise cfg.fail("covariance", "covariance must be a list of rows of numbers")
     try:
         if has_gains:
-            if "sigma2_x" not in block:
-                raise cfg.fail("source", "gains form needs sigma2_x")
             return SourceSpec.from_gains(block["sigma2_x"], block["gains"])
         return SourceSpec.from_covariance(block["covariance"])
     except ValidationError as exc:
@@ -129,6 +157,8 @@ def parse_access(cfg: _Config, spec: SourceSpec) -> AccessStructure | str:
             "access",
             "access needs exactly one of minimal_sets, threshold, threshold_sweep",
         )
+    if forms[0] == "threshold":
+        _number(cfg, "threshold", block["threshold"], integer=True)
     try:
         if forms[0] == "minimal_sets":
             return monotone_closure(spec.l, _participant_sets(block["minimal_sets"], cfg))
@@ -149,20 +179,19 @@ def parse_rp(cfg: _Config):
     if not isinstance(block, dict):
         raise cfg.fail("rp", "missing or malformed rp block")
     if "value" in block:
-        value = block["value"]
-        if not isinstance(value, (int, float)) or value < 0 or not math.isfinite(value):
-            raise cfg.fail("rp", "rp value must be a finite nonnegative number")
+        value = _number(cfg, "value", block["value"])
+        if value < 0 or not math.isfinite(value):
+            raise cfg.fail("value", "rp value must be a finite nonnegative number")
         return "value", float(value)
     if "grid" in block:
         grid = block["grid"]
         if not isinstance(grid, dict):
             raise cfg.fail("grid", "rp grid must be an object")
-        try:
-            lo = float(grid["min"])
-            hi = float(grid["max"])
-            points = int(grid["points"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise cfg.fail("grid", "rp grid needs numeric min, max, points") from exc
+        if not {"min", "max", "points"} <= set(grid):
+            raise cfg.fail("grid", "rp grid needs numeric min, max, points")
+        lo = float(_number(cfg, "min", grid["min"]))
+        hi = float(_number(cfg, "max", grid["max"]))
+        points = _number(cfg, "points", grid["points"], integer=True)
         if lo < 0 or points < 1 or (points > 1 and hi <= lo):
             raise cfg.fail("grid", "need min >= 0, points >= 1, max > min")
         return "grid", np.linspace(lo, hi, points)
@@ -186,6 +215,14 @@ def parse_sim(cfg: _Config, seed_override: int | None) -> ProtocolConfig:
     missing = {"l_quant", "n", "q", "epsilon", "rv", "rv_prime", "k", "seed", "trials"} - set(merged)
     if missing:
         raise cfg.fail("sim", f"sim block is missing keys: {sorted(missing)}")
+    for key in ("l_quant", "n", "q", "k", "seed", "trials"):
+        _number(cfg, key, merged[key], integer=True)
+    for key in ("epsilon", "rv", "rv_prime"):
+        _number(cfg, key, merged[key])
+    if merged.get("rp_target") is not None:
+        _number(cfg, "rp_target", merged["rp_target"])
+    if not isinstance(merged.get("exact_leakage", False), (bool, type(None))):
+        raise cfg.fail("exact_leakage", "exact_leakage must be true, false or null")
     try:
         return ProtocolConfig(**merged)
     except (InvalidConfig, TypeError) as exc:
@@ -372,7 +409,7 @@ def cmd_oracle(cfg: _Config, fmt: str, out: str | None) -> int:
     oracle_block = cfg.data.get("oracle", {})
     grid_size = 10_000
     if isinstance(oracle_block, dict) and "grid_size" in oracle_block:
-        grid_size = int(oracle_block["grid_size"])
+        grid_size = _number(cfg, "grid_size", oracle_block["grid_size"], integer=True)
     check = saddle_check(spec, structure, rp, grid_size)
     if check.saddle_gap > 1e-9 * max(1.0, abs(check.min_min_max)):
         raise NumericError(

@@ -11,8 +11,20 @@ encoder's (1, 1) fallback dominates.
 
 The encoder returns the row-major first jointly typical codeword label
 (omega, nu), both 1-based; the decoder searches one omega row and returns the
-smallest typical nu, falling back to 1.  Both directions are exact set
-computations, not approximations, so tests can enumerate them independently.
+smallest typical nu, falling back to 1.
+
+Both directions share one count kernel.  A codebook caches a letter-major
+0/1 indicator matrix with a row per (codeword letter, position) and a column
+per codeword.  A call turns its x-block or y-block into a 0/1 selector with a
+row per pair letter, so one matrix product gives the pair-letter counts of
+every candidate codeword at once: all codewords for the encoder, the omega
+row for the decoder.  The counts are exact integers, and the typicality test
+applied to them, alphabet first, is the same floating-point expression that
+is_letter_typical evaluates, so every decision equals the scalar definition
+and tests can enumerate both directions independently.  The encoder also
+memoizes its labels on the codebook per (epsilon, x-block): the label is a
+pure function of those, so repeated blocks, across trials and in the exact
+leakage enumeration, return the label computed the first time.
 """
 
 from __future__ import annotations
@@ -40,10 +52,12 @@ def _letter_counts(seq: np.ndarray, n_letters: int) -> np.ndarray:
     return np.bincount(np.asarray(seq, dtype=np.int64), minlength=n_letters)
 
 
-def _typical_from_counts(counts: np.ndarray, pmf: np.ndarray, n: int, epsilon: float) -> np.ndarray:
-    """Vectorized relative-tolerance test; counts has the alphabet last."""
-    target = n * pmf
-    return np.all(np.abs(counts - target) <= epsilon * target, axis=-1)
+def _typical_from_counts(
+    counts: np.ndarray, pmf: np.ndarray, n: int, epsilon: float
+) -> np.ndarray:
+    """Relative-tolerance test, alphabet first: counts is (L,) or (L, candidates)."""
+    target = (n * pmf).reshape((-1,) + (1,) * (counts.ndim - 1))
+    return (np.abs(counts - target) <= epsilon * target).all(axis=0)
 
 
 def is_letter_typical(seq: np.ndarray, pmf: np.ndarray, epsilon: float) -> bool:
@@ -80,7 +94,8 @@ class Codebook:
     joint_xv: np.ndarray  # (n_x, n_v)
     rv: float
     rv_prime: float
-    _onehot: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _indicator: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _labels: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m_omega(self) -> int:
@@ -108,13 +123,14 @@ class Codebook:
             raise IndexOutOfRange(f"label ({omega}, {nu}) outside the codebook")
         return self.words[omega - 1, nu - 1]
 
-    def _words_onehot(self) -> np.ndarray:
-        """(m_omega * m_nu, n, n_v) indicator tensor, cached."""
-        if self._onehot is None:
-            flat = self.words.reshape(-1, self.n)
-            eye = np.eye(self.n_v)
-            self._onehot = eye[flat]
-        return self._onehot
+    def _words_indicator(self) -> np.ndarray:
+        """(n_v * n, m_omega * m_nu) letter-major 0/1 matrix, cached: entry
+        [v * n + i, w] is 1 when codeword w (row-major labels) has v at i."""
+        if self._indicator is None:
+            flat = self.words.reshape(-1, self.n).T  # (n, W)
+            letters = np.arange(self.n_v).reshape(-1, 1, 1)
+            self._indicator = (flat == letters).reshape(self.n_v * self.n, -1).astype(float)
+        return self._indicator
 
 
 def _label_count(n: int, rate: float) -> int:
@@ -150,24 +166,39 @@ def build_codebook(
     return Codebook(words=words, joint_xv=joint_xv, rv=float(rv), rv_prime=float(rv_prime))
 
 
+def _block(seq, n: int, n_letters: int, name: str) -> np.ndarray:
+    """Validated int64 copy of a length-n block over 0..n_letters-1."""
+    block = np.asarray(seq, dtype=np.int64)
+    if block.shape != (n,):
+        raise DomainError(f"{name} block must have length {n}")
+    if block.min() < 0 or block.max() >= n_letters:
+        raise DomainError(f"{name} block symbols must lie in 0..{n_letters - 1}")
+    return block
+
+
+def _letter_rows(block: np.ndarray, n_letters: int) -> np.ndarray:
+    """(n_letters, n) indicator: [a, i] is True when block[i] == a."""
+    return block == np.arange(n_letters).reshape(-1, 1)
+
+
 def wz_encode(codebook: Codebook, x_seq: np.ndarray, epsilon: float) -> tuple[int, int]:
     """First (row-major) codeword label jointly typical with x, else (1, 1)."""
-    x = np.asarray(x_seq, dtype=np.int64)
-    if x.shape != (codebook.n,):
-        raise DomainError(f"x block must have length {codebook.n}")
     n_x, n_v = codebook.joint_xv.shape
-    x_onehot = np.eye(n_x)[x]  # (n, n_x)
-    counts = np.einsum(
-        "ia,wib->wab", x_onehot, codebook._words_onehot()
-    ).reshape(-1, n_x * n_v)
-    mask = _typical_from_counts(
-        counts, codebook.joint_xv.ravel(), codebook.n, float(epsilon)
-    )
-    hits = np.flatnonzero(mask)
-    if hits.size == 0:
-        return 1, 1
-    first = int(hits[0])
-    return first // codebook.m_nu + 1, first % codebook.m_nu + 1
+    x = _block(x_seq, codebook.n, n_x, "x")
+    key = (float(epsilon), x.tobytes())
+    label = codebook._labels.get(key)
+    if label is None:
+        # selector row of pair (a, v) picks indicator rows v*n + i with x[i] == a
+        eye_v = np.eye(n_v, dtype=bool)
+        selector = _letter_rows(x, n_x)[:, None, None, :] & eye_v[None, :, :, None]
+        counts = selector.reshape(n_x * n_v, -1) @ codebook._words_indicator()
+        mask = _typical_from_counts(
+            counts, codebook.joint_xv.ravel(), codebook.n, float(epsilon)
+        )
+        hits = np.flatnonzero(mask)
+        row, col = divmod(int(hits[0]) if hits.size else 0, codebook.m_nu)
+        label = codebook._labels[key] = (row + 1, col + 1)
+    return label
 
 
 def wz_decode(
@@ -182,17 +213,20 @@ def wz_decode(
     joint_vy is the single-letter pmf p(v, y) for the decoding coalition's
     flattened observation alphabet; y_seq holds flattened composite symbols.
     """
-    if not 1 <= int(omega) <= codebook.m_omega:
+    omega = int(omega)
+    if not 1 <= omega <= codebook.m_omega:
         raise IndexOutOfRange(f"omega {omega} outside 1..{codebook.m_omega}")
     joint_vy = np.asarray(joint_vy, dtype=float)
-    y = np.asarray(y_seq, dtype=np.int64)
-    if y.shape != (codebook.n,):
-        raise DomainError(f"y block must have length {codebook.n}")
     n_v, n_y = joint_vy.shape
-    row = codebook.words[int(omega) - 1]  # (m_nu, n)
-    v_onehot = np.eye(n_v)[row]  # (m_nu, n, n_v)
-    y_onehot = np.eye(n_y)[y]  # (n, n_y)
-    counts = np.einsum("wia,ib->wab", v_onehot, y_onehot).reshape(-1, n_v * n_y)
+    if n_v != codebook.n_v:
+        raise DomainError(f"joint_vy needs one row per codeword letter ({codebook.n_v})")
+    y = _block(y_seq, codebook.n, n_y, "y")
+    # selector row of pair (v, b) picks indicator rows v*n + i with y[i] == b
+    eye_v = np.eye(n_v, dtype=bool)
+    selector = eye_v[:, None, :, None] & _letter_rows(y, n_y)[None, :, None, :]
+    m_nu = codebook.m_nu
+    row = codebook._words_indicator()[:, (omega - 1) * m_nu : omega * m_nu]
+    counts = selector.reshape(n_v * n_y, -1) @ row
     mask = _typical_from_counts(counts, joint_vy.ravel(), codebook.n, float(epsilon))
     hits = np.flatnonzero(mask)
     return int(hits[0]) + 1 if hits.size else 1

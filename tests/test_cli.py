@@ -27,6 +27,19 @@ def write_config(tmp_path, data, name="cfg.json"):
     return str(path)
 
 
+def suite_env():
+    """Environment whose PYTHONPATH starts where this suite imported gauss_share."""
+    src_dir = str(Path(gauss_share.__file__).resolve().parents[1])
+    pythonpath = [src_dir, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+
+
+def line_of(path, key):
+    """1-based line of the first occurrence of "key" in a written config."""
+    lines = Path(path).read_text().splitlines()
+    return next(i for i, line in enumerate(lines, start=1) if f'"{key}"' in line)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -351,6 +364,62 @@ class TestConfigErrors:
         assert code == 2
         assert f"{path}:" in err
 
+    def test_non_numeric_grid_size(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+            "rp": {"value": 1.0}, "oracle": {"grid_size": "abc"},
+        })
+        code, out, err = run_cli(capsys, "oracle", "--config", path)
+        assert (code, out) == (2, "")
+        line = line_of(path, "grid_size")
+        assert f"{path}:{line}: grid_size must be an integer, got \"abc\"" in err
+
+    def test_fractional_threshold(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE,
+            "access": {"threshold": 2.7}, "rp": "infinity",
+        })
+        code, out, err = run_cli(capsys, "capacity", "--config", path)
+        assert (code, out) == (2, "")
+        line = line_of(path, "threshold")
+        assert f"{path}:{line}: threshold must be an integer, got 2.7" in err
+
+    def test_boolean_rp_value(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+            "rp": {"value": True},
+        })
+        code, out, err = run_cli(capsys, "capacity", "--config", path)
+        assert (code, out) == (2, "")
+        line = line_of(path, "value")
+        assert f"{path}:{line}: value must be a number, got true" in err
+
+    def test_booleans_and_strings_are_not_numbers_anywhere(self, tmp_path, capsys):
+        sim = {"l_quant": 2, "n": 2, "q": 2, "epsilon": 0.2, "rv": 1.0,
+               "rv_prime": 1.0, "k": 2, "seed": 7, "trials": 2}
+        cases = [
+            ("capacity", {"source": {"sigma2_x": True, "gains": [1.0]}}, "sigma2_x"),
+            ("capacity", {"source": {"sigma2_x": 2.0, "gains": [1.0, "2"]}}, "gains"),
+            ("capacity", {"source": {"covariance": [[2.0, 1.0], [1.0, False]]}},
+             "covariance"),
+            ("region", {"rp": {"grid": {"min": 0.0, "max": "4", "points": 3}}}, "max"),
+            ("region", {"rp": {"grid": {"min": 0.0, "max": 4.0, "points": 2.5}}},
+             "points"),
+            ("simulate", {"sim": dict(sim, trials=True)}, "trials"),
+            ("simulate", {"sim": dict(sim, epsilon=False)}, "epsilon"),
+            ("simulate", {"sim": dict(sim, rp_target="1")}, "rp_target"),
+            ("simulate", {"sim": dict(sim, exact_leakage=1)}, "exact_leakage"),
+        ]
+        for command, override, field in cases:
+            data = {"version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+                    "rp": {"value": 1.0}}
+            data.update(override)
+            path = write_config(tmp_path, data)
+            code, out, err = run_cli(capsys, command, "--config", path)
+            assert (code, out) == (2, ""), (field, err)
+            line = line_of(path, field)
+            assert err.startswith(f"error: {path}:{line}: {field} must be"), err
+
     def test_bad_grid_bounds(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
@@ -393,12 +462,9 @@ class TestArgumentParsing:
             f"import sys; from {module} import {attr.split('.')[0]}; "
             f"sys.argv[0] = 'gauss-share'; sys.exit({attr}())"
         )
-        src_dir = str(Path(gauss_share.__file__).resolve().parents[1])
-        pythonpath = [src_dir, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
         result = subprocess.run(
             [sys.executable, "-c", wrapper, *argv],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
+            capture_output=True, text=True, env=suite_env(), cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
         assert "secret capacity: 0.111196210668" in result.stdout
@@ -407,3 +473,18 @@ class TestArgumentParsing:
                 ["gauss-share", *argv], capture_output=True, text=True,
             )
             assert (script.returncode, script.stdout) == (result.returncode, result.stdout)
+
+    def test_module_entry_point(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE,
+            "access": EXAMPLE_ACCESS, "rp": "infinity",
+        })
+        argv = ["capacity", "--config", path]
+        result = subprocess.run(
+            [sys.executable, "-m", "gauss_share", *argv],
+            capture_output=True, text=True, env=suite_env(), cwd=tmp_path,
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert result.returncode == code == 0, result.stderr
+        assert result.stdout == out
+        assert "secret capacity: 0.111196210668" in out

@@ -1,6 +1,6 @@
 """Codebook construction and typicality encoder/decoder tests.
 
-The vectorized encoder and decoder are checked exhaustively against plain
+The count-kernel encoder and decoder are checked exhaustively against plain
 Python loops over is_jointly_typical, and the typicality predicate itself
 against hand-counted cases.
 """
@@ -68,6 +68,23 @@ class TestJointTypicality:
 def make_codebook(words, joint_xv):
     words = np.asarray(words, dtype=np.int64)
     return Codebook(words=words, joint_xv=np.asarray(joint_xv, float), rv=0.0, rv_prime=0.0)
+
+
+def scalar_encode(book, x, eps):
+    """Row-major first jointly typical label by a plain loop, else (1, 1)."""
+    for omega in range(1, book.m_omega + 1):
+        for nu in range(1, book.m_nu + 1):
+            if is_jointly_typical(x, book.word(omega, nu), book.joint_xv, eps):
+                return omega, nu
+    return 1, 1
+
+
+def scalar_decode(book, y, omega, eps, joint_vy):
+    """Smallest typical nu in bin omega by a plain loop, else 1."""
+    for nu in range(1, book.m_nu + 1):
+        if is_jointly_typical(book.word(omega, nu), y, joint_vy, eps):
+            return nu
+    return 1
 
 
 class TestBuildCodebook:
@@ -146,16 +163,27 @@ class TestEncoder:
         for eps in (0.2, 0.6, 1.5):
             for x in itertools.product(range(2), repeat=4):
                 x = np.array(x)
-                expected = (1, 1)
-                for omega in range(1, book.m_omega + 1):
-                    for nu in range(1, book.m_nu + 1):
-                        if is_jointly_typical(x, book.word(omega, nu), joint, eps):
-                            expected = (omega, nu)
-                            break
-                    else:
-                        continue
-                    break
-                assert wz_encode(book, x, eps) == expected
+                assert wz_encode(book, x, eps) == scalar_encode(book, x, eps)
+
+    def test_three_letter_joint_with_a_zero_cell(self):
+        # p(x=2, v=0) = 0: a codeword with v=0 where x=2 is never typical
+        joint = np.array([[0.20, 0.10, 0.05], [0.05, 0.20, 0.05], [0.00, 0.10, 0.25]])
+        book = build_codebook(joint, 4, 0.75, 0.5, np.random.SeedSequence(4))
+        assert book.m_omega * book.m_nu == 32
+        matched = 0
+        for eps in (0.3, 0.6, 1.0, 2.5):
+            for x in itertools.product(range(3), repeat=4):
+                x = np.array(x)
+                label = wz_encode(book, x, eps)
+                assert label == scalar_encode(book, x, eps)
+                matched += is_jointly_typical(x, book.word(*label), joint, eps)
+        assert matched > 0  # the comparison reaches typical words, not only fallbacks
+
+    def test_out_of_alphabet_symbols(self):
+        book = make_codebook([[[0, 1, 0, 1]]], DIAG2)
+        for x in ([0, -1, 0, -1], [0, 2, 0, 1]):
+            with pytest.raises(DomainError, match="symbols must lie in 0..1"):
+                wz_encode(book, x, 0.1)
 
 
 class TestDecoder:
@@ -188,9 +216,47 @@ class TestDecoder:
             for y in itertools.product(range(2), repeat=4):
                 y = np.array(y)
                 for omega in range(1, book.m_omega + 1):
-                    expected = 1
-                    for nu in range(1, book.m_nu + 1):
-                        if is_jointly_typical(book.word(omega, nu), y, joint_vy, eps):
-                            expected = nu
-                            break
+                    expected = scalar_decode(book, y, omega, eps, joint_vy)
                     assert wz_decode(book, y, omega, eps, joint_vy) == expected
+
+    def test_composite_observation_alphabet(self):
+        # a two-member coalition of binary observers: y = 2 * y1 + y2
+        joint_xv = np.array([[0.4, 0.1], [0.1, 0.4]])
+        joint_vy = np.array([[0.25, 0.1, 0.1, 0.05], [0.05, 0.1, 0.1, 0.25]])
+        book = build_codebook(joint_xv, 4, 0.5, 0.75, np.random.SeedSequence(21))
+        assert book.m_nu == 8
+        decoded = set()
+        for eps in (0.5, 1.0, 3.0):
+            for y in itertools.product(range(4), repeat=4):
+                y = np.array(y)
+                for omega in range(1, book.m_omega + 1):
+                    nu = wz_decode(book, y, omega, eps, joint_vy)
+                    assert nu == scalar_decode(book, y, omega, eps, joint_vy)
+                    decoded.add(nu)
+        assert len(decoded) > 1  # labels past the fallback are exercised
+
+    def test_out_of_alphabet_symbols(self):
+        book = make_codebook([[[0, 1, 0, 1]]], DIAG2)
+        joint_vy = np.full((2, 3), 1.0 / 6.0)
+        for y in ([0, -1, 0, -1], [0, 3, 0, 1]):
+            with pytest.raises(DomainError, match="symbols must lie in 0..2"):
+                wz_decode(book, y, 1, 0.1, joint_vy)
+
+    def test_joint_rows_must_match_the_codeword_alphabet(self):
+        book = make_codebook([[[0, 1, 0, 1]]], DIAG2)
+        with pytest.raises(DomainError, match="one row per codeword letter"):
+            wz_decode(book, [0, 1, 0, 1], 1, 0.1, np.full((3, 2), 1.0 / 6.0))
+
+
+class TestLabelMemo:
+    JOINT = np.array([[0.4, 0.1], [0.1, 0.4]])
+
+    def test_memoized_labels_equal_a_fresh_codebook(self):
+        book = build_codebook(self.JOINT, 4, 0.5, 0.5, np.random.SeedSequence(9))
+        blocks = list(itertools.product(range(2), repeat=4))
+        for _ in range(2):  # the second pass reads the memo
+            for x in blocks:
+                for eps in (0.2, 1.5, 0.6):  # interleaved on one codebook
+                    for form in (list(x), np.array(x, np.int8), np.array(x, np.int64)):
+                        fresh = make_codebook(book.words, self.JOINT)
+                        assert wz_encode(book, form, eps) == wz_encode(fresh, x, eps)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gauss_share.access_structure import threshold_structure
+from gauss_share.access_structure import monotone_closure, threshold_structure
 from gauss_share.errors import BudgetExceeded, InvalidConfig, KTooLarge
 from gauss_share.protocol.codebook import build_codebook, wz_decode, wz_encode
 from gauss_share.protocol.model import build_quantized_source
@@ -89,6 +89,83 @@ class TestDeterminism:
         a = run_protocol(NOISELESS, ONE_OF_ONE, config(seed=0, trials=40, k=1))
         b = run_protocol(NOISELESS, ONE_OF_ONE, config(seed=1, trials=40, k=1))
         assert a.per_authorized[0].secret_errors != b.per_authorized[0].secret_errors
+
+
+class TestGoldenReports:
+    """Seeded reports pinned to values recorded before the encoder and
+    decoder were rewritten around a shared count kernel and label memo.
+
+    Every field is compared with ==, floats included: a change to the
+    typicality arithmetic that flips one decision, or reorders one
+    floating-point sum, fails here.
+    """
+
+    README = SourceSpec.from_gains(2.0, [0.5, 1.0, 0.8])
+    README_STRUCTURE = monotone_closure(3, [[1, 2], [2, 3]])
+    README_KNOBS = dict(l_quant=2, n=6, q=2, epsilon=0.2, rv=1.0, rv_prime=1.0,
+                        k=2, trials=40, exact_leakage=False)
+
+    @staticmethod
+    def fields(report):
+        return {
+            "errors": [
+                (st.subset, st.secret_errors, st.block_errors, st.trial_block_errors)
+                for st in report.per_authorized
+            ],
+            "leakage": report.leakage,
+            "message_leakage": report.message_leakage,
+            "secret_entropy": report.secret_entropy,
+            "uniformity_gap": report.uniformity_gap,
+            "public_rate_used": report.public_rate_used,
+        }
+
+    @pytest.mark.parametrize("seed, errors", [
+        (0, [((1, 2), 14, 18, 18), ((2, 3), 14, 18, 18), ((1, 2, 3), 14, 18, 18)]),
+        (1, [((1, 2), 15, 26, 22), ((2, 3), 15, 26, 22), ((1, 2, 3), 15, 26, 22)]),
+        (2, [((1, 2), 12, 28, 22), ((2, 3), 12, 28, 22), ((1, 2, 3), 12, 28, 22)]),
+    ])
+    def test_readme_source_monte_carlo(self, seed, errors):
+        cfg = ProtocolConfig(seed=seed, **self.README_KNOBS)
+        report = run_protocol(self.README, self.README_STRUCTURE, cfg)
+        assert self.fields(report) == {
+            "errors": errors,
+            "leakage": None,
+            "message_leakage": None,
+            "secret_entropy": None,
+            "uniformity_gap": None,
+            "public_rate_used": 2.083333333333333,
+        }
+
+    def test_two_of_two_exact_leakage_at_k8(self):
+        cfg = ProtocolConfig(l_quant=2, n=4, q=2, epsilon=0.5, rv=1.0, rv_prime=1.0,
+                             k=8, seed=5, trials=20, exact_leakage=True)
+        report = run_protocol(PAIR, BOTH_NEEDED, cfg)
+        assert self.fields(report) == {
+            "errors": [((1, 2), 20, 33, 20)],
+            "leakage": (((), 0.0), ((1,), 0.0), ((2,), 1.0658141036401503e-14)),
+            "message_leakage": 0.0,
+            "secret_entropy": 8.0,
+            "uniformity_gap": 0.0,
+            "public_rate_used": 2.875,
+        }
+
+    def test_two_of_two_exact_leakage_that_leaks(self):
+        report = run_protocol(
+            PAIR, BOTH_NEEDED,
+            config(n=2, q=1, k=1, seed=20, trials=20, exact_leakage=True),
+        )
+        assert self.fields(report) == {
+            "errors": [((1, 2), 3, 5, 5)],
+            "leakage": (
+                ((), 0.0737613082228672),
+                ((1,), 0.12421851620739321),
+                ((2,), 0.09736741213763844),
+            ),
+            "message_leakage": 0.0737613082228672,
+            "secret_entropy": 0.8112781244591328,
+            "uniformity_gap": 0.18872187554086717,
+            "public_rate_used": 2.0,
+        }
 
 
 class TestErrorStatistics:
