@@ -191,31 +191,37 @@ class ExtremalSets:
 
 
 def extremal_sets(structure: AccessStructure, spec: SourceSpec) -> ExtremalSets:
-    """Exhaustive argmin/argmax of the effective SNR over both families."""
-    if spec.l != structure.l:
-        raise IndexOutOfRange(
-            f"source has {spec.l} participants, structure has {structure.l}"
-        )
+    """Exhaustive argmin/argmax of the effective SNR over both families.
 
-    best_a: tuple | None = None
-    for mask in structure.authorized_masks:
-        subset = _subset_of(int(mask))
-        key = (subset_snr(spec, subset), len(subset), subset)
-        if best_a is None or key < best_a:
-            best_a = key
-    best_u: tuple | None = None
-    for mask in structure.unauthorized_masks:
-        subset = _subset_of(int(mask))
-        key = (-subset_snr(spec, subset), len(subset), subset)
-        if best_u is None or key < best_u:
-            best_u = key
+    A table of every bitmask's SNR narrows each family to the masks within a
+    1e-12 relative window of its extreme, and exact subset_snr keys decide
+    among those.  In gains mode bit b adds its squared gain to every lower
+    mask; such a sum of at most l squares is a few ulps off subset_snr.
+    """
+    l = structure.l
+    if spec.l != l:
+        raise IndexOutOfRange(f"source has {spec.l} participants, structure has {l}")
+    if spec.mode == "gains":
+        table = np.zeros(2**l)
+        for b, g in enumerate(spec.gains):
+            table[2**b : 2 ** (b + 1)] = table[: 2**b] + g * g
+    else:
+        table = np.array([subset_snr(spec, _subset_of(m)) for m in range(2**l)])
 
-    assert best_a is not None and best_u is not None  # both families are nonempty
+    def least_key(masks: np.ndarray, sign: float) -> tuple:
+        values = sign * table[masks]
+        best = values.min()
+        near = masks[values <= best + 1e-12 * abs(best) + np.finfo(float).tiny]
+        subsets = map(_subset_of, near.tolist())
+        return min((sign * subset_snr(spec, s), len(s), s) for s in subsets)
+
+    snr_a, _, min_a = least_key(structure.authorized_masks, 1.0)
+    neg_snr_u, _, max_u = least_key(structure.unauthorized_masks, -1.0)
     return ExtremalSets(
-        min_authorized=best_a[2],
-        max_unauthorized=best_u[2],
-        snr_authorized=best_a[0],
-        snr_unauthorized=-best_u[0],
+        min_authorized=min_a,
+        max_unauthorized=max_u,
+        snr_authorized=snr_a,
+        snr_unauthorized=-neg_snr_u,
     )
 
 

@@ -17,8 +17,6 @@ All rates are bits per source symbol, all logs base 2.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,13 +29,14 @@ from .access_structure import (
     threshold_extremal_chain,
 )
 from .errors import (
+    BudgetExceeded,
     DomainError,
     EmptyGrid,
     IndexOutOfRange,
     NegativeRate,
     NumericError,
 )
-from .source_model import SourceSpec, derive_gain_vector
+from .source_model import SourceSpec, _gains_and_snr, derive_gain_vector
 
 __all__ = [
     "UNLIMITED",
@@ -54,10 +53,11 @@ __all__ = [
     "saddle_check",
     "secret_capacity",
     "secret_rate",
-    "thread_cap",
     "threshold_compare",
     "verify_rate_formulas",
 ]
+
+_ORACLE_CELL_BUDGET = 20_000_000  # saddle_check's largest matrix, in float64 cells
 
 
 class UnlimitedRate:
@@ -200,18 +200,6 @@ def secret_capacity(spec: SourceSpec, structure: AccessStructure, rp) -> Capacit
     return CapacityPoint(rp=rp, cs=cs, sigma2_star=sigma2_star, extremal=ext)
 
 
-def thread_cap() -> int:
-    """Worker cap from GAUSS_SHARE_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("GAUSS_SHARE_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"GAUSS_SHARE_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise DomainError("GAUSS_SHARE_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def rate_region(
     spec: SourceSpec, structure: AccessStructure, rp_grid: Sequence[float]
 ) -> RateRegion:
@@ -225,21 +213,15 @@ def rate_region(
         raise DomainError("rp grid must be strictly increasing")
 
     ext = extremal_sets(structure, spec)
-
-    def at(rp: float) -> CapacityPoint:
-        return CapacityPoint(
+    points = tuple(
+        CapacityPoint(
             rp=rp,
             cs=_capacity_value(spec, ext, rp),
             sigma2_star=optimal_conditional_variance(spec, ext.snr_authorized, rp),
             extremal=ext,
         )
-
-    workers = min(thread_cap(), len(grid))
-    if workers > 1 and len(grid) >= 256:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = tuple(pool.map(at, grid))
-    else:
-        points = tuple(at(rp) for rp in grid)
+        for rp in grid
+    )
     return RateRegion(points=points, cs_infinity=_capacity_value(spec, ext, UNLIMITED))
 
 
@@ -346,21 +328,23 @@ def saddle_check(
     [sigma2_x * 1e-8, sigma2_x] and always contains sigma2_x (feasible at
     every rp, where the objective is exactly zero) plus the analytic
     feasibility boundary; the boundary point dominates, so the grid verifies
-    rather than finds the optimum.
+    rather than finds the optimum.  Raises BudgetExceeded, before allocating,
+    when grid_size times the larger family passes _ORACLE_CELL_BUDGET.
     """
     rp = _check_rate(rp)
     grid_size = int(grid_size)
     if grid_size < 100:
         raise DomainError("grid_size must be at least 100")
+    family = max(structure.authorized_masks.size, structure.unauthorized_masks.size)
+    if family * grid_size > _ORACLE_CELL_BUDGET:
+        raise BudgetExceeded(f"grid_size {grid_size} times {family} coalitions exceeds "
+                             f"the oracle budget of {_ORACLE_CELL_BUDGET} cells")
 
     ext = extremal_sets(structure, spec)
     sx = spec.sigma2_x
-    snr_a = np.array(
-        [derive_gain_vector(spec, s).snr for s in structure.authorized], dtype=float
-    )
-    snr_u = np.array(
-        [derive_gain_vector(spec, s).snr for s in structure.unauthorized], dtype=float
-    )
+    # tuples built from masks are canonical: skip derive_gain_vector's checks
+    snr_a = np.array([_gains_and_snr(spec, s)[1] for s in structure.authorized])
+    snr_u = np.array([_gains_and_snr(spec, s)[1] for s in structure.unauthorized])
     grid = np.geomspace(sx * 1e-8, sx, grid_size)
 
     def gap_matrix(svec: np.ndarray, snr: np.ndarray) -> np.ndarray:
@@ -374,18 +358,20 @@ def saddle_check(
             return float(grid[0])
         return optimal_conditional_variance(spec, snr, rp)
 
-    # min over pairs of (max over feasible s of secret rate)
-    gap_u_grid = gap_matrix(grid, snr_u)  # reused across all A
+    # min over A of (max over feasible s of (min over U of secret rate)); the
+    # min over U subtracts each column's largest unauthorized gap, which does
+    # not depend on A, so it is taken once.
+    max_u_grid = np.max(gap_matrix(grid, snr_u), axis=0)
     per_a_max = np.empty(snr_a.shape, dtype=float)
     for j, oa in enumerate(snr_a):
         s_edge = boundary(float(oa))
         feasible = grid >= s_edge
         svals = np.concatenate([grid[feasible], [s_edge]])
         gap_a = 0.5 * np.log2((sx * oa + 1.0) / (svals * oa + 1.0))
-        gap_u = np.concatenate(
-            [gap_u_grid[:, feasible], gap_matrix(np.array([s_edge]), snr_u)], axis=1
+        max_u = np.append(
+            max_u_grid[feasible], np.max(gap_matrix(np.array([s_edge]), snr_u))
         )
-        per_a_max[j] = np.max(gap_a - np.max(gap_u, axis=0))
+        per_a_max[j] = np.max(gap_a - max_u)
     min_min_max = float(np.min(per_a_max))
 
     # max over s feasible at the weakest authorized coalition of

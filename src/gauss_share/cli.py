@@ -38,8 +38,16 @@ from .capacity import (
     secret_capacity,
     threshold_compare,
 )
-from .errors import GaussShareError, InvalidConfig, NumericError, ValidationError
+from .errors import (
+    BudgetExceeded,
+    DomainError,
+    GaussShareError,
+    InvalidConfig,
+    NumericError,
+    ValidationError,
+)
 from .protocol import ProtocolConfig, run_protocol
+from .protocol.simulate import _fmt_subset
 from .source_model import SourceSpec
 
 __all__ = ["main"]
@@ -51,10 +59,6 @@ EXIT_NUMERIC = 3
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
-
-
-def _fmt_subset(subset: tuple[int, ...]) -> str:
-    return "{" + ",".join(str(p) for p in subset) + "}"
 
 
 class _Config:
@@ -410,7 +414,10 @@ def cmd_oracle(cfg: _Config, fmt: str, out: str | None) -> int:
     grid_size = 10_000
     if isinstance(oracle_block, dict) and "grid_size" in oracle_block:
         grid_size = _number(cfg, "grid_size", oracle_block["grid_size"], integer=True)
-    check = saddle_check(spec, structure, rp, grid_size)
+    try:
+        check = saddle_check(spec, structure, rp, grid_size)
+    except (BudgetExceeded, DomainError) as exc:  # the grid_size floor or cell budget
+        raise cfg.fail("grid_size", str(exc)) from exc
     if check.saddle_gap > 1e-9 * max(1.0, abs(check.min_min_max)):
         raise NumericError(
             f"saddle orders disagree: {check.min_min_max!r} vs {check.max_min_min!r}"

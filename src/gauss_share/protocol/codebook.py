@@ -48,10 +48,6 @@ __all__ = [
 _MAX_TABLE_CELLS = 100_000_000
 
 
-def _letter_counts(seq: np.ndarray, n_letters: int) -> np.ndarray:
-    return np.bincount(np.asarray(seq, dtype=np.int64), minlength=n_letters)
-
-
 def _typical_from_counts(
     counts: np.ndarray, pmf: np.ndarray, n: int, epsilon: float
 ) -> np.ndarray:
@@ -60,11 +56,19 @@ def _typical_from_counts(
     return (np.abs(counts - target) <= epsilon * target).all(axis=0)
 
 
+def _symbols(seq, n_letters: int, name: str) -> np.ndarray:
+    """int64 copy of seq, every symbol checked to lie in 0..n_letters-1."""
+    seq = np.asarray(seq, dtype=np.int64)
+    if seq.size and (seq.min() < 0 or seq.max() >= n_letters):
+        raise DomainError(f"{name} symbols must lie in 0..{n_letters - 1}")
+    return seq
+
+
 def is_letter_typical(seq: np.ndarray, pmf: np.ndarray, epsilon: float) -> bool:
     """Relative letter typicality of one sequence against a 1-D pmf."""
     pmf = np.asarray(pmf, dtype=float)
-    seq = np.asarray(seq, dtype=np.int64)
-    counts = _letter_counts(seq, pmf.size)
+    seq = _symbols(seq, pmf.size, "sequence")
+    counts = np.bincount(seq, minlength=pmf.size)
     return bool(_typical_from_counts(counts, pmf, seq.size, float(epsilon)))
 
 
@@ -73,8 +77,8 @@ def is_jointly_typical(
 ) -> bool:
     """Pair typicality of aligned sequences against joint[a, b]."""
     joint = np.asarray(joint, dtype=float)
-    a = np.asarray(seq_a, dtype=np.int64)
-    b = np.asarray(seq_b, dtype=np.int64)
+    a = _symbols(seq_a, joint.shape[0], "first sequence")
+    b = _symbols(seq_b, joint.shape[1], "second sequence")
     if a.shape != b.shape:
         raise DomainError("paired sequences must share a length")
     pair = a * joint.shape[1] + b
@@ -171,9 +175,7 @@ def _block(seq, n: int, n_letters: int, name: str) -> np.ndarray:
     block = np.asarray(seq, dtype=np.int64)
     if block.shape != (n,):
         raise DomainError(f"{name} block must have length {n}")
-    if block.min() < 0 or block.max() >= n_letters:
-        raise DomainError(f"{name} block symbols must lie in 0..{n_letters - 1}")
-    return block
+    return _symbols(block, n_letters, f"{name} block")
 
 
 def _letter_rows(block: np.ndarray, n_letters: int) -> np.ndarray:

@@ -144,6 +144,24 @@ def _canonical_subset(spec: SourceSpec, subset: Iterable[int]) -> tuple[int, ...
     return tuple(members)
 
 
+def _gains_and_snr(spec: SourceSpec, members: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """Whitened gain vector of canonical members and its squared norm."""
+    if not members:
+        return np.zeros(0), 0.0
+    if spec.mode == "gains":
+        h = spec.gains[[m - 1 for m in members]]
+        return h, float(h @ h)
+
+    cov = spec.covariance
+    idx = np.array(members, dtype=int)  # participant i sits at row i
+    cross = cov[idx, 0]  # Sigma_{Y_S X}, shape (|S|,)
+    sigma_y = cov[np.ix_(idx, idx)]
+    noise_cov = sigma_y - np.outer(cross, cross) / spec.sigma2_x
+    b = _checked_cholesky(noise_cov)
+    h = np.linalg.solve(b, cross) / spec.sigma2_x
+    return h, float(h @ h)
+
+
 def derive_gain_vector(spec: SourceSpec, subset: Iterable[int]) -> SubsetGain:
     """Whiten a subset's observations into the unit-noise gain form.
 
@@ -154,21 +172,8 @@ def derive_gain_vector(spec: SourceSpec, subset: Iterable[int]) -> SubsetGain:
     The empty subset is legal and yields snr = 0.
     """
     members = _canonical_subset(spec, subset)
-    if not members:
-        return SubsetGain(subset=(), gains=_frozen_array([]), snr=0.0)
-
-    if spec.mode == "gains":
-        h = spec.gains[[m - 1 for m in members]]
-        return SubsetGain(subset=members, gains=_frozen_array(h), snr=float(h @ h))
-
-    cov = spec.covariance
-    idx = np.array(members, dtype=int)  # participant i sits at row i
-    cross = cov[idx, 0]  # Sigma_{Y_S X}, shape (|S|,)
-    sigma_y = cov[np.ix_(idx, idx)]
-    noise_cov = sigma_y - np.outer(cross, cross) / spec.sigma2_x
-    b = _checked_cholesky(noise_cov)
-    h = np.linalg.solve(b, cross) / spec.sigma2_x
-    return SubsetGain(subset=members, gains=_frozen_array(h), snr=float(h @ h))
+    h, snr = _gains_and_snr(spec, members)
+    return SubsetGain(subset=members, gains=_frozen_array(h), snr=snr)
 
 
 def subset_snr(spec: SourceSpec, subset: Iterable[int]) -> float:

@@ -130,6 +130,46 @@ def test_extremal_tie_break_is_deterministic():
     assert extremal_sets(structure, spec) == ext
 
 
+def brute_force_extremal(structure, snr):
+    """Least (snr, size, subset) key over authorized sets and least
+    (-snr, size, subset) over unauthorized ones; snr maps subsets to subset_snr."""
+    a = min((snr[s], len(s), s) for s in structure.authorized)
+    u = min((-snr[s], len(s), s) for s in structure.unauthorized)
+    return a[2], u[2], a[0], -u[0]
+
+
+def tie_sources(l):
+    rng = np.random.default_rng(l)
+    root = rng.normal(size=(l + 1, l + 1))
+    return {
+        "equal": SourceSpec.from_gains(2.0, np.ones(l)),
+        "zero-negative": SourceSpec.from_gains(
+            1.5, np.resize([0.0, -1.0, 0.5, 0.0, -0.5, 1.0, -1.0], l)
+        ),
+        "all-zero": SourceSpec.from_gains(1.0, np.zeros(l)),
+        # squares 0.01, 0.04, 0.09: subsets tie in exact arithmetic
+        # (0.01 + 0.04 + 0.04 = 0.09) but not in float, where the SNR table
+        # and subset_snr round their sums differently
+        "decimal": SourceSpec.from_gains(1.0, (np.arange(l) % 3 + 1) / 10.0),
+        "covariance": SourceSpec.from_covariance(root @ root.T + (l + 1) * np.eye(l + 1)),
+    }
+
+
+@pytest.mark.parametrize("l", [1, 6, 10])
+@pytest.mark.parametrize("kind", ["equal", "zero-negative", "all-zero", "decimal", "covariance"])
+def test_extremal_sets_match_brute_force_keys_under_ties(l, kind):
+    spec = tie_sources(l)[kind]
+    structures = [threshold_structure(l, t) for t in range(1, l + 1)]
+    if l > 1:
+        structures.append(monotone_closure(l, [[1], [2, l]]))
+    everyone = structures[0]
+    snr = {s: subset_snr(spec, s) for s in everyone.authorized + everyone.unauthorized}
+    for structure in structures:
+        ext = extremal_sets(structure, spec)
+        got = (ext.min_authorized, ext.max_unauthorized, ext.snr_authorized, ext.snr_unauthorized)
+        assert got == brute_force_extremal(structure, snr)
+
+
 def test_extremal_requires_matching_sizes():
     spec = SourceSpec.from_gains(1.0, [1.0, 0.5])
     with pytest.raises(IndexOutOfRange):

@@ -26,12 +26,13 @@ from gauss_share.capacity import (
     verify_rate_formulas,
 )
 from gauss_share.errors import (
+    BudgetExceeded,
     DomainError,
     EmptyGrid,
     IndexOutOfRange,
     NegativeRate,
 )
-from gauss_share.source_model import SourceSpec
+from gauss_share.source_model import SourceSpec, derive_gain_vector
 
 SPEC3 = SourceSpec.from_gains(2.0, [0.5, 1.0, 0.8])
 STRUCT3 = monotone_closure(3, [[1, 2], [2, 3]])
@@ -169,26 +170,12 @@ def test_rate_region_grid_validation():
         rate_region(SPEC3, STRUCT3, [0.0, math.inf])
 
 
-def test_rate_region_parallel_matches_serial(monkeypatch):
+def test_rate_region_points_match_secret_capacity():
     grid = np.linspace(0.0, 5.0, 300)
-    monkeypatch.setenv("GAUSS_SHARE_THREADS", "1")
-    serial = rate_region(SPEC3, STRUCT3, grid)
-    monkeypatch.setenv("GAUSS_SHARE_THREADS", "4")
-    parallel = rate_region(SPEC3, STRUCT3, grid)
-    assert serial == parallel
-
-
-def test_thread_env_validation(monkeypatch):
-    from gauss_share.capacity import thread_cap
-
-    monkeypatch.setenv("GAUSS_SHARE_THREADS", "junk")
-    with pytest.raises(DomainError):
-        thread_cap()
-    monkeypatch.setenv("GAUSS_SHARE_THREADS", "-2")
-    with pytest.raises(DomainError):
-        thread_cap()
-    monkeypatch.setenv("GAUSS_SHARE_THREADS", "0")
-    assert thread_cap() >= 1
+    region = rate_region(SPEC3, STRUCT3, grid)
+    assert len(region.points) == 300
+    for rp, point in zip(grid, region.points):
+        assert point == secret_capacity(SPEC3, STRUCT3, float(rp))
 
 
 def test_rate_rejects_nan_and_bare_inf():
@@ -278,6 +265,69 @@ class TestSaddleOracle:
     def test_grid_size_floor(self):
         with pytest.raises(DomainError):
             saddle_check(SPEC3, STRUCT3, 1.0, 50)
+
+    def test_cell_budget_is_checked_before_allocating(self):
+        # 5 unauthorized sets x 10^12 cells would need 40 TB
+        with pytest.raises(BudgetExceeded, match="oracle budget"):
+            saddle_check(SPEC3, STRUCT3, 1.0, 10**12)
+
+    @staticmethod
+    def per_pair_reference(spec, structure, rp, grid_size):
+        """Both orders as plain loops that take the maximum over unauthorized
+        sets anew for every authorized set."""
+        sx = spec.sigma2_x
+        snr_a = np.array([derive_gain_vector(spec, s).snr for s in structure.authorized])
+        snr_u = np.array([derive_gain_vector(spec, s).snr for s in structure.unauthorized])
+        grid = np.geomspace(sx * 1e-8, sx, grid_size)
+
+        def gaps(svec, snr):
+            return 0.5 * np.log2((sx * snr[:, None] + 1.0) / (svec[None, :] * snr[:, None] + 1.0))
+
+        def edge(snr):
+            if is_unlimited(rp):
+                return float(grid[0])
+            return optimal_conditional_variance(spec, snr, rp)
+
+        gap_u_grid = gaps(grid, snr_u)
+        per_a = []
+        for oa in snr_a:
+            s_edge = edge(float(oa))
+            feasible = grid >= s_edge
+            svals = np.concatenate([grid[feasible], [s_edge]])
+            gap_a = 0.5 * np.log2((sx * oa + 1.0) / (svals * oa + 1.0))
+            gap_u = np.concatenate(
+                [gap_u_grid[:, feasible], gaps(np.array([s_edge]), snr_u)], axis=1
+            )
+            per_a.append(np.max(gap_a - np.max(gap_u, axis=0)))
+        s_edge = edge(float(np.min(snr_a)))
+        feasible = grid >= s_edge
+        svals = np.concatenate([grid[feasible], [s_edge]])
+        inner = np.min(gaps(svals, snr_a), axis=0) - np.max(gaps(svals, snr_u), axis=0)
+        return float(np.min(per_a)), float(np.max(inner))
+
+    @pytest.mark.parametrize("l", [6, 8, 10])
+    @pytest.mark.parametrize("rp", [0.7, 2.5, UNLIMITED])
+    def test_both_orders_equal_the_per_pair_loop(self, l, rp):
+        rng = np.random.default_rng(l)
+        spec = SourceSpec.from_gains(2.0, rng.uniform(0.3, 1.5, l))
+        for structure in (
+            threshold_structure(l, l // 2),
+            monotone_closure(l, [[1, 2], [3, 4, 5], [l - 1, l]]),
+        ):
+            chk = saddle_check(spec, structure, rp, 500)
+            assert (chk.min_min_max, chk.max_min_min) == self.per_pair_reference(
+                spec, structure, rp, 500
+            )
+
+    def test_covariance_source_equals_the_per_pair_loop(self):
+        rng = np.random.default_rng(3)
+        root = rng.normal(size=(7, 7))
+        spec = SourceSpec.from_covariance(root @ root.T + 7 * np.eye(7))
+        structure = threshold_structure(6, 3)
+        chk = saddle_check(spec, structure, 1.1, 1000)
+        assert (chk.min_min_max, chk.max_min_min) == self.per_pair_reference(
+            spec, structure, 1.1, 1000
+        )
 
 
 def test_verify_rate_formulas_routes_agree():

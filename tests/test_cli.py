@@ -317,6 +317,36 @@ class TestOracleCommand:
         assert "numeric failure" in err
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_SOURCE = {"sigma2_x": 2.0, "gains": [
+    1.018678, 0.999161, 0.986091, 0.97514, 0.992476,
+    1.028655, 0.98063, 0.97867, 1.019405, 0.978587,
+]}
+GOLDEN_POINT = {"access": {"threshold": 5}, "rp": {"value": 2.589892},
+                "oracle": {"grid_size": 1000}}
+
+
+class TestGoldenCapacityOutput:
+    """stdout of the capacity commands on an l=10 source at threshold 5,
+    pinned byte for byte to output recorded before extremal_sets gained its
+    SNR table and saddle_check its hoisted unauthorized maximum."""
+
+    @pytest.mark.parametrize("command, block", [
+        ("capacity", GOLDEN_POINT),
+        ("region", {"access": {"threshold": 5},
+                    "rp": {"grid": {"min": 0.0, "max": 4.0, "points": 256}}}),
+        ("threshold", {"access": {"threshold_sweep": True},
+                       "rp": {"grid": {"min": 0.5, "max": 2.0, "points": 3}}}),
+        ("oracle", GOLDEN_POINT),
+    ])
+    def test_stdout_is_byte_identical(self, tmp_path, capsys, command, block):
+        path = write_config(tmp_path, dict({"version": 1, "source": GOLDEN_SOURCE}, **block))
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert (code, err) == (0, "")
+        golden = (GOLDEN_DIR / f"capacity_cli_l10_{command}.txt").read_bytes()
+        assert out.encode("utf-8") == golden
+
+
 class TestConfigErrors:
     def test_wrong_version_is_line_anchored(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -373,6 +403,19 @@ class TestConfigErrors:
         assert (code, out) == (2, "")
         line = line_of(path, "grid_size")
         assert f"{path}:{line}: grid_size must be an integer, got \"abc\"" in err
+
+    @pytest.mark.parametrize("grid_size, message", [
+        (50, "grid_size must be at least 100"),
+        (10**9, "grid_size 1000000000 times 5 coalitions exceeds the oracle budget"),
+    ])
+    def test_grid_size_out_of_range(self, tmp_path, capsys, grid_size, message):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+            "rp": {"value": 1.0}, "oracle": {"grid_size": grid_size},
+        })
+        code, out, err = run_cli(capsys, "oracle", "--config", path)
+        assert (code, out) == (2, "")
+        assert f"{path}:{line_of(path, 'grid_size')}: {message}" in err
 
     def test_fractional_threshold(self, tmp_path, capsys):
         path = write_config(tmp_path, {

@@ -39,6 +39,14 @@ class TestLetterTypicality:
         assert is_letter_typical([0, 1, 0, 1], pmf, 0.1)
         assert not is_letter_typical([0, 1, 2, 1], pmf, 100.0)
 
+    @pytest.mark.parametrize("seq", [[0, 2], [0, -1], [5]])
+    def test_symbols_outside_the_alphabet(self, seq):
+        with pytest.raises(DomainError, match="symbols must lie in 0..1"):
+            is_letter_typical(seq, UNIFORM2, 0.1)
+
+    def test_empty_sequence_is_typical(self):
+        assert is_letter_typical([], UNIFORM2, 0.1)
+
     def test_skewed_pmf_has_empty_typical_set_at_small_n(self):
         # p = 0.1 at n = 4 needs a count in [0.2, 0.6]: no integer qualifies
         pmf = np.array([0.9, 0.1])
@@ -63,6 +71,20 @@ class TestJointTypicality:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             is_jointly_typical([0, 1], [0, 1, 0], DIAG2, 0.1)
+
+    @pytest.mark.parametrize("seq_a, seq_b, which", [
+        ([0, 3], [0, 1], "first sequence symbols must lie in 0..2"),
+        ([0, -1], [0, 1], "first sequence symbols must lie in 0..2"),
+        ([0, 1], [0, 4], "second sequence symbols must lie in 0..3"),
+        ([0, 1], [-1, 1], "second sequence symbols must lie in 0..3"),
+        # flattened, (0, 4) is pair letter 4 = (1, 0): inside the pair
+        # alphabet, so only a per-coordinate check rejects it
+        ([0, 0], [4, 1], "second sequence symbols must lie in 0..3"),
+    ])
+    def test_symbols_outside_either_alphabet(self, seq_a, seq_b, which):
+        joint = np.full((3, 4), 1 / 12)
+        with pytest.raises(DomainError, match=which):
+            is_jointly_typical(seq_a, seq_b, joint, 0.5)
 
 
 def make_codebook(words, joint_xv):
