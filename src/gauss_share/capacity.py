@@ -321,15 +321,17 @@ def saddle_check(
 ) -> SaddleCheck:
     """Grid evaluation of both optimization orders of the converse.
 
-    min-min-max: for each authorized/unauthorized pair, maximize the secret
-    rate over the conditional variances feasible at rp, then minimize over
-    pairs.  max-min-min: swap the order, with feasibility anchored at the
-    weakest authorized coalition.  The grid is log-spaced on
-    [sigma2_x * 1e-8, sigma2_x] and always contains sigma2_x (feasible at
-    every rp, where the objective is exactly zero) plus the analytic
-    feasibility boundary; the boundary point dominates, so the grid verifies
-    rather than finds the optimum.  Raises BudgetExceeded, before allocating,
-    when grid_size times the larger family passes _ORACLE_CELL_BUDGET.
+    min-min-max: min over authorized A of max over s feasible for A at rp of
+    min over unauthorized U of the secret rate.  It equals the per-pair order
+    (min over A and U of max over s) only because one U, the strongest, has
+    the largest gap at every s.  max-min-min: swap the order, with
+    feasibility anchored at the weakest authorized coalition.  The grid is
+    log-spaced on [sigma2_x * 1e-8, sigma2_x] and always contains sigma2_x
+    (feasible at every rp, where the objective is exactly zero) plus the
+    analytic feasibility boundary; the boundary point dominates, so the grid
+    verifies rather than finds the optimum.  Raises BudgetExceeded, before
+    allocating, when grid_size times the larger family passes
+    _ORACLE_CELL_BUDGET.
     """
     rp = _check_rate(rp)
     grid_size = int(grid_size)

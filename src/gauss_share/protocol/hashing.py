@@ -6,7 +6,11 @@ bits and b = log2(alphabet size).  The seed therefore has
 d = N b + k - 1 bits; it is public and is charged to the public channel by
 the protocol report.  Because the map is linear in the seed for fixed input,
 the output distribution over a uniform seed is uniform on the column space of
-an input-dependent matrix, which the exact leakage evaluator exploits.
+an input-dependent matrix (`hash_matrix_for_input`: row i, column t holds bit
+v[N b - 1 + i - t]).  That matrix has full rank k for every nonzero input: if
+j is its highest set bit, columns t = N b - 1 - j + i (i < k) are triangular
+with a unit diagonal.  So the exact leakage evaluator takes the output as
+uniform on all 2^k values for a nonzero input and as 0 for the zero input.
 """
 
 from __future__ import annotations

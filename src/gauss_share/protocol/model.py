@@ -44,6 +44,7 @@ __all__ = [
 
 AXIS_V = 0
 AXIS_X = 1
+_QUAD_NODES = 80  # Gauss-Legendre nodes per X bin of the pmf tensor
 
 
 def _y_axes(subset: tuple[int, ...]) -> tuple[int, ...]:
@@ -156,7 +157,6 @@ def build_quantized_source(
     structure: AccessStructure,
     l_quant: int,
     rp_target: float | None = None,
-    quad_nodes: int = 80,
 ) -> DiscreteSourceModel:
     """Quantize the joint Gaussian law into an exact-arithmetic pmf tensor.
 
@@ -196,7 +196,7 @@ def build_quantized_source(
 
     # Gauss-Legendre nodes per X bin in u = CDF(x) coordinates, where the
     # X marginal is the uniform measure on (0, 1).
-    nodes, weights = leggauss(int(quad_nodes))
+    nodes, weights = leggauss(_QUAD_NODES)
     shape = (v_quant.n_bins, l_quant) + tuple(q.n_bins for q in y_quants)
     pmf = np.zeros(shape)
 

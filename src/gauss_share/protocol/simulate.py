@@ -9,8 +9,8 @@ often individual blocks fail reconciliation.
 
 Security accounting is exact or absent, never sampled: for small instances
 the full joint distribution of (secret, public messages, unauthorized
-observations) is enumerated in closed form, seed marginalized through the
-column-space structure of the hash; larger instances report leakage as
+observations) is enumerated in closed form, with the seed averaged out by
+the full-rank rule of the Toeplitz hash; larger instances report leakage as
 unavailable rather than estimate it optimistically.
 """
 
@@ -40,12 +40,7 @@ from .bounds import (
     error_bound,
 )
 from .codebook import Codebook, build_codebook, wz_decode, wz_encode
-from .hashing import (
-    hash_matrix_for_input,
-    privacy_amplify,
-    seed_length,
-    symbols_to_bits,
-)
+from .hashing import privacy_amplify, seed_length
 from .model import (
     DiscreteSourceModel,
     build_quantized_source,
@@ -267,10 +262,11 @@ def run_protocol(
         )
     d = seed_length(big_n, n_v, k) if k > 0 else 0
 
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(config.trials + 1)
+    # child i of SeedSequence(seed).spawn(), made only when it is used:
+    # child 0 draws the codebook, child 1 + t drives trial t
     codebook = build_codebook(
-        model.joint_xv(), n, config.rv, config.rv_prime, children[0]
+        model.joint_xv(), n, config.rv, config.rv_prime,
+        np.random.SeedSequence(config.seed, spawn_key=(0,)),
     )
     joint_vy = {a: model.joint_vy(a) for a in structure.authorized}
 
@@ -281,7 +277,7 @@ def run_protocol(
     log_rows: list[tuple[int, str, int]] = []
 
     for t in range(config.trials):
-        rng = np.random.default_rng(children[1 + t])
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1 + t,)))
         x, y = sample_source(spec, rng, big_n)
         x_bins, y_bins = discretize_source(
             model.x_quantizer, model.y_quantizers, x, y
@@ -422,16 +418,15 @@ def _exact_leakage(
 
     Enumerates every x block, maps it through the deterministic encoder, and
     propagates the block joint p(x^n, y^n) through q independent repetitions.
-    The secret's conditional law given the dealer's codeword string is
-    uniform on the column space of the input-dependent hash matrix, so the
-    seed average is exact linear algebra over GF(2), not a seed sweep.
+    The seed is averaged out by the full-rank rule of the Toeplitz hash (see
+    `hashing`): the secret is uniform on all 2^k values for every nonzero
+    dealer string and is 0 for the all-zero string, so neither GF(2)
+    elimination nor a seed sweep is needed.
     """
     n, q, k = config.n, config.q, config.k
-    n_v = model.n_v
 
-    x_blocks = list(itertools.product(range(model.n_x), repeat=n))
     outcomes = []
-    for xb in x_blocks:
+    for xb in itertools.product(range(model.n_x), repeat=n):
         omega, nu = wz_encode(codebook, np.array(xb, dtype=np.int64), config.epsilon)
         word = tuple(int(s) for s in codebook.word(omega, nu))
         outcomes.append((omega, word))
@@ -440,28 +435,15 @@ def _exact_leakage(
     xb_out = np.array([out_id[o] for o in outcomes])
     n_out = len(distinct)
 
-    # hash image per composite outcome combo, cached by dealer string
-    image_cache: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
-
-    def image_of(v_concat: tuple[int, ...]) -> tuple[np.ndarray, float]:
-        if v_concat not in image_cache:
-            bits = symbols_to_bits(np.array(v_concat, dtype=np.int64), n_v)
-            outs, mass = hash_matrix_for_input(bits, k).image_distribution()
-            shifts = 1 << np.arange(k - 1, -1, -1)
-            ids = (outs * shifts).sum(axis=1)
-            image_cache[v_concat] = (ids.astype(np.int64), mass)
-        return image_cache[v_concat]
-
-    combos = list(itertools.product(range(n_out), repeat=q))
+    # per composite outcome combo: message id, and whether the dealer string
+    # is all zero (the only string whose secret is not uniform on 2^k values)
     m_ids: dict[tuple[int, ...], int] = {}
     combo_m = []
-    combo_images = []
-    for combo in combos:
+    combo_zero = []
+    for combo in itertools.product(range(n_out), repeat=q):
         blocks = [distinct[c] for c in combo]
-        m_vec = tuple(b[0] for b in blocks)
-        v_concat = tuple(itertools.chain.from_iterable(b[1] for b in blocks))
-        combo_m.append(m_ids.setdefault(m_vec, len(m_ids)))
-        combo_images.append(image_of(v_concat))
+        combo_m.append(m_ids.setdefault(tuple(b[0] for b in blocks), len(m_ids)))
+        combo_zero.append(not any(any(b[1]) for b in blocks))
 
     per_u = []
     msg_leak = None
@@ -478,10 +460,14 @@ def _exact_leakage(
             p_full = np.kron(p_full, p_block_oy)
 
         table = np.zeros((2**k, len(m_ids), p_full.shape[1]))
-        for row, (m_id, (s_ids, mass)) in enumerate(zip(combo_m, combo_images)):
+        spread = 2.0**-k * p_full
+        for row, (m_id, zero) in enumerate(zip(combo_m, combo_zero)):
             # combo index in the kron product is the base-n_out number whose
             # most significant digit is block 0, matching combos ordering
-            table[s_ids, m_id, :] += mass * p_full[row, :]
+            if zero:
+                table[0, m_id, :] += p_full[row, :]
+            else:
+                table[:, m_id, :] += spread[row, :]
 
         h_smy = info.entropy(table)
         h_my = info.entropy(table.sum(axis=0))

@@ -315,12 +315,23 @@ def test_criterion_6_simulator_determinism_reliability_and_leakage():
 
         assert mean_secret_error(6, 2) <= mean_secret_error(2, 6)
 
-        # (c) exact leakage equals the literal enumerate-everything sweep
-        for seed in (11, 20):
-            c = ProtocolConfig(
+        # (c) exact leakage equals the literal enumerate-everything sweep, on
+        # binary inputs and on one forced 4-letter (2 bits per symbol) input;
+        # at seed 1430 the encoder's fallback codeword (label (1, 1)) is all
+        # zero, so the secret is 0 with positive mass and uniform otherwise,
+        # and the leakage differs between unauthorized sets
+        swept = [
+            ProtocolConfig(
                 l_quant=2, n=2, q=2, epsilon=0.2, rv=1.0, rv_prime=1.0,
                 k=2, seed=seed, trials=1, exact_leakage=True,
             )
+            for seed in (11, 20)
+        ]
+        swept.append(ProtocolConfig(
+            l_quant=4, n=4, q=1, epsilon=0.2, rv=0.5, rv_prime=0.5,
+            k=1, seed=1430, trials=1, exact_leakage=True,
+        ))
+        for c in swept:
             report = run_protocol(PAIR, BOTH_NEEDED, c)
             assert report.leakage_mode == "exact"
             sweep = _sweep_leakage(PAIR, BOTH_NEEDED, c)

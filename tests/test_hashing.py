@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gauss_share.errors import DomainError, KTooLarge
 from gauss_share.protocol.hashing import (
@@ -156,21 +158,39 @@ class TestPrivacyAmplify:
 
 
 class TestTwoUniversality:
-    def test_every_nonzero_difference_has_full_rank(self):
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_nonzero_difference_has_full_rank(self, k):
         """Deterministic universality: distinct inputs collide with
         probability exactly 2^-k because the difference map is onto.
 
         Collisions of (v1, v2) under a shared seed happen exactly when the
         hash of v1 xor v2 is zero, so full rank of every nonzero difference
-        matrix pins the collision probability at 2^-k for all pairs.
+        matrix pins the collision probability at 2^-k for all pairs.  This
+        is the rule the exact leakage evaluator relies on, checked here for
+        every string of 1..10 bits; the zero string hashes to 0 alone.
         """
-        k = 2
-        for delta in itertools.product(range(2), repeat=8):
-            if not any(delta):
-                continue
-            outputs, mass = hash_matrix_for_input(np.array(delta), k).image_distribution()
-            assert outputs.shape == (4, k)
-            assert mass == 0.25
+        for n_bits in range(1, 11):
+            for delta in itertools.product(range(2), repeat=n_bits):
+                outputs, mass = hash_matrix_for_input(np.array(delta), k).image_distribution()
+                if not any(delta):
+                    np.testing.assert_array_equal(outputs, np.zeros((1, k)))
+                    assert mass == 1.0
+                    continue
+                assert outputs.shape == (2**k, k)
+                assert len(set(map(tuple, outputs))) == 2**k
+                assert mass == 2.0**-k
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(min_value=11, max_value=48).flatmap(
+            lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any)
+        ),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_long_nonzero_strings_hash_to_every_output(self, bits, k):
+        outputs, mass = hash_matrix_for_input(np.array(bits), k).image_distribution()
+        assert len(set(map(tuple, outputs))) == 2**k
+        assert mass == 2.0**-k
 
     def test_monte_carlo_collision_rate(self):
         # N = 4 symbols over a 4-letter alphabet, k = 2: expect 1/4 collisions
