@@ -401,11 +401,17 @@ def minimax_oracle(
 ) -> float:
     """Brute-force capacity value; raises if the saddle orders disagree."""
     check = saddle_check(spec, structure, rp, grid_size)
+    _check_saddle_orders(check)
+    return check.min_min_max
+
+
+def _check_saddle_orders(check: SaddleCheck) -> None:
+    """NumericError when the two optimization orders differ by more than
+    1e-9 relative to the min-min-max value (absolute below 1)."""
     if check.saddle_gap > 1e-9 * max(1.0, abs(check.min_min_max)):
         raise NumericError(
             f"saddle orders disagree: {check.min_min_max!r} vs {check.max_min_min!r}"
         )
-    return check.min_min_max
 
 
 @dataclass(frozen=True)

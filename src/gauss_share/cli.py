@@ -11,7 +11,9 @@ Configs are JSON documents with a required "version": 1 field.  Blocks:
 
 Numeric fields must be JSON numbers, and integers where a count is meant;
 true/false, strings and fractions in integer fields are rejected, never
-coerced.
+coerced.  That includes participant ids in minimal_sets.  Grid min and max
+must be finite (json.loads accepts NaN and Infinity), and an oracle block,
+when present, must be an object.
 
 Commands: capacity, region, threshold, simulate, oracle.  Exit codes: 0 on
 success, 2 on validation problems (anchored to a config line when one is
@@ -22,6 +24,7 @@ significant digits, '.' decimals, ',' delimiters, and a mandatory header.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -32,6 +35,8 @@ import numpy as np
 from .access_structure import AccessStructure, monotone_closure, threshold_structure
 from .capacity import (
     UNLIMITED,
+    CapacityPoint,
+    _check_saddle_orders,
     is_unlimited,
     rate_region,
     saddle_check,
@@ -56,9 +61,16 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
+_SIM_FIELDS = dataclasses.fields(ProtocolConfig)
+_POINT_HEADER = "rp,cs,sigma2_star,a_star,u_star"
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _fmt_rp(rp) -> str:
+    return "infinity" if is_unlimited(rp) else _fmt(rp)
 
 
 class _Config:
@@ -143,15 +155,17 @@ def parse_source(cfg: _Config) -> SourceSpec:
 def _participant_sets(sets: Any, cfg: _Config) -> list[list[int]]:
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise cfg.fail("minimal_sets", "minimal_sets must be a list of lists")
-    for s in sets:
-        for v in s:
-            if not isinstance(v, int) or v < 1:
-                raise cfg.fail("minimal_sets", "participant ids are 1-based integers")
+    if not all(_is_number(v, integer=True) and v >= 1 for s in sets for v in s):
+        raise cfg.fail("minimal_sets", "participant ids are 1-based integers")
     return sets
 
 
-def parse_access(cfg: _Config, spec: SourceSpec) -> AccessStructure | str:
-    """Returns a structure, or the string "sweep" for threshold sweeps."""
+def parse_access(cfg: _Config, spec: SourceSpec, command: str) -> AccessStructure | None:
+    """The structure the command needs: None for the threshold command's
+    sweep (which also needs a gains-form source), a concrete structure for
+    every other command."""
+    if command == "threshold" and spec.mode != "gains":
+        raise cfg.fail("source", "threshold sweeps need a gains-form source")
     block = cfg.data.get("access")
     if not isinstance(block, dict):
         raise cfg.fail("access", "missing or malformed access block")
@@ -161,32 +175,39 @@ def parse_access(cfg: _Config, spec: SourceSpec) -> AccessStructure | str:
             "access",
             "access needs exactly one of minimal_sets, threshold, threshold_sweep",
         )
-    if forms[0] == "threshold":
-        _number(cfg, "threshold", block["threshold"], integer=True)
+    form = forms[0]
+    if form == "threshold_sweep":
+        if block[form] is not True:
+            raise cfg.fail(form, "threshold_sweep must be true when present")
+        if command != "threshold":
+            raise cfg.fail("access", f"{command} needs a concrete access structure")
+        return None
+    if form == "threshold":
+        _number(cfg, form, block[form], integer=True)
     try:
-        if forms[0] == "minimal_sets":
-            return monotone_closure(spec.l, _participant_sets(block["minimal_sets"], cfg))
-        if forms[0] == "threshold":
-            return threshold_structure(spec.l, block["threshold"])
+        if form == "minimal_sets":
+            structure = monotone_closure(spec.l, _participant_sets(block[form], cfg))
+        else:
+            structure = threshold_structure(spec.l, block[form])
     except ValidationError as exc:
         raise cfg.fail("access", str(exc)) from exc
-    if block["threshold_sweep"] is not True:
-        raise cfg.fail("threshold_sweep", "threshold_sweep must be true when present")
-    return "sweep"
+    if command == "threshold":
+        raise cfg.fail("access", "threshold command needs threshold_sweep: true")
+    return structure
 
 
 def parse_rp(cfg: _Config):
-    """Returns ("value", r) | ("infinity", None) | ("grid", ndarray)."""
+    """UNLIMITED, a finite rate as a float, or an rp grid as an array."""
     block = cfg.data.get("rp")
     if block == "infinity" or block == {"infinity": True}:
-        return "infinity", None
+        return UNLIMITED
     if not isinstance(block, dict):
         raise cfg.fail("rp", "missing or malformed rp block")
     if "value" in block:
         value = _number(cfg, "value", block["value"])
         if value < 0 or not math.isfinite(value):
             raise cfg.fail("value", "rp value must be a finite nonnegative number")
-        return "value", float(value)
+        return float(value)
     if "grid" in block:
         grid = block["grid"]
         if not isinstance(grid, dict):
@@ -198,25 +219,31 @@ def parse_rp(cfg: _Config):
         points = _number(cfg, "points", grid["points"], integer=True)
         if lo < 0 or points < 1 or (points > 1 and hi <= lo):
             raise cfg.fail("grid", "need min >= 0, points >= 1, max > min")
-        return "grid", np.linspace(lo, hi, points)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise cfg.fail("grid", "rp grid min and max must be finite")
+        return np.linspace(lo, hi, points)
     raise cfg.fail("rp", "rp must be a value, a grid, or infinity")
+
+
+def _single_rp(cfg: _Config, command: str):
+    """parse_rp for a command that evaluates one rate: UNLIMITED or a float."""
+    rp = parse_rp(cfg)
+    if isinstance(rp, np.ndarray):
+        raise cfg.fail("rp", f"{command} needs a single rp value or infinity")
+    return rp
 
 
 def parse_sim(cfg: _Config, seed_override: int | None) -> ProtocolConfig:
     block = cfg.data.get("sim")
     if not isinstance(block, dict):
         raise cfg.fail("sim", "missing or malformed sim block")
-    known = {
-        "l_quant", "n", "q", "epsilon", "rv", "rv_prime", "k", "seed",
-        "trials", "rp_target", "exact_leakage",
-    }
-    unknown = set(block) - known
+    unknown = set(block) - {f.name for f in _SIM_FIELDS}
     if unknown:
         raise cfg.fail("sim", f"unknown sim keys: {sorted(unknown)}")
     merged = dict(block)
     if seed_override is not None:
         merged["seed"] = seed_override
-    missing = {"l_quant", "n", "q", "epsilon", "rv", "rv_prime", "k", "seed", "trials"} - set(merged)
+    missing = {f.name for f in _SIM_FIELDS if f.default is dataclasses.MISSING} - set(merged)
     if missing:
         raise cfg.fail("sim", f"sim block is missing keys: {sorted(missing)}")
     for key in ("l_quant", "n", "q", "k", "seed", "trials"):
@@ -233,133 +260,67 @@ def parse_sim(cfg: _Config, seed_override: int | None) -> ProtocolConfig:
         raise cfg.fail("sim", str(exc)) from exc
 
 
-def _emit(out_path: str | None, text: str) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _point_rows(point) -> list[str]:
-    rp_txt = "infinity" if is_unlimited(point.rp) else _fmt(point.rp)
+def _point_row(point: CapacityPoint) -> str:
     sigma_txt = "" if point.sigma2_star is None else _fmt(point.sigma2_star)
-    return [
-        ",".join(
-            [
-                rp_txt,
-                _fmt(point.cs),
-                sigma_txt,
-                f'"{_fmt_subset(point.extremal.min_authorized)}"',
-                f'"{_fmt_subset(point.extremal.max_unauthorized)}"',
-            ]
-        )
-    ]
-
-
-def cmd_capacity(cfg: _Config, fmt: str, out: str | None) -> int:
-    spec = parse_source(cfg)
-    structure = parse_access(cfg, spec)
-    if structure == "sweep":
-        raise cfg.fail("access", "capacity needs a concrete access structure")
-    kind, value = parse_rp(cfg)
-    if kind == "grid":
-        raise cfg.fail("rp", "capacity needs a single rp value or infinity")
-    rp = UNLIMITED if kind == "infinity" else value
-    point = secret_capacity(spec, structure, rp)
-    if fmt == "csv":
-        lines = ["rp,cs,sigma2_star,a_star,u_star"] + _point_rows(point)
-        _emit(out, "\n".join(lines))
-    else:
-        rp_txt = "infinity" if is_unlimited(point.rp) else _fmt(point.rp)
-        sigma_txt = "unattained" if point.sigma2_star is None else _fmt(point.sigma2_star)
-        _emit(
-            out,
-            "\n".join(
-                [
-                    f"public rate: {rp_txt}",
-                    f"secret capacity: {_fmt(point.cs)}",
-                    f"optimal conditional variance: {sigma_txt}",
-                    f"weakest authorized set: {_fmt_subset(point.extremal.min_authorized)}",
-                    f"strongest unauthorized set: {_fmt_subset(point.extremal.max_unauthorized)}",
-                ]
-            ),
-        )
-    return EXIT_OK
-
-
-def cmd_region(cfg: _Config, fmt: str, out: str | None) -> int:
-    spec = parse_source(cfg)
-    structure = parse_access(cfg, spec)
-    if structure == "sweep":
-        raise cfg.fail("access", "region needs a concrete access structure")
-    kind, value = parse_rp(cfg)
-    if kind != "grid":
-        raise cfg.fail("rp", "region needs an rp grid")
-    region = rate_region(spec, structure, value)
-    ext = region.points[0].extremal
-    rows = ["rp,cs,sigma2_star,a_star,u_star"]
-    for point in region.points:
-        rows.extend(_point_rows(point))
-    rows.append(
-        ",".join(
-            [
-                "infinity",
-                _fmt(region.cs_infinity),
-                "",
-                f'"{_fmt_subset(ext.min_authorized)}"',
-                f'"{_fmt_subset(ext.max_unauthorized)}"',
-            ]
-        )
+    return ",".join(
+        [
+            _fmt_rp(point.rp),
+            _fmt(point.cs),
+            sigma_txt,
+            f'"{_fmt_subset(point.extremal.min_authorized)}"',
+            f'"{_fmt_subset(point.extremal.max_unauthorized)}"',
+        ]
     )
+
+
+def cmd_capacity(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | None) -> str:
+    point = secret_capacity(spec, structure, _single_rp(cfg, "capacity"))
+    if fmt == "csv":
+        return f"{_POINT_HEADER}\n{_point_row(point)}"
+    sigma_txt = "unattained" if point.sigma2_star is None else _fmt(point.sigma2_star)
+    return "\n".join(
+        [
+            f"public rate: {_fmt_rp(point.rp)}",
+            f"secret capacity: {_fmt(point.cs)}",
+            f"optimal conditional variance: {sigma_txt}",
+            f"weakest authorized set: {_fmt_subset(point.extremal.min_authorized)}",
+            f"strongest unauthorized set: {_fmt_subset(point.extremal.max_unauthorized)}",
+        ]
+    )
+
+
+def cmd_region(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | None) -> str:
+    grid = parse_rp(cfg)
+    if not isinstance(grid, np.ndarray):
+        raise cfg.fail("rp", "region needs an rp grid")
+    region = rate_region(spec, structure, grid)
+    saturation = CapacityPoint(UNLIMITED, region.cs_infinity, None, region.points[0].extremal)
     # the sweep is tabular data either way, so text and csv coincide here
-    _emit(out, "\n".join(rows))
-    return EXIT_OK
+    return "\n".join([_POINT_HEADER, *map(_point_row, (*region.points, saturation))])
 
 
-def cmd_threshold(cfg: _Config, fmt: str, out: str | None) -> int:
-    spec = parse_source(cfg)
-    if spec.mode != "gains":
-        raise cfg.fail("source", "threshold sweeps need a gains-form source")
-    access = parse_access(cfg, spec)
-    if access != "sweep":
-        raise cfg.fail("access", "threshold command needs threshold_sweep: true")
-    kind, value = parse_rp(cfg)
-    if kind == "infinity":
-        rp_values = [UNLIMITED]
-    elif kind == "value":
-        rp_values = [value]
-    else:
-        rp_values = list(value)
+def cmd_threshold(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | None) -> str:
+    rp = parse_rp(cfg)
+    rp_values = list(rp) if isinstance(rp, np.ndarray) else [rp]
     l = spec.l
     rows = ["t,rp,cs"]
     for t in range(1, l + 1):
         structure = threshold_structure(l, t)
         for rp in rp_values:
-            point = secret_capacity(spec, structure, rp)
-            rp_txt = "infinity" if is_unlimited(rp) else _fmt(rp)
-            rows.append(f"{t},{rp_txt},{_fmt(point.cs)}")
-    compare_rp = rp_values[-1]
+            cs = secret_capacity(spec, structure, rp).cs
+            rows.append(f"{t},{_fmt_rp(rp)},{_fmt(cs)}")
     rows.append("")
     rows.append("t,i,lhs,rhs,verdict")
     for t in range(1, l):
         for i in range(1, l - t + 1):
-            comp = threshold_compare(spec, l, t, i, compare_rp)
+            comp = threshold_compare(spec, l, t, i, rp_values[-1])
             lhs_txt = "" if comp.lhs is None else _fmt(comp.lhs)
             rows.append(f"{t},{i},{lhs_txt},{_fmt(comp.rhs)},{comp.verdict}")
-    _emit(out, "\n".join(rows))
-    return EXIT_OK
+    return "\n".join(rows)
 
 
-def cmd_simulate(cfg: _Config, fmt: str, out: str | None, seed: int | None) -> int:
-    spec = parse_source(cfg)
-    structure = parse_access(cfg, spec)
-    if structure == "sweep":
-        raise cfg.fail("access", "simulate needs a concrete access structure")
-    sim = parse_sim(cfg, seed)
-    report = run_protocol(spec, structure, sim)
+def cmd_simulate(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | None) -> str:
+    report = run_protocol(spec, structure, parse_sim(cfg, seed))
     if fmt == "csv":
         rows = [
             "set,trials,secret_errors,secret_error_rate,secret_ci_lo,secret_ci_hi,"
@@ -395,36 +356,23 @@ def cmd_simulate(cfg: _Config, fmt: str, out: str | None, seed: int | None) -> i
         rows.append(f"reconciliation_bound,{_fmt(report.reconciliation_bound.total)}")
         rows.append(f"rs_lower,{_fmt(report.rate_bound.rs_lower)}")
         rows.append(f"rp_upper,{_fmt(report.rate_bound.rp_upper)}")
-        _emit(out, "\n".join(rows))
-    else:
-        _emit(out, report.to_text())
-    return EXIT_OK
+        return "\n".join(rows)
+    return report.to_text()
 
 
-def cmd_oracle(cfg: _Config, fmt: str, out: str | None) -> int:
-    spec = parse_source(cfg)
-    structure = parse_access(cfg, spec)
-    if structure == "sweep":
-        raise cfg.fail("access", "oracle needs a concrete access structure")
-    kind, value = parse_rp(cfg)
-    if kind == "grid":
-        raise cfg.fail("rp", "oracle needs a single rp value or infinity")
-    rp = UNLIMITED if kind == "infinity" else value
-    oracle_block = cfg.data.get("oracle", {})
-    grid_size = 10_000
-    if isinstance(oracle_block, dict) and "grid_size" in oracle_block:
-        grid_size = _number(cfg, "grid_size", oracle_block["grid_size"], integer=True)
+def cmd_oracle(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | None) -> str:
+    rp = _single_rp(cfg, "oracle")
+    block = cfg.data.get("oracle", {})
+    if not isinstance(block, dict):
+        raise cfg.fail("oracle", "oracle must be an object")
+    grid_size = _number(cfg, "grid_size", block.get("grid_size", 10_000), integer=True)
     try:
         check = saddle_check(spec, structure, rp, grid_size)
     except (BudgetExceeded, DomainError) as exc:  # the grid_size floor or cell budget
         raise cfg.fail("grid_size", str(exc)) from exc
-    if check.saddle_gap > 1e-9 * max(1.0, abs(check.min_min_max)):
-        raise NumericError(
-            f"saddle orders disagree: {check.min_min_max!r} vs {check.max_min_min!r}"
-        )
-    rp_txt = "infinity" if is_unlimited(check.rp) else _fmt(check.rp)
+    _check_saddle_orders(check)
     pairs = [
-        ("rp", rp_txt),
+        ("rp", _fmt_rp(check.rp)),
         ("grid_size", str(check.grid_size)),
         ("min_min_max", _fmt(check.min_min_max)),
         ("max_min_min", _fmt(check.max_min_min)),
@@ -436,10 +384,18 @@ def cmd_oracle(cfg: _Config, fmt: str, out: str | None) -> int:
     ]
     if fmt == "csv":
         rows = ["key,value"] + [f'{k},"{v}"' if "," in v else f"{k},{v}" for k, v in pairs]
-        _emit(out, "\n".join(rows))
-    else:
-        _emit(out, "\n".join(f"{k}: {v}" for k, v in pairs))
-    return EXIT_OK
+        return "\n".join(rows)
+    return "\n".join(f"{k}: {v}" for k, v in pairs)
+
+
+# command name -> (handler returning the output text, default --format)
+_COMMANDS = {
+    "capacity": (cmd_capacity, "text"),
+    "region": (cmd_region, "csv"),
+    "threshold": (cmd_threshold, "csv"),
+    "simulate": (cmd_simulate, "text"),
+    "oracle": (cmd_oracle, "text"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -447,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gauss-share",
         description="Secret-sharing capacity and protocol tools for Gaussian sources",
     )
-    parser.add_argument("command", choices=["capacity", "region", "threshold", "simulate", "oracle"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=None, help="write output to this path")
     parser.add_argument("--seed", type=int, default=None, help="override the sim seed")
@@ -457,25 +413,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    default_fmt = "csv" if args.command in ("region", "threshold") else "text"
-    fmt = args.format or default_fmt
+    handler, default_fmt = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        if args.command == "capacity":
-            return cmd_capacity(cfg, fmt, args.out)
-        if args.command == "region":
-            return cmd_region(cfg, fmt, args.out)
-        if args.command == "threshold":
-            return cmd_threshold(cfg, fmt, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, fmt, args.out, args.seed)
-        return cmd_oracle(cfg, fmt, args.out)
+        spec = parse_source(cfg)
+        structure = parse_access(cfg, spec, args.command)
+        text = handler(cfg, spec, structure, args.format or default_fmt, args.seed)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValidationError, GaussShareError) as exc:
+    except GaussShareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # every handler's text lacks the final newline
+    if args.out is None:
+        print(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            print(text, file=fh)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -368,7 +368,7 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 
 
-def _exact_budget_ok(model: DiscreteSourceModel, structure: AccessStructure, config: ProtocolConfig, codebook_cells: int) -> bool:
+def _exact_budget_ok(structure: AccessStructure, config: ProtocolConfig, codebook_cells: int) -> bool:
     u_max = max((len(u) for u in structure.unauthorized), default=0)
     l = config.l_quant
     sweep = (l ** (config.n * (1 + u_max))) * codebook_cells
@@ -388,9 +388,7 @@ def _leakage_section(
         return "exact", zero, 0.0, 0.0, 0.0
 
     binary = config.l_quant == 2 and model.n_v == 2
-    budget_ok = _exact_budget_ok(
-        model, structure, config, codebook.m_omega * codebook.m_nu
-    )
+    budget_ok = _exact_budget_ok(structure, config, codebook.m_omega * codebook.m_nu)
     if config.exact_leakage is False:
         return "unavailable", None, None, None, None
     if config.exact_leakage is None:

@@ -1,10 +1,12 @@
 """Command-line interface tests, run in-process through main(argv)."""
 
+import dataclasses
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +318,17 @@ class TestOracleCommand:
         assert code == 3
         assert "numeric failure" in err
 
+    def test_saddle_disagreement_exit_code(self, tmp_path, capsys, monkeypatch):
+        real_check = cli.saddle_check
+
+        def skewed(*args, **kwargs):
+            return dataclasses.replace(real_check(*args, **kwargs), max_min_min=0.5)
+
+        monkeypatch.setattr(cli, "saddle_check", skewed)
+        code, out, err = run_cli(capsys, "oracle", "--config", self.config(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: saddle orders disagree: ")
+
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SOURCE = {"sigma2_x": 2.0, "gains": [
@@ -345,6 +358,36 @@ class TestGoldenCapacityOutput:
         assert (code, err) == (0, "")
         golden = (GOLDEN_DIR / f"capacity_cli_l10_{command}.txt").read_bytes()
         assert out.encode("utf-8") == golden
+
+
+README_SIM_CONFIG = {
+    "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS, "rp": {"value": 1.0},
+    "sim": {"l_quant": 2, "n": 2, "q": 2, "epsilon": 0.2, "rv": 1.0, "rv_prime": 1.0,
+            "k": 2, "seed": 7, "trials": 200, "exact_leakage": True},
+}
+
+
+class TestGoldenOutput:
+    """stdout of output forms the capacity goldens above leave out (CSV,
+    "infinity", and simulate on the README source with exact leakage),
+    pinned byte for byte to output recorded before the command-line front
+    end was rewritten."""
+
+    @pytest.mark.parametrize("golden, argv, block", [
+        ("capacity_cli_l10_capacity_csv", ["capacity", "--format", "csv"],
+         dict(GOLDEN_POINT, source=GOLDEN_SOURCE)),
+        ("capacity_cli_l10_capacity_infinity", ["capacity"],
+         dict(GOLDEN_POINT, source=GOLDEN_SOURCE, rp="infinity")),
+        ("capacity_cli_l10_oracle_csv", ["oracle", "--format", "csv"],
+         dict(GOLDEN_POINT, source=GOLDEN_SOURCE)),
+        ("simulate_3party_text", ["simulate"], README_SIM_CONFIG),
+        ("simulate_3party_csv", ["simulate", "--format", "csv"], README_SIM_CONFIG),
+    ])
+    def test_stdout_is_byte_identical(self, tmp_path, capsys, golden, argv, block):
+        path = write_config(tmp_path, dict({"version": 1}, **block))
+        code, out, err = run_cli(capsys, *argv, "--config", path)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (GOLDEN_DIR / f"{golden}.txt").read_bytes()
 
 
 class TestConfigErrors:
@@ -462,6 +505,63 @@ class TestConfigErrors:
             assert (code, out) == (2, ""), (field, err)
             line = line_of(path, field)
             assert err.startswith(f"error: {path}:{line}: {field} must be"), err
+
+    @pytest.mark.parametrize("command, override, key, message", [
+        *[(command, {"access": {"threshold_sweep": True}}, "access",
+           f"{command} needs a concrete access structure")
+          for command in ("capacity", "region", "simulate", "oracle")],
+        *[(command, {"rp": {"grid": {"min": 0.0, "max": 1.0, "points": 3}}}, "rp",
+           f"{command} needs a single rp value or infinity")
+          for command in ("capacity", "oracle")],
+        *[(command, {"access": {"threshold_sweep": False}}, "threshold_sweep",
+           "threshold_sweep must be true when present")
+          for command in ("capacity", "region", "threshold", "simulate", "oracle")],
+    ])
+    def test_command_shape_errors(self, tmp_path, capsys, command, override, key, message):
+        data = {"version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+                "rp": {"value": 1.0}}
+        path = write_config(tmp_path, dict(data, **override))
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:{line_of(path, key)}: {message}\n"
+
+    def test_boolean_participant_ids(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE,
+            "access": {"minimal_sets": [[True, 2]]}, "rp": "infinity",
+        })
+        code, out, err = run_cli(capsys, "capacity", "--config", path)
+        assert (code, out) == (2, "")
+        line = line_of(path, "minimal_sets")
+        assert f"{path}:{line}: participant ids are 1-based integers" in err
+
+    @pytest.mark.parametrize("command", ["capacity", "region", "oracle"])
+    @pytest.mark.parametrize("bounds", [
+        {"min": 0.0, "max": float("inf")},
+        {"min": float("nan"), "max": 1.0},
+        {"min": 0.0, "max": float("nan")},
+    ])
+    def test_non_finite_grid_bounds(self, tmp_path, capsys, command, bounds):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+            "rp": {"grid": dict(bounds, points=3)},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, out, err = run_cli(capsys, command, "--config", path)
+        assert (code, out) == (2, "")
+        line = line_of(path, "grid")
+        assert err == f"error: {path}:{line}: rp grid min and max must be finite\n"
+
+    @pytest.mark.parametrize("block", [7, None, [{"grid_size": 200}], "grid_size"])
+    def test_non_object_oracle_block(self, tmp_path, capsys, block):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+            "rp": {"value": 1.0}, "oracle": block,
+        })
+        code, out, err = run_cli(capsys, "oracle", "--config", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:{line_of(path, 'oracle')}: oracle must be an object\n"
 
     def test_bad_grid_bounds(self, tmp_path, capsys):
         path = write_config(tmp_path, {
