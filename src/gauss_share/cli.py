@@ -12,8 +12,10 @@ Configs are JSON documents with a required "version": 1 field.  Blocks:
 Numeric fields must be JSON numbers, and integers where a count is meant;
 true/false, strings and fractions in integer fields are rejected, never
 coerced.  That includes participant ids in minimal_sets.  Grid min and max
-must be finite (json.loads accepts NaN and Infinity), and an oracle block,
-when present, must be an object.
+must be finite (json.loads accepts NaN and Infinity, and an integer too
+large for a float counts as infinite, as it does for an rp value), grid
+points may not pass 100,000, and an oracle block, when present, must be an
+object.
 
 Commands: capacity, region, threshold, simulate, oracle.  Exit codes: 0 on
 success, 2 on validation problems (anchored to a config line when one is
@@ -62,6 +64,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 _SIM_FIELDS = dataclasses.fields(ProtocolConfig)
+_MAX_RP_POINTS = 100_000  # rp grid points, checked before the grid is allocated
 _POINT_HEADER = "rp,cs,sigma2_star,a_star,u_star"
 
 
@@ -104,6 +107,14 @@ def _number(cfg: _Config, key: str, value: Any, integer: bool = False):
         kind = "an integer" if integer else "a number"
         raise cfg.fail(key, f"{key} must be {kind}, got {json.dumps(value)}")
     return value
+
+
+def _as_float(value: int | float) -> float:
+    """float(value), reading a JSON integer too large for a float as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def load_config(path: str) -> _Config:
@@ -182,13 +193,13 @@ def parse_access(cfg: _Config, spec: SourceSpec, command: str) -> AccessStructur
         if command != "threshold":
             raise cfg.fail("access", f"{command} needs a concrete access structure")
         return None
+    # shape checks raise their own line-anchored messages, outside the try
     if form == "threshold":
-        _number(cfg, form, block[form], integer=True)
+        build, arg = threshold_structure, _number(cfg, form, block[form], integer=True)
+    else:
+        build, arg = monotone_closure, _participant_sets(block[form], cfg)
     try:
-        if form == "minimal_sets":
-            structure = monotone_closure(spec.l, _participant_sets(block[form], cfg))
-        else:
-            structure = threshold_structure(spec.l, block[form])
+        structure = build(spec.l, arg)
     except ValidationError as exc:
         raise cfg.fail("access", str(exc)) from exc
     if command == "threshold":
@@ -204,23 +215,25 @@ def parse_rp(cfg: _Config):
     if not isinstance(block, dict):
         raise cfg.fail("rp", "missing or malformed rp block")
     if "value" in block:
-        value = _number(cfg, "value", block["value"])
+        value = _as_float(_number(cfg, "value", block["value"]))
         if value < 0 or not math.isfinite(value):
             raise cfg.fail("value", "rp value must be a finite nonnegative number")
-        return float(value)
+        return value
     if "grid" in block:
         grid = block["grid"]
         if not isinstance(grid, dict):
             raise cfg.fail("grid", "rp grid must be an object")
         if not {"min", "max", "points"} <= set(grid):
             raise cfg.fail("grid", "rp grid needs numeric min, max, points")
-        lo = float(_number(cfg, "min", grid["min"]))
-        hi = float(_number(cfg, "max", grid["max"]))
+        lo = _as_float(_number(cfg, "min", grid["min"]))
+        hi = _as_float(_number(cfg, "max", grid["max"]))
         points = _number(cfg, "points", grid["points"], integer=True)
         if lo < 0 or points < 1 or (points > 1 and hi <= lo):
             raise cfg.fail("grid", "need min >= 0, points >= 1, max > min")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise cfg.fail("grid", "rp grid min and max must be finite")
+        if points > _MAX_RP_POINTS:
+            raise cfg.fail("points", f"rp grid points must be at most {_MAX_RP_POINTS}")
         return np.linspace(lo, hi, points)
     raise cfg.fail("rp", "rp must be a value, a grid, or infinity")
 

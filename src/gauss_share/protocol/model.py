@@ -21,6 +21,7 @@ cells but never their strict positivity pattern.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,20 @@ __all__ = [
 AXIS_V = 0
 AXIS_X = 1
 _QUAD_NODES = 80  # Gauss-Legendre nodes per X bin of the pmf tensor
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(_QUAD_NODES), computed once per process and read-only.
+
+    leggauss solves an eigenproblem through LAPACK, which wakes the BLAS
+    thread pool.  Its idle worker then spins for about as long as a whole
+    protocol run.  Computing the rule once keeps that off every build.
+    """
+    nodes, weights = leggauss(_QUAD_NODES)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _y_axes(subset: tuple[int, ...]) -> tuple[int, ...]:
@@ -195,8 +210,9 @@ def build_quantized_source(
         v_quant = build_quantizer(sx + aux_noise_var, l_quant)
 
     # Gauss-Legendre nodes per X bin in u = CDF(x) coordinates, where the
-    # X marginal is the uniform measure on (0, 1).
-    nodes, weights = leggauss(_QUAD_NODES)
+    # X marginal is the uniform measure on (0, 1); one rule serves every bin
+    # and every build.
+    nodes, weights = _gauss_legendre()
     shape = (v_quant.n_bins, l_quant) + tuple(q.n_bins for q in y_quants)
     pmf = np.zeros(shape)
 

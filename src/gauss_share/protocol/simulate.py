@@ -420,6 +420,12 @@ def _exact_leakage(
     `hashing`): the secret is uniform on all 2^k values for every nonzero
     dealer string and is 0 for the all-zero string, so neither GF(2)
     elimination nor a seed sweep is needed.
+
+    The (secret, message, observation) table is filled from two grouped sums
+    over the combos of q block outcomes, each taken in combo order: every
+    secret s >= 1 gets the 2^-k share of the nonzero combos, and secret 0
+    gets that share plus the full mass of the all-zero combo.  Entropies are
+    taken on the materialized table.
     """
     n, q, k = config.n, config.q, config.k
 
@@ -442,6 +448,9 @@ def _exact_leakage(
         blocks = [distinct[c] for c in combo]
         combo_m.append(m_ids.setdefault(tuple(b[0] for b in blocks), len(m_ids)))
         combo_zero.append(not any(any(b[1]) for b in blocks))
+    combo_m = np.array(combo_m, dtype=np.intp)
+    combo_zero = np.array(combo_zero, dtype=bool)
+    nonzero_m = combo_m[~combo_zero]
 
     per_u = []
     msg_leak = None
@@ -457,15 +466,18 @@ def _exact_leakage(
         for _ in range(q - 1):
             p_full = np.kron(p_full, p_block_oy)
 
-        table = np.zeros((2**k, len(m_ids), p_full.shape[1]))
+        # combo index in the kron product is the base-n_out number whose most
+        # significant digit is block 0, matching the combo ordering above.
+        # np.add.at applies rows in index order, so every cell sums the same
+        # terms in the same (row) order as a per-combo fill would
         spread = 2.0**-k * p_full
-        for row, (m_id, zero) in enumerate(zip(combo_m, combo_zero)):
-            # combo index in the kron product is the base-n_out number whose
-            # most significant digit is block 0, matching combos ordering
-            if zero:
-                table[0, m_id, :] += p_full[row, :]
-            else:
-                table[:, m_id, :] += spread[row, :]
+        uniform = np.zeros((len(m_ids), p_full.shape[1]))
+        np.add.at(uniform, nonzero_m, spread[~combo_zero])
+        first = np.zeros_like(uniform)
+        np.add.at(first, combo_m, np.where(combo_zero[:, None], p_full, spread))
+        table = np.empty((2**k,) + uniform.shape)
+        table[1:] = uniform
+        table[0] = first
 
         h_smy = info.entropy(table)
         h_my = info.entropy(table.sum(axis=0))

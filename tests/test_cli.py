@@ -535,11 +535,83 @@ class TestConfigErrors:
         line = line_of(path, "minimal_sets")
         assert f"{path}:{line}: participant ids are 1-based integers" in err
 
+    @pytest.mark.parametrize("sets, message", [
+        ([[0]], "participant ids are 1-based integers"),
+        ([[True, 2]], "participant ids are 1-based integers"),
+        (7, "minimal_sets must be a list of lists"),
+    ])
+    def test_minimal_sets_shape_errors_are_anchored_once(self, tmp_path, capsys,
+                                                          sets, message):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE,
+            "access": {"minimal_sets": sets}, "rp": "infinity",
+        })
+        code, out, err = run_cli(capsys, "capacity", "--config", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:{line_of(path, 'minimal_sets')}: {message}\n"
+
+    def test_rp_value_too_large_for_a_float(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+            "rp": {"value": 10**400},
+        })
+        code, out, err = run_cli(capsys, "capacity", "--config", path)
+        assert (code, out) == (2, "")
+        line = line_of(path, "value")
+        assert err == (
+            f"error: {path}:{line}: rp value must be a finite nonnegative number\n"
+        )
+
+    @pytest.mark.parametrize("bounds", [
+        {"min": 10**400, "max": 1.0},
+        {"min": -(10**400), "max": 1.0},
+    ])
+    def test_grid_min_too_large_for_a_float(self, tmp_path, capsys, bounds):
+        # read as +-Infinity, so the message matches that for an Infinity min
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+            "rp": {"grid": dict(bounds, points=3)},
+        })
+        code, out, err = run_cli(capsys, "region", "--config", path)
+        assert (code, out) == (2, "")
+        line = line_of(path, "grid")
+        assert err == f"error: {path}:{line}: need min >= 0, points >= 1, max > min\n"
+
+    @pytest.mark.parametrize("command", ["region", "threshold"])
+    @pytest.mark.parametrize("points", [100_001, 10**9, 10**30])
+    def test_grid_points_bound(self, tmp_path, capsys, monkeypatch, command, points):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the grid was allocated before the bound check")
+
+        monkeypatch.setattr(cli.np, "linspace", no_allocation)
+        access = {"threshold_sweep": True} if command == "threshold" else EXAMPLE_ACCESS
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": access,
+            "rp": {"grid": {"min": 0.0, "max": 1.0, "points": points}},
+        })
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert (code, out) == (2, "")
+        line = line_of(path, "points")
+        assert err == (
+            f"error: {path}:{line}: rp grid points must be at most 100000\n"
+        )
+
+    def test_grid_at_the_points_bound_runs(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+            "rp": {"grid": {"min": 0.0, "max": 1.0, "points": 100_000}},
+        })
+        code, out, err = run_cli(capsys, "region", "--config", path)
+        assert (code, err) == (0, "")
+        # header, one row per grid point, and the saturation row
+        assert len(out.splitlines()) == 100_000 + 2
+
     @pytest.mark.parametrize("command", ["capacity", "region", "oracle"])
     @pytest.mark.parametrize("bounds", [
         {"min": 0.0, "max": float("inf")},
         {"min": float("nan"), "max": 1.0},
         {"min": 0.0, "max": float("nan")},
+        {"min": 0.0, "max": 10**400},  # too large for a float
     ])
     def test_non_finite_grid_bounds(self, tmp_path, capsys, command, bounds):
         path = write_config(tmp_path, {

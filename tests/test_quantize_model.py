@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
 from gauss_share.access_structure import extremal_sets, threshold_structure
 from gauss_share.capacity import optimal_conditional_variance
 from gauss_share.errors import DegenerateVariance, DomainError
-from gauss_share.protocol import info
+from gauss_share.protocol import info, model
 from gauss_share.protocol.model import (
     build_quantized_source,
     discretize_source,
@@ -141,6 +142,26 @@ class TestAdditiveAuxiliary:
         sharp = build_quantized_source(SPEC, STRUCT, 6, rp_target=3.0)
         blurry = build_quantized_source(SPEC, STRUCT, 6, rp_target=0.3)
         assert blurry.mi_v_y((1, 2)) < sharp.mi_v_y((1, 2))
+
+
+class TestQuadratureRule:
+    def test_the_rule_is_computed_once_per_process(self, monkeypatch):
+        first = build_quantized_source(SPEC, STRUCT, 2)
+
+        def no_lapack(*args):
+            raise AssertionError("leggauss called after its first use")
+
+        monkeypatch.setattr(model, "leggauss", no_lapack)
+        again = build_quantized_source(SPEC, STRUCT, 2)
+        assert np.array_equal(again.pmf, first.pmf)
+        build_quantized_source(SPEC, STRUCT, 4, rp_target=1.0)
+
+    def test_the_rule_is_leggauss_with_80_nodes(self):
+        nodes, weights = model._gauss_legendre()
+        ref_nodes, ref_weights = leggauss(80)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 class TestModelValidation:

@@ -9,10 +9,12 @@ import pytest
 
 from gauss_share.access_structure import monotone_closure, threshold_structure
 from gauss_share.errors import BudgetExceeded, InvalidConfig, KTooLarge
+from gauss_share.protocol import info
 from gauss_share.protocol.codebook import build_codebook, wz_decode, wz_encode
 from gauss_share.protocol.model import build_quantized_source
 from gauss_share.protocol.simulate import (
     ProtocolConfig,
+    _exact_leakage,
     run_protocol,
     wilson_interval,
 )
@@ -325,6 +327,116 @@ class TestExactLeakageValues:
             assert abs(fine.max_leakage - coarse.max_leakage) <= 0.2
             saw_positive = saw_positive or coarse.max_leakage > 0.0
         assert saw_positive  # at least one pinned instance actually leaks
+
+
+def _per_combo_leakage(model, structure, codebook, cfg):
+    """Reference for _exact_leakage: the table filled one combo at a time.
+
+    Returns the evaluator's (leakage, message leakage, H(S)) and whether an
+    all-zero dealer string occurred (the branch that puts full mass on
+    secret 0).
+    """
+    n, q, k = cfg.n, cfg.q, cfg.k
+    outcomes = []
+    for xb in itertools.product(range(model.n_x), repeat=n):
+        omega, nu = wz_encode(codebook, np.array(xb, dtype=np.int64), cfg.epsilon)
+        outcomes.append((omega, tuple(int(s) for s in codebook.word(omega, nu))))
+    distinct = sorted(set(outcomes))
+    out_id = {o: i for i, o in enumerate(distinct)}
+    xb_out = np.array([out_id[o] for o in outcomes])
+    n_out = len(distinct)
+
+    m_ids = {}
+    combo_m = []
+    combo_zero = []
+    for combo in itertools.product(range(n_out), repeat=q):
+        blocks = [distinct[c] for c in combo]
+        combo_m.append(m_ids.setdefault(tuple(b[0] for b in blocks), len(m_ids)))
+        combo_zero.append(not any(any(b[1]) for b in blocks))
+
+    per_u = []
+    msg_leak = h_s = None
+    for u in structure.unauthorized:
+        p_xy = model.joint_xy(u)
+        p_block = p_xy
+        for _ in range(n - 1):
+            p_block = np.kron(p_block, p_xy)
+        p_block_oy = np.zeros((n_out, p_block.shape[1]))
+        np.add.at(p_block_oy, xb_out, p_block)
+        p_full = p_block_oy
+        for _ in range(q - 1):
+            p_full = np.kron(p_full, p_block_oy)
+
+        table = np.zeros((2**k, len(m_ids), p_full.shape[1]))
+        spread = 2.0**-k * p_full
+        for row, (m_id, zero) in enumerate(zip(combo_m, combo_zero)):
+            if zero:
+                table[0, m_id, :] += p_full[row, :]
+            else:
+                table[:, m_id, :] += spread[row, :]
+
+        h_s_here = info.entropy(table.sum(axis=(1, 2)))
+        leak_u = h_s_here + info.entropy(table.sum(axis=0)) - info.entropy(table)
+        if msg_leak is None:
+            joint_sm = table.sum(axis=2)
+            h_m = info.entropy(joint_sm.sum(axis=0))
+            msg_leak = h_s_here + h_m - info.entropy(joint_sm)
+            h_s = h_s_here
+        per_u.append((u, max(0.0, leak_u)))
+    return (tuple(per_u), max(0.0, msg_leak), h_s), any(combo_zero)
+
+
+class TestExactLeakageMatchesPerComboFill:
+    """The grouped-sum table equals the per-combo fill bit for bit."""
+
+    README = SourceSpec.from_gains(2.0, [0.5, 1.0, 0.8])
+    README_STRUCTURE = monotone_closure(3, [[1, 2], [2, 3]])
+    WORKLOAD = dict(l_quant=2, n=4, q=2, epsilon=0.5, rv=1.0, rv_prime=1.0,
+                    k=8, trials=1, exact_leakage=True)
+
+    @staticmethod
+    def both(spec, structure, cfg):
+        model = build_quantized_source(spec, structure, cfg.l_quant, cfg.rp_target)
+        codebook = build_codebook(
+            model.joint_xv(), cfg.n, cfg.rv, cfg.rv_prime,
+            np.random.SeedSequence(cfg.seed, spawn_key=(0,)),
+        )
+        reference, saw_zero = _per_combo_leakage(model, structure, codebook, cfg)
+        return _exact_leakage(model, structure, codebook, cfg), reference, saw_zero
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_two_of_two_workload_at_k8(self, seed):
+        cfg = ProtocolConfig(seed=seed, **self.WORKLOAD)
+        got, want, _ = self.both(PAIR, BOTH_NEEDED, cfg)
+        assert got == want
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n=2, q=1, k=1, seed=20),
+        dict(n=2, q=2, k=1, seed=20),
+    ])
+    def test_one_bit_secret_that_leaks(self, overrides):
+        cfg = config(trials=1, exact_leakage=True, **overrides)
+        got, want, _ = self.both(PAIR, BOTH_NEEDED, cfg)
+        assert got == want
+        assert max(leak for _, leak in got[0]) > 0.0
+
+    def test_forced_four_letter_case_with_an_all_zero_codeword(self):
+        cfg = ProtocolConfig(l_quant=4, n=4, q=1, epsilon=0.2, rv=0.5, rv_prime=0.5,
+                             k=1, seed=1430, trials=1, exact_leakage=True)
+        got, want, saw_zero = self.both(PAIR, BOTH_NEEDED, cfg)
+        assert saw_zero  # the full-mass branch for secret 0 runs
+        assert got == want
+        assert got[2] < 1.0
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n=2, q=2, k=3, seed=9),
+        dict(n=2, q=2, k=2, seed=7, rp_target=1.0),
+    ])
+    def test_three_party_source(self, overrides):
+        cfg = config(trials=1, exact_leakage=True, **overrides)
+        got, want, _ = self.both(self.README, self.README_STRUCTURE, cfg)
+        assert got == want
+        assert len(got[0]) == len(self.README_STRUCTURE.unauthorized)
 
 
 class TestPublicRateAccounting:
