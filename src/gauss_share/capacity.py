@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _ORACLE_CELL_BUDGET = 20_000_000  # saddle_check's largest matrix, in float64 cells
+_ORACLE_BLOCK_CELLS = 2**17  # authorized rows x grid points per min-min-max block
 
 
 class UnlimitedRate:
@@ -140,10 +141,14 @@ def optimal_conditional_variance(spec: SourceSpec, snr_authorized: float, rp) ->
     """The conditional variance at which public_rate exactly spends rp.
 
     Closed form: sigma2_x / (sigma2_x * snr_a * (2^(2 rp) - 1) + 2^(2 rp)).
-    rp = 0 returns sigma2_x exactly.
+    rp = 0 returns sigma2_x exactly.  From rp = 512 on, 2^(2 rp) passes the
+    largest float, so numerator and denominator are divided by it.
     """
     rp = _check_finite_rate(rp)
     sx = spec.sigma2_x
+    if rp >= 512.0:
+        shrink = 2.0 ** (-2.0 * rp)
+        return sx * shrink / (sx * float(snr_authorized) * (1.0 - shrink) + 1.0)
     growth = 2.0 ** (2.0 * rp)
     return sx / (sx * float(snr_authorized) * (growth - 1.0) + growth)
 
@@ -259,7 +264,14 @@ def threshold_compare(
     t, i = int(t), int(i)
     if t < 1 or i < 1 or t + i > int(l):
         raise IndexOutOfRange(f"need 1 <= t, 1 <= i, t+i <= l; got t={t}, i={i}, l={l}")
-    chain = threshold_extremal_chain(spec, l)
+    return _compare_on_chain(spec, threshold_extremal_chain(spec, l), t, i, rp)
+
+
+def _compare_on_chain(
+    spec: SourceSpec, chain: Sequence[ExtremalSets], t: int, i: int, rp
+) -> ThresholdComparison:
+    """threshold_compare's ratio test and cross-check on a prebuilt
+    threshold_extremal_chain; t, i and rp are already validated."""
     lo, hi = chain[t - 1], chain[t + i - 1]
     sx = spec.sigma2_x
 
@@ -332,6 +344,16 @@ def saddle_check(
     verifies rather than finds the optimum.  Raises BudgetExceeded, before
     allocating, when grid_size times the larger family passes
     _ORACLE_CELL_BUDGET.
+
+    min-min-max is evaluated in blocks of authorized coalitions.  A block
+    holds two matrices, its rows against the grid and its edge points
+    against the unauthorized family, each of at most _ORACLE_BLOCK_CELLS
+    cells (1 MiB); when grid_size or the unauthorized family alone is
+    larger, a block is one coalition, whose two rows are no larger than the
+    unauthorized-by-grid matrix behind the hoisted maximum.  So the blocks
+    add nothing to peak memory, and no matrix pairs the two families.  Every
+    cell sees the same float operations as a per-coalition loop, and max and
+    min are exact, so the result does not depend on the block size.
     """
     rp = _check_rate(rp)
     grid_size = int(grid_size)
@@ -362,18 +384,23 @@ def saddle_check(
 
     # min over A of (max over feasible s of (min over U of secret rate)); the
     # min over U subtracts each column's largest unauthorized gap, which does
-    # not depend on A, so it is taken once.
+    # not depend on A, so it is taken once for the grid.  Each block of A's
+    # takes the maximum over its own edge points' unauthorized gaps, then
+    # over the feasible grid points, infeasible ones masked to -inf.
     max_u_grid = np.max(gap_matrix(grid, snr_u), axis=0)
+    s_edges = np.array([boundary(float(oa)) for oa in snr_a])
     per_a_max = np.empty(snr_a.shape, dtype=float)
-    for j, oa in enumerate(snr_a):
-        s_edge = boundary(float(oa))
-        feasible = grid >= s_edge
-        svals = np.concatenate([grid[feasible], [s_edge]])
-        gap_a = 0.5 * np.log2((sx * oa + 1.0) / (svals * oa + 1.0))
-        max_u = np.append(
-            max_u_grid[feasible], np.max(gap_matrix(np.array([s_edge]), snr_u))
+    rows = max(1, _ORACLE_BLOCK_CELLS // max(grid_size, snr_u.size))
+    for lo in range(0, snr_a.size, rows):
+        block = slice(lo, lo + rows)
+        oa, edge = snr_a[block], s_edges[block]
+        edge_max = 0.5 * np.log2((sx * oa + 1.0) / (edge * oa + 1.0)) - np.max(
+            gap_matrix(edge, snr_u), axis=0
         )
-        per_a_max[j] = np.max(gap_a - max_u)
+        col = oa[:, None]
+        gap_a = 0.5 * np.log2((sx * col + 1.0) / (grid * col + 1.0)) - max_u_grid
+        gap_a[grid < edge[:, None]] = -np.inf
+        per_a_max[block] = np.maximum(edge_max, np.max(gap_a, axis=1))
     min_min_max = float(np.min(per_a_max))
 
     # max over s feasible at the weakest authorized coalition of

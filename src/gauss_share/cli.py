@@ -14,8 +14,8 @@ true/false, strings and fractions in integer fields are rejected, never
 coerced.  That includes participant ids in minimal_sets.  Grid min and max
 must be finite (json.loads accepts NaN and Infinity, and an integer too
 large for a float counts as infinite, as it does for an rp value), grid
-points may not pass 100,000, and an oracle block, when present, must be an
-object.
+points may not pass 100,000, sim trials may not pass 100,000, and an
+oracle block, when present, must be an object.
 
 Commands: capacity, region, threshold, simulate, oracle.  Exit codes: 0 on
 success, 2 on validation problems (anchored to a config line when one is
@@ -34,16 +34,23 @@ from typing import Any
 
 import numpy as np
 
-from .access_structure import AccessStructure, monotone_closure, threshold_structure
+from .access_structure import (
+    AccessStructure,
+    extremal_sets,
+    monotone_closure,
+    threshold_extremal_chain,
+    threshold_structure,
+)
 from .capacity import (
     UNLIMITED,
     CapacityPoint,
+    _capacity_value,
     _check_saddle_orders,
+    _compare_on_chain,
     is_unlimited,
     rate_region,
     saddle_check,
     secret_capacity,
-    threshold_compare,
 )
 from .errors import (
     BudgetExceeded,
@@ -65,6 +72,7 @@ EXIT_NUMERIC = 3
 
 _SIM_FIELDS = dataclasses.fields(ProtocolConfig)
 _MAX_RP_POINTS = 100_000  # rp grid points, checked before the grid is allocated
+_MAX_TRIALS = 100_000  # sim trials, checked before run_protocol starts
 _POINT_HEADER = "rp,cs,sigma2_star,a_star,u_star"
 
 
@@ -261,6 +269,8 @@ def parse_sim(cfg: _Config, seed_override: int | None) -> ProtocolConfig:
         raise cfg.fail("sim", f"sim block is missing keys: {sorted(missing)}")
     for key in ("l_quant", "n", "q", "k", "seed", "trials"):
         _number(cfg, key, merged[key], integer=True)
+    if merged["trials"] > _MAX_TRIALS:
+        raise cfg.fail("trials", f"trials must be at most {_MAX_TRIALS}")
     for key in ("epsilon", "rv", "rv_prime"):
         _number(cfg, key, merged[key])
     if merged.get("rp_target") is not None:
@@ -313,20 +323,25 @@ def cmd_region(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | 
 
 
 def cmd_threshold(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | None) -> str:
+    """The capacity of every threshold t at every rp, then the ratio-test
+    verdict of every (t, i) pair at the last rp.  The table searches each
+    threshold structure with extremal_sets, once per t; the verdicts read the
+    sorted-gain chain, built once.  The two routes share no search, and each
+    verdict is checked against the capacities its own route gives."""
     rp = parse_rp(cfg)
-    rp_values = list(rp) if isinstance(rp, np.ndarray) else [rp]
+    rp_values = rp.tolist() if isinstance(rp, np.ndarray) else [rp]
     l = spec.l
     rows = ["t,rp,cs"]
     for t in range(1, l + 1):
-        structure = threshold_structure(l, t)
+        ext = extremal_sets(threshold_structure(l, t), spec)
         for rp in rp_values:
-            cs = secret_capacity(spec, structure, rp).cs
-            rows.append(f"{t},{_fmt_rp(rp)},{_fmt(cs)}")
+            rows.append(f"{t},{_fmt_rp(rp)},{_fmt(_capacity_value(spec, ext, rp))}")
     rows.append("")
     rows.append("t,i,lhs,rhs,verdict")
+    chain = threshold_extremal_chain(spec, l)
     for t in range(1, l):
         for i in range(1, l - t + 1):
-            comp = threshold_compare(spec, l, t, i, rp_values[-1])
+            comp = _compare_on_chain(spec, chain, t, i, rp_values[-1])
             lhs_txt = "" if comp.lhs is None else _fmt(comp.lhs)
             rows.append(f"{t},{i},{lhs_txt},{_fmt(comp.rhs)},{comp.verdict}")
     return "\n".join(rows)

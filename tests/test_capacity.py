@@ -7,10 +7,14 @@ the grid oracle against the closed form on random instances.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gauss_share import capacity
 from gauss_share.access_structure import monotone_closure, threshold_structure
 from gauss_share.capacity import (
     UNLIMITED,
@@ -85,6 +89,19 @@ def test_optimal_variance_inverts_public_rate():
         s = optimal_conditional_variance(spec, o_a, rp)
         assert 0.0 < s <= sx
         assert public_rate(s, o_a, spec) == pytest.approx(rp, abs=1e-9)
+
+
+@pytest.mark.parametrize("o_a", [0.0, 1.25])
+def test_optimal_variance_past_the_largest_power_of_two(o_a):
+    # 2^(2 rp) overflows a float from rp = 512 on; the variance there is
+    # sigma2_x 2^(-2 rp) / (sigma2_x snr_a (1 - 2^(-2 rp)) + 1), subnormal
+    # at rp = 512 and zero once 2^(-2 rp) underflows.
+    at = optimal_conditional_variance(SPEC3, o_a, 512.0)
+    assert 0.0 < at == pytest.approx(2.0 * 2.0**-1024 / (2.0 * o_a + 1.0), rel=1e-12, abs=0.0)
+    assert optimal_conditional_variance(SPEC3, o_a, 600.0) == 0.0
+    assert secret_capacity(SPEC3, STRUCT3, 600.0).cs == secret_capacity(
+        SPEC3, STRUCT3, UNLIMITED
+    ).cs
 
 
 def test_optimal_variance_rejects_unlimited():
@@ -329,6 +346,71 @@ class TestSaddleOracle:
             spec, structure, 1.1, 1000
         )
 
+    # Near-equal gains: the t weakest out-gain the t - 1 strongest, so the
+    # capacity is positive and the feasibility mask decides the maximum.
+    SPEC6 = SourceSpec.from_gains(2.0, [1.0, 0.98, 1.02, 0.99, 1.01, 0.97])
+    # Y = g X + N for X of variance 2 and correlated noise N
+    G7 = np.linspace(0.97, 1.03, 7)
+    N7 = np.random.default_rng(0).normal(scale=0.3, size=(7, 7))
+    COV7 = np.block([
+        [np.array([[2.0]]), 2.0 * G7[None, :]],
+        [2.0 * G7[:, None], 2.0 * np.outer(G7, G7) + np.eye(7) + N7 @ N7.T / 7],
+    ])
+
+    @pytest.mark.parametrize("spec, structure, rp", [
+        # 638 authorized rows; a small rp keeps the per-pair loop near 1 s
+        (SourceSpec.from_gains(2.0, np.random.default_rng(10).uniform(0.97, 1.03, 10)),
+         threshold_structure(10, 5), 0.1),
+        # degraded: zero capacity, and the grid point sigma2_x, not the edge,
+        # gives the weak rows their maximum, so every block must be visited
+        (SourceSpec.from_gains(2.0, np.random.default_rng(10).uniform(0.3, 1.5, 10)),
+         threshold_structure(10, 5), 0.1),
+        # the edge is sigma2_x, the last grid point: all else is infeasible
+        (SPEC6, threshold_structure(6, 3), 0.0),
+        # the edge lies below sigma2_x * 1e-8: every grid point is feasible
+        (SPEC6, threshold_structure(6, 3), 40.0),
+        (SPEC6, threshold_structure(6, 3), UNLIMITED),
+        (SourceSpec.from_covariance(COV7), threshold_structure(7, 3), 1.1),
+    ], ids=["l10-t5", "l10-t5-degraded", "rp-zero", "all-feasible", "unlimited",
+            "covariance"])
+    def test_blocks_of_authorized_rows_equal_the_per_pair_loop(self, spec, structure, rp):
+        grid_size = 10_000
+        rows_per_block = capacity._ORACLE_BLOCK_CELLS // max(
+            grid_size, structure.unauthorized_masks.size
+        )
+        assert structure.authorized_masks.size > 2 * rows_per_block  # several blocks
+        chk = saddle_check(spec, structure, rp, grid_size)
+        assert (chk.min_min_max, chk.max_min_min) == self.per_pair_reference(
+            spec, structure, rp, grid_size
+        )
+
+    # 2510 authorized and 1586 unauthorized coalitions against 100 grid
+    # points: a matrix pairing the two families would be 16x the budgeted one.
+    WIDE = (SourceSpec.from_gains(2.0, np.linspace(0.97, 1.03, 12)), threshold_structure(12, 6))
+
+    def test_blocks_never_pair_the_two_families(self):
+        spec, structure = self.WIDE
+        grid_size = 100
+        family = max(structure.authorized_masks.size, structure.unauthorized_masks.size)
+        assert structure.authorized_masks.size * structure.unauthorized_masks.size > (
+            10 * family * grid_size
+        )
+        tracemalloc.start()
+        try:
+            saddle_check(spec, structure, 1.0, grid_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a handful of family-by-grid float64 temporaries, no more
+        assert peak < 4 * family * grid_size * 8
+
+    def test_one_coalition_per_block_gives_the_same_values(self, monkeypatch):
+        spec, structure = self.WIDE
+        chk = saddle_check(spec, structure, 1.0, 100)
+        monkeypatch.setattr(capacity, "_ORACLE_BLOCK_CELLS", 1)
+        one = saddle_check(spec, structure, 1.0, 100)
+        assert (one.min_min_max, one.max_min_min) == (chk.min_min_max, chk.max_min_min)
+
 
 def test_verify_rate_formulas_routes_agree():
     rng = np.random.default_rng(19)
@@ -350,3 +432,72 @@ def test_verify_rate_formulas_at_full_variance():
     report = verify_rate_formulas(SPEC3, STRUCT3, 2.0)
     assert report.rp_scalar == pytest.approx(0.0, abs=1e-12)
     assert report.rs_scalar == pytest.approx(0.0, abs=1e-12)
+
+
+# Property tests over random gains-mode sources (l <= 6) and structures.
+# Gains stay within [-1.5, 1.5] and sigma2_x within [0.2, 3]: the oracle's
+# UNLIMITED edge sits at sigma2_x * 1e-8, which stays within about 3e-7 bits
+# of the supremum there.
+
+@st.composite
+def sources_and_structures(draw):
+    l = draw(st.integers(min_value=1, max_value=6))
+    gains = draw(st.lists(st.floats(-1.5, 1.5), min_size=l, max_size=l))
+    spec = SourceSpec.from_gains(draw(st.floats(0.2, 3.0)), gains)
+    if draw(st.booleans()):
+        return spec, threshold_structure(l, draw(st.integers(1, l)))
+    members = st.sets(st.integers(1, l), min_size=1)
+    generators = draw(st.lists(members, min_size=1, max_size=4))
+    return spec, monotone_closure(l, generators)
+
+
+rates = st.one_of(st.just(UNLIMITED), st.floats(0.0, 12.0))
+PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(sources_and_structures(), rates)
+def test_property_oracle_matches_closed_form(case, rp):
+    spec, structure = case
+    value = minimax_oracle(spec, structure, rp, 200)
+    assert value == pytest.approx(secret_capacity(spec, structure, rp).cs, abs=1e-6)
+
+
+@PROPERTY_SETTINGS
+@given(
+    sources_and_structures(),
+    st.lists(st.floats(0.0, 20.0), min_size=1, max_size=30, unique=True).map(sorted),
+)
+def test_property_region_nondecreasing_and_bounded(case, grid):
+    spec, structure = case
+    region = rate_region(spec, structure, grid)
+    values = [p.cs for p in region.points]
+    assert values[0] >= 0.0
+    assert all(b >= a for a, b in zip(values, values[1:]))
+    assert values[-1] <= region.cs_infinity
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(min_value=2, max_value=6).flatmap(
+        lambda l: st.tuples(
+            st.lists(st.floats(-1.5, 1.5), min_size=l, max_size=l),
+            st.integers(1, l - 1).flatmap(
+                lambda t: st.tuples(st.just(t), st.integers(1, l - t))
+            ),
+        )
+    ),
+    st.floats(0.2, 3.0),
+    rates,
+)
+def test_property_threshold_verdict_agrees_with_direct_capacities(case, sigma2_x, rp):
+    gains, (t, i) = case
+    l = len(gains)
+    spec = SourceSpec.from_gains(sigma2_x, gains)
+    comp = threshold_compare(spec, l, t, i, rp)
+    cs_t = secret_capacity(spec, threshold_structure(l, t), rp).cs
+    cs_t_plus_i = secret_capacity(spec, threshold_structure(l, t + i), rp).cs
+    if comp.verdict == "at_least":
+        assert cs_t >= cs_t_plus_i - 1e-9
+    else:
+        assert cs_t <= cs_t_plus_i + 1e-9

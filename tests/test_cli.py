@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gauss_share
-from gauss_share import cli
+from gauss_share import access_structure, capacity, cli
 from gauss_share.access_structure import monotone_closure
 from gauss_share.capacity import rate_region
 from gauss_share.errors import NumericError
@@ -164,6 +164,29 @@ class TestThresholdCommand:
         for row in verdicts[1:]:
             if row.startswith("1,"):
                 assert row.endswith(",at_least")
+
+    @pytest.mark.parametrize("rp", [
+        {"value": 1.0}, "infinity", {"grid": {"min": 0.0, "max": 3.0, "points": 7}},
+    ])
+    def test_one_chain_and_one_search_per_threshold(self, tmp_path, capsys, monkeypatch, rp):
+        # neither count may grow with the 45 (t, i) pairs or the rp points
+        calls = {"extremal_sets": 0, "threshold_extremal_chain": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            real = getattr(access_structure, name)
+            for module in (access_structure, capacity, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, real))
+        path = self.config(tmp_path, GOLDEN_SOURCE["gains"], rp)
+        code, _, err = run_cli(capsys, "threshold", "--config", path)
+        assert (code, err) == (0, "")
+        assert calls == {"extremal_sets": 10, "threshold_extremal_chain": 1}
 
     def test_single_participant_has_no_comparisons(self, tmp_path, capsys):
         path = self.config(tmp_path, [1.0], {"value": 1.0})
@@ -328,6 +351,24 @@ class TestOracleCommand:
         code, out, err = run_cli(capsys, "oracle", "--config", self.config(tmp_path))
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: saddle orders disagree: ")
+
+
+@pytest.mark.parametrize("command, access, rp", [
+    ("capacity", EXAMPLE_ACCESS, {"value": 600}),
+    ("oracle", EXAMPLE_ACCESS, {"value": 600}),
+    ("region", EXAMPLE_ACCESS, {"grid": {"min": 0, "max": 1000, "points": 5}}),
+    ("threshold", {"threshold_sweep": True}, {"value": 600}),
+])
+def test_public_rate_past_the_largest_power_of_two(tmp_path, capsys, command, access, rp):
+    # 2^(2 rp) passes the largest float from rp = 512 on; the capacity there
+    # is the rp = infinity value to the printed digits
+    path = write_config(tmp_path, {
+        "version": 1, "source": EXAMPLE_SOURCE, "access": access, "rp": rp,
+    })
+    code, out, err = run_cli(capsys, command, "--config", path)
+    assert (code, err) == (0, "")
+    if command != "threshold":
+        assert "0.111196210668" in out
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -605,6 +646,21 @@ class TestConfigErrors:
         assert (code, err) == (0, "")
         # header, one row per grid point, and the saturation row
         assert len(out.splitlines()) == 100_000 + 2
+
+    def test_trials_bound(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_protocol started before the bound check")
+
+        monkeypatch.setattr(cli, "run_protocol", no_run)
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+            "sim": {"l_quant": 2, "n": 2, "q": 2, "epsilon": 0.2, "rv": 1.0,
+                    "rv_prime": 1.0, "k": 2, "seed": 7, "trials": 100_001},
+        })
+        code, out, err = run_cli(capsys, "simulate", "--config", path)
+        assert (code, out) == (2, "")
+        line = line_of(path, "trials")
+        assert err == f"error: {path}:{line}: trials must be at most 100000\n"
 
     @pytest.mark.parametrize("command", ["capacity", "region", "oracle"])
     @pytest.mark.parametrize("bounds", [
