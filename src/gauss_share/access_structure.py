@@ -9,6 +9,7 @@ sorted tuples of 1-based indices in the public API.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -53,26 +54,33 @@ def _subset_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _popcounts(masks: np.ndarray, l: int) -> np.ndarray:
-    counts = np.zeros(masks.shape, dtype=np.int64)
-    for b in range(l):
-        counts += (masks >> np.uint32(b)) & np.uint32(1)
-    return counts
-
-
 @dataclass(frozen=True)
 class AccessStructure:
-    """Monotone family of authorized subsets plus its complement.
+    """Monotone family of authorized subsets, stored as its bitmasks.
 
-    `minimal_sets` is the antichain of generators; `authorized_masks` and
-    `unauthorized_masks` partition all 2^l bitmasks.  The tuple-of-tuples
-    views are computed on demand (they can be large for l near the cap).
+    `authorized_masks` and `unauthorized_masks` are sorted, read-only and
+    partition all 2^l bitmasks; they are the whole structure.  Everything
+    else is read from them: `minimal_sets` (the generators, in (size,
+    members) order) once, on first read, and the tuple-of-tuples views on
+    every read (they can be large for l near the cap).
     """
 
     l: int
-    minimal_sets: tuple[tuple[int, ...], ...]
     authorized_masks: np.ndarray
     unauthorized_masks: np.ndarray
+
+    @functools.cached_property
+    def minimal_sets(self) -> tuple[tuple[int, ...], ...]:
+        # authorized masks that lose authorization when any one member leaves
+        masks = self.authorized_masks
+        member = np.zeros(2**self.l, dtype=bool)
+        member[masks] = True
+        minimal = np.ones(masks.shape, dtype=bool)
+        for b in range(self.l):
+            bit = np.uint32(1 << b)
+            minimal &= ((masks & bit) == 0) | ~member[masks ^ bit]
+        subsets = map(_subset_of, masks[minimal].tolist())
+        return tuple(sorted(subsets, key=lambda s: (len(s), s)))
 
     @property
     def authorized(self) -> tuple[tuple[int, ...], ...]:
@@ -84,7 +92,8 @@ class AccessStructure:
 
     def is_authorized(self, subset: Iterable[int]) -> bool:
         mask = _mask_of(self._check_subset(subset))
-        return any((mask & g) == g for g in map(_mask_of, self.minimal_sets))
+        i = int(np.searchsorted(self.authorized_masks, mask))
+        return i < self.authorized_masks.size and int(self.authorized_masks[i]) == mask
 
     def _check_subset(self, subset: Iterable[int]) -> tuple[int, ...]:
         members = tuple(sorted(set(int(p) for p in subset)))
@@ -104,50 +113,41 @@ def _validate_l(l: int) -> int:
     return l
 
 
-def _build(l: int, minimal: tuple[tuple[int, ...], ...]) -> AccessStructure:
-    all_masks = np.arange(2**l, dtype=np.uint32)
-    member = np.zeros(all_masks.shape, dtype=bool)
-    for gen in minimal:
-        g = np.uint32(_mask_of(gen))
-        member |= (all_masks & g) == g
-    authorized = all_masks[member]
-    unauthorized = all_masks[~member]
+def _build(l: int, member: np.ndarray) -> AccessStructure:
+    """The structure whose authorized masks are where `member` (over all
+    2^l masks) is True."""
+    authorized = np.flatnonzero(member).astype(np.uint32)
+    unauthorized = np.flatnonzero(~member).astype(np.uint32)
     authorized.flags.writeable = False
     unauthorized.flags.writeable = False
     return AccessStructure(
-        l=l,
-        minimal_sets=minimal,
-        authorized_masks=authorized,
-        unauthorized_masks=unauthorized,
+        l=l, authorized_masks=authorized, unauthorized_masks=unauthorized
     )
 
 
 def monotone_closure(l: int, generator_sets: Iterable[Iterable[int]]) -> AccessStructure:
     """Upward closure of the given generator subsets.
 
-    Generators must be nonempty subsets of 1..l; they are reduced to an
-    antichain (supersets of other generators dropped) before storage.
+    Generators must be nonempty subsets of 1..l; supersets of other
+    generators add nothing, so `minimal_sets` is their antichain.
     """
     l = _validate_l(l)
-    gen_masks: list[int] = []
+    gen_masks: set[int] = set()
     for gen in generator_sets:
         members = tuple(sorted(set(int(p) for p in gen)))
         if not members:
             raise EmptyGenerator("generator sets must be nonempty")
         if any(p < 1 or p > l for p in members):
             raise IndexOutOfRange(f"generator members must lie in 1..{l}")
-        gen_masks.append(_mask_of(members))
+        gen_masks.add(_mask_of(members))
     if not gen_masks:
         raise EmptyGenerator("at least one generator set is required")
 
-    # Antichain reduction: keep a generator only if no other is a subset of it.
-    unique = sorted(set(gen_masks), key=lambda m: (bin(m).count("1"), _subset_of(m)))
-    kept: list[int] = []
-    for m in unique:
-        if not any((m & k) == k for k in kept):
-            kept.append(m)
-    minimal = tuple(sorted((_subset_of(m) for m in kept), key=lambda s: (len(s), s)))
-    return _build(l, minimal)
+    all_masks = np.arange(2**l, dtype=np.uint32)
+    member = np.zeros(all_masks.shape, dtype=bool)
+    for g in map(np.uint32, gen_masks):
+        member |= (all_masks & g) == g
+    return _build(l, member)
 
 
 def threshold_structure(l: int, t: int) -> AccessStructure:
@@ -156,21 +156,11 @@ def threshold_structure(l: int, t: int) -> AccessStructure:
     t = int(t)
     if t < 1 or t > l:
         raise ThresholdOutOfRange(f"t={t} outside 1..{l}")
-    all_masks = np.arange(2**l, dtype=np.uint32)
-    sizes = _popcounts(all_masks, l)
-    authorized = all_masks[sizes >= t]
-    unauthorized = all_masks[sizes < t]
-    authorized.flags.writeable = False
-    unauthorized.flags.writeable = False
-    minimal = tuple(
-        sorted((_subset_of(int(m)) for m in all_masks[sizes == t]), key=lambda s: (len(s), s))
-    )
-    return AccessStructure(
-        l=l,
-        minimal_sets=minimal,
-        authorized_masks=authorized,
-        unauthorized_masks=unauthorized,
-    )
+    # popcount of every mask: setting bit b adds one to every lower mask
+    sizes = np.zeros(2**l, dtype=np.int8)
+    for b in range(l):
+        sizes[2**b : 2 ** (b + 1)] = sizes[: 2**b] + 1
+    return _build(l, sizes >= t)
 
 
 @dataclass(frozen=True)

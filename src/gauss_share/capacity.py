@@ -57,8 +57,8 @@ __all__ = [
     "verify_rate_formulas",
 ]
 
-_ORACLE_CELL_BUDGET = 20_000_000  # saddle_check's largest matrix, in float64 cells
-_ORACLE_BLOCK_CELLS = 2**17  # authorized rows x grid points per min-min-max block
+_ORACLE_CELL_BUDGET = 20_000_000  # saddle_check's work: grid points x larger family
+_ORACLE_BLOCK_CELLS = 2**17  # float64 cells per matrix of a saddle_check block
 
 
 class UnlimitedRate:
@@ -342,18 +342,19 @@ def saddle_check(
     (feasible at every rp, where the objective is exactly zero) plus the
     analytic feasibility boundary; the boundary point dominates, so the grid
     verifies rather than finds the optimum.  Raises BudgetExceeded, before
-    allocating, when grid_size times the larger family passes
-    _ORACLE_CELL_BUDGET.
+    any work, when grid_size times the larger family passes
+    _ORACLE_CELL_BUDGET; that bounds the time spent, not a matrix.
 
-    min-min-max is evaluated in blocks of authorized coalitions.  A block
-    holds two matrices, its rows against the grid and its edge points
-    against the unauthorized family, each of at most _ORACLE_BLOCK_CELLS
-    cells (1 MiB); when grid_size or the unauthorized family alone is
-    larger, a block is one coalition, whose two rows are no larger than the
-    unauthorized-by-grid matrix behind the hoisted maximum.  So the blocks
-    add nothing to peak memory, and no matrix pairs the two families.  Every
-    cell sees the same float operations as a per-coalition loop, and max and
-    min are exact, so the result does not depend on the block size.
+    Both orders read two grid columns: the largest unauthorized gap, taken
+    in blocks of unauthorized rows, and the smallest authorized gap, taken
+    while min-min-max runs in blocks of authorized rows.  Such a block also
+    holds its edge points against the unauthorized family.  Each matrix has
+    at most _ORACLE_BLOCK_CELLS cells (1 MiB), or is one coalition's row
+    when grid_size or the unauthorized family alone is larger, so peak
+    memory is a few grid- or family-sized rows: no matrix spans a whole
+    family against the grid, or the two families against each other.
+    Every cell sees the same float operations as a per-coalition loop, and
+    max and min are exact, so the result does not depend on the block size.
     """
     rp = _check_rate(rp)
     grid_size = int(grid_size)
@@ -384,10 +385,16 @@ def saddle_check(
 
     # min over A of (max over feasible s of (min over U of secret rate)); the
     # min over U subtracts each column's largest unauthorized gap, which does
-    # not depend on A, so it is taken once for the grid.  Each block of A's
-    # takes the maximum over its own edge points' unauthorized gaps, then
-    # over the feasible grid points, infeasible ones masked to -inf.
-    max_u_grid = np.max(gap_matrix(grid, snr_u), axis=0)
+    # not depend on A, so it is taken once for the grid, in blocks of U's.
+    # Each block of A's takes the maximum over its own edge points'
+    # unauthorized gaps, then over the feasible grid points, infeasible ones
+    # masked to -inf; it also lowers each column's least authorized gap.
+    max_u_grid = np.full(grid_size, -np.inf)
+    rows = max(1, _ORACLE_BLOCK_CELLS // grid_size)
+    for lo in range(0, snr_u.size, rows):
+        np.maximum(max_u_grid, np.max(gap_matrix(grid, snr_u[lo : lo + rows]), axis=0),
+                   out=max_u_grid)
+    min_a_grid = np.full(grid_size, np.inf)
     s_edges = np.array([boundary(float(oa)) for oa in snr_a])
     per_a_max = np.empty(snr_a.shape, dtype=float)
     rows = max(1, _ORACLE_BLOCK_CELLS // max(grid_size, snr_u.size))
@@ -398,19 +405,21 @@ def saddle_check(
             gap_matrix(edge, snr_u), axis=0
         )
         col = oa[:, None]
-        gap_a = 0.5 * np.log2((sx * col + 1.0) / (grid * col + 1.0)) - max_u_grid
+        gap_a = 0.5 * np.log2((sx * col + 1.0) / (grid * col + 1.0))
+        np.minimum(min_a_grid, np.min(gap_a, axis=0), out=min_a_grid)
+        gap_a -= max_u_grid
         gap_a[grid < edge[:, None]] = -np.inf
         per_a_max[block] = np.maximum(edge_max, np.max(gap_a, axis=1))
     min_min_max = float(np.min(per_a_max))
 
     # max over s feasible at the weakest authorized coalition of
-    # (min over pairs of secret rate); separable into min_A - max_U.
+    # (min over pairs of secret rate); separable into min_A - max_U, read
+    # from the grid columns above plus the edge point.
     s_edge = boundary(float(ext.snr_authorized))
     feasible = grid >= s_edge
-    svals = np.concatenate([grid[feasible], [s_edge]])
-    inner = np.min(gap_matrix(svals, snr_a), axis=0) - np.max(
-        gap_matrix(svals, snr_u), axis=0
-    )
+    edge_point = np.array([s_edge])
+    edge_inner = np.min(gap_matrix(edge_point, snr_a)) - np.max(gap_matrix(edge_point, snr_u))
+    inner = np.append(min_a_grid[feasible] - max_u_grid[feasible], edge_inner)
     max_min_min = float(np.max(inner))
 
     return SaddleCheck(

@@ -31,7 +31,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ..access_structure import AccessStructure
 from ..capacity import extremal_sets, optimal_conditional_variance
-from ..errors import DegenerateVariance, DomainError
+from ..errors import BudgetExceeded, DegenerateVariance, DomainError
 from ..source_model import SourceSpec
 from . import info
 from .quantize import Quantizer, build_quantizer
@@ -46,6 +46,7 @@ __all__ = [
 AXIS_V = 0
 AXIS_X = 1
 _QUAD_NODES = 80  # Gauss-Legendre nodes per X bin of the pmf tensor
+_MODEL_CELL_BUDGET = 20_000_000  # float64 cells of the pmf or one X bin's product
 
 
 @functools.cache
@@ -178,6 +179,9 @@ def build_quantized_source(
     rp_target picks the auxiliary: None means V = X; a positive rate selects
     the additive Gaussian auxiliary whose conditional variance is
     capacity-optimal at that rate for this structure's weakest authorized set.
+    Raises BudgetExceeded, before allocating, when the pmf tensor
+    (l_quant^(L+2) cells) or one X bin's quadrature product
+    (_QUAD_NODES * l_quant^(L+1) cells) passes _MODEL_CELL_BUDGET.
     """
     gains = _require_gains(spec)
     if structure.l != spec.l:
@@ -185,6 +189,10 @@ def build_quantized_source(
     l_quant = int(l_quant)
     if l_quant < 2:
         raise DomainError("need at least two quantization bins")
+    cells = max(l_quant ** (spec.l + 2), _QUAD_NODES * l_quant ** (spec.l + 1))
+    if cells > _MODEL_CELL_BUDGET:
+        raise BudgetExceeded(f"l_quant {l_quant} with {spec.l} observers needs {cells} "
+                             f"cells, above the model budget of {_MODEL_CELL_BUDGET}")
     sx = spec.sigma2_x
 
     x_quant = build_quantizer(sx, l_quant)

@@ -58,6 +58,7 @@ __all__ = [
 
 _EXACT_SWEEP_BUDGET = 10_000_000
 _EXACT_TABLE_BUDGET = 20_000_000
+_SAMPLE_BUDGET = 20_000_000  # float64 source samples per trial, n*q*(1+L)
 
 
 @dataclass(frozen=True)
@@ -244,8 +245,12 @@ def run_protocol(
 
     Reproducible: the report is a pure function of (spec, structure, config).
     Raises BudgetExceeded when exact_leakage=True on an instance too large to
-    enumerate, and InvalidConfig for inconsistent knobs.
+    enumerate, or, before any work, when a trial would sample more than
+    _SAMPLE_BUDGET values; and InvalidConfig for inconsistent knobs.
     """
+    if config.total_symbols * (1 + spec.l) > _SAMPLE_BUDGET:
+        raise BudgetExceeded(f"n*q = {config.total_symbols} symbols of {1 + spec.l} values "
+                             f"each exceed the sample budget of {_SAMPLE_BUDGET}")
     model = build_quantized_source(spec, structure, config.l_quant, config.rp_target)
     n, q, k = config.n, config.q, config.k
     big_n = config.total_symbols

@@ -1,8 +1,15 @@
 """Access structure enumeration, closure, threshold families, extremal sets."""
 
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gauss_share import access_structure
 from gauss_share.access_structure import (
     AccessStructure,
     extremal_sets,
@@ -48,6 +55,77 @@ def test_superset_generators_are_dropped():
     assert set(a.authorized) == set(b.authorized)
 
 
+def reference_closure(l, generators):
+    """(minimal, authorized, unauthorized) of the upward closure, by the
+    antichain reduction: a generator is kept only if no other kept one is a
+    subset of it, taken in (size, members) order."""
+    unique = sorted({tuple(sorted(set(g))) for g in generators}, key=lambda s: (len(s), s))
+    kept = []
+    for gen in unique:
+        if not any(set(k) <= set(gen) for k in kept):
+            kept.append(gen)
+    masks = [tuple(p for p in range(1, l + 1) if m >> (p - 1) & 1) for m in range(2**l)]
+    authorized = tuple(s for s in masks if any(set(k) <= set(s) for k in kept))
+    unauthorized = tuple(s for s in masks if s not in authorized)
+    return tuple(kept), authorized, unauthorized
+
+
+@st.composite
+def generator_families(draw):
+    l = draw(st.integers(1, 8))
+    subsets = st.lists(st.integers(1, l), min_size=1, max_size=l)
+    return l, draw(st.lists(subsets, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_families())
+def test_closure_matches_the_antichain_reference(family):
+    l, generators = family
+    structure = monotone_closure(l, generators)
+    minimal, authorized, unauthorized = reference_closure(l, generators)
+    assert structure.minimal_sets == minimal
+    assert structure.authorized == authorized
+    assert structure.unauthorized == unauthorized
+
+
+@settings(max_examples=50, deadline=None)
+@given(generator_families())
+def test_is_authorized_agrees_with_brute_force(family):
+    l, generators = family
+    structure = monotone_closure(l, generators)
+    gens = [set(g) for g in generators]
+    for size in range(l + 1):
+        for subset in itertools.combinations(range(1, l + 1), size):
+            expected = any(g <= set(subset) for g in gens)
+            assert structure.is_authorized(subset) is expected
+
+
+def test_threshold_minimal_sets_are_the_t_subsets_in_order():
+    for l in range(1, 11):
+        for t in range(1, l + 1):
+            expected = tuple(itertools.combinations(range(1, l + 1), t))
+            assert threshold_structure(l, t).minimal_sets == expected
+
+
+def test_the_masks_are_the_whole_structure(monkeypatch):
+    assert [f.name for f in dataclasses.fields(AccessStructure)] == [
+        "l", "authorized_masks", "unauthorized_masks"
+    ]
+    calls = []
+
+    def counting_subset_of(mask):
+        calls.append(mask)
+        return ()
+
+    monkeypatch.setattr(access_structure, "_subset_of", counting_subset_of)
+    structure = threshold_structure(20, 10)
+    monotone_closure(20, [[1, 2], [3]])
+    assert calls == []
+    assert structure.authorized_masks.size == sum(
+        math.comb(20, s) for s in range(10, 21)
+    )
+
+
 def test_generator_validation():
     with pytest.raises(EmptyGenerator):
         monotone_closure(3, [[]])
@@ -69,8 +147,6 @@ def test_participant_cap():
 
 
 def test_threshold_structure_counts():
-    import math
-
     l = 5
     for t in range(1, l + 1):
         structure = threshold_structure(l, t)

@@ -404,6 +404,19 @@ class TestSaddleOracle:
         # a handful of family-by-grid float64 temporaries, no more
         assert peak < 4 * family * grid_size * 8
 
+    def test_peak_memory_is_below_one_family_by_grid_matrix(self):
+        spec = SourceSpec.from_gains(2.0, np.linspace(0.3, 1.2, 10))
+        structure = threshold_structure(10, 5)
+        grid_size = 10_000
+        saddle_check(spec, structure, 40.0, 100)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            saddle_check(spec, structure, 40.0, grid_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < structure.unauthorized_masks.size * grid_size * 8
+
     def test_one_coalition_per_block_gives_the_same_values(self, monkeypatch):
         spec, structure = self.WIDE
         chk = saddle_check(spec, structure, 1.0, 100)

@@ -288,6 +288,17 @@ class TestSimulateCommand:
         assert content.startswith("protocol metrics")
         assert content.endswith("\n")
 
+    @pytest.mark.parametrize("knob, value, message", [
+        ("l_quant", 4096, "above the model budget of 20000000"),
+        ("q", 10**12, "exceed the sample budget of 20000000"),
+    ])
+    def test_oversized_runs_exit_2_without_a_traceback(self, tmp_path, capsys,
+                                                       knob, value, message):
+        path = self.config(tmp_path, dict(self.SIM, **{knob: value}))
+        code, out, err = run_cli(capsys, "simulate", "--config", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
     def test_unknown_sim_key(self, tmp_path, capsys):
         path = self.config(tmp_path, dict(self.SIM, bogus=3))
         code, _, err = run_cli(capsys, "simulate", "--config", path)

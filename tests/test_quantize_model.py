@@ -9,7 +9,7 @@ from scipy.special import ndtr, ndtri
 
 from gauss_share.access_structure import extremal_sets, threshold_structure
 from gauss_share.capacity import optimal_conditional_variance
-from gauss_share.errors import DegenerateVariance, DomainError
+from gauss_share.errors import BudgetExceeded, DegenerateVariance, DomainError
 from gauss_share.protocol import info, model
 from gauss_share.protocol.model import (
     build_quantized_source,
@@ -178,6 +178,22 @@ class TestModelValidation:
     def test_bin_count_floor(self):
         with pytest.raises(DomainError):
             build_quantized_source(SPEC, STRUCT, 1)
+
+    def test_cell_budget_is_checked_before_allocating(self, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def zeros(shape, *args, **kwargs):
+            raise Allocated(shape)
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        # two observers: the quadrature product, 80 * l_quant^3 cells, binds
+        assert 80 * 62**3 <= model._MODEL_CELL_BUDGET < 80 * 63**3
+        with pytest.raises(Allocated, match=r"\(62, 62, 62, 62\)"):
+            build_quantized_source(SPEC, STRUCT, 62)
+        for l_quant in (63, 4096):
+            with pytest.raises(BudgetExceeded, match="model budget of 20000000"):
+                build_quantized_source(SPEC, STRUCT, l_quant)
 
 
 class TestSampling:

@@ -12,6 +12,7 @@ from gauss_share.errors import BudgetExceeded, InvalidConfig, KTooLarge
 from gauss_share.protocol import info
 from gauss_share.protocol.codebook import build_codebook, wz_decode, wz_encode
 from gauss_share.protocol.model import build_quantized_source
+from gauss_share.protocol import simulate
 from gauss_share.protocol.simulate import (
     ProtocolConfig,
     _exact_leakage,
@@ -270,6 +271,24 @@ class TestLeakageModes:
                      trials=1, exact_leakage=True)
         with pytest.raises(BudgetExceeded):
             run_protocol(NOISELESS, ONE_OF_ONE, cfg)
+
+    def test_sample_budget_is_checked_before_the_codebook_and_trials(self, monkeypatch):
+        class Sampled(Exception):
+            pass
+
+        def sample(*args, **kwargs):
+            raise Sampled
+
+        monkeypatch.setattr(simulate, "sample_source", sample)
+        # PAIR: each symbol samples x and two observations
+        q_max = simulate._SAMPLE_BUDGET // (2 * 3)
+        with pytest.raises(Sampled):
+            run_protocol(PAIR, BOTH_NEEDED, config(k=0, q=q_max, trials=1))
+
+        monkeypatch.setattr(simulate, "build_codebook", sample)
+        for q in (q_max + 1, 10**12):
+            with pytest.raises(BudgetExceeded, match="sample budget of 20000000"):
+                run_protocol(PAIR, BOTH_NEEDED, config(q=q))
 
     def test_forcing_enables_instances_auto_would_refuse(self):
         report = run_protocol(
