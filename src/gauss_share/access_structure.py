@@ -54,7 +54,7 @@ def _subset_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccessStructure:
     """Monotone family of authorized subsets, stored as its bitmasks.
 
@@ -62,12 +62,25 @@ class AccessStructure:
     partition all 2^l bitmasks; they are the whole structure.  Everything
     else is read from them: `minimal_sets` (the generators, in (size,
     members) order) once, on first read, and the tuple-of-tuples views on
-    every read (they can be large for l near the cap).
+    every read (they can be large for l near the cap).  Two structures are
+    equal, and hash equal, when l and the authorized masks agree, whichever
+    builder made them.
     """
 
     l: int
     authorized_masks: np.ndarray
     unauthorized_masks: np.ndarray
+
+    def _key(self) -> tuple[int, bytes]:
+        return self.l, self.authorized_masks.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, AccessStructure):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @functools.cached_property
     def minimal_sets(self) -> tuple[tuple[int, ...], ...]:

@@ -57,6 +57,7 @@ from .errors import (
     DomainError,
     GaussShareError,
     InvalidConfig,
+    KTooLarge,
     NumericError,
     ValidationError,
 )
@@ -348,7 +349,11 @@ def cmd_threshold(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int
 
 
 def cmd_simulate(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | None) -> str:
-    report = run_protocol(spec, structure, parse_sim(cfg, seed))
+    sim = parse_sim(cfg, seed)
+    try:
+        report = run_protocol(spec, structure, sim)
+    except (BudgetExceeded, KTooLarge, InvalidConfig) as exc:  # refusals of the sim knobs
+        raise cfg.fail("sim", str(exc)) from exc
     if fmt == "csv":
         rows = [
             "set,trials,secret_errors,secret_error_rate,secret_ci_lo,secret_ci_hi,"

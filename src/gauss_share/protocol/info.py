@@ -28,10 +28,12 @@ __all__ = [
 
 
 def entropy(pmf: np.ndarray) -> float:
-    """Shannon entropy in bits; zero-mass cells contribute nothing."""
+    """Shannon entropy in bits; zero-mass cells contribute nothing.
+
+    0.0 - sum rather than -sum, so a point mass gives +0.0, not -0.0."""
     p = np.asarray(pmf, dtype=float).ravel()
     p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p))) if p.size else 0.0
+    return 0.0 - float(np.sum(p * np.log2(p)))
 
 
 def _check_axes(pmf: np.ndarray, axes: Sequence[int]) -> tuple[int, ...]:

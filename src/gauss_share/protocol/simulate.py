@@ -11,7 +11,9 @@ Security accounting is exact or absent, never sampled: for small instances
 the full joint distribution of (secret, public messages, unauthorized
 observations) is enumerated in closed form, with the seed averaged out by
 the full-rank rule of the Toeplitz hash; larger instances report leakage as
-unavailable rather than estimate it optimistically.
+unavailable rather than estimate it optimistically.  That rule leaves two
+distinct secret rows in the joint law, so the enumeration holds those two
+and forms its entropies from them, never the 2^k-row table.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ __all__ = [
 ]
 
 _EXACT_SWEEP_BUDGET = 10_000_000
+# cells of the (2^k, messages, observations) law; the table is never built,
+# but its p log p terms are, so this bounds that float64 array
 _EXACT_TABLE_BUDGET = 20_000_000
 _SAMPLE_BUDGET = 20_000_000  # float64 source samples per trial, n*q*(1+L)
 
@@ -411,6 +415,38 @@ def _leakage_section(
     return "exact", leak, msg_leak, h_s, max(0.0, gap)
 
 
+def _stacked_entropy(first, uniform, copies: int) -> float:
+    """info.entropy of the stack [first, uniform x copies], bit for bit.
+
+    p log p is taken once per cell of `first` and of `uniform` and written
+    into one array in the stack's ravel order, so np.sum adds the same terms
+    in the same order as it does over the stack.  Like info.entropy, a point
+    mass gives +0.0.
+    """
+    head, row = np.ravel(first), np.ravel(uniform)
+    head, row = head[head > 0.0], row[row > 0.0]
+    terms = np.empty(head.size + copies * row.size)
+    terms[: head.size] = head * np.log2(head)
+    terms[head.size :].reshape(copies, row.size)[:] = row * np.log2(row)
+    return 0.0 - float(np.sum(terms))
+
+
+def _stacked_sum(first: np.ndarray, uniform: np.ndarray, copies: int) -> np.ndarray:
+    """The stack [first, uniform x copies] summed over its rows, bit for bit.
+
+    numpy adds the rows of a stack one after another, except when a row is a
+    single cell: the stack is then one 1-D array, which numpy sums pairwise.
+    """
+    if first.size == 1:
+        column = np.full(1 + copies, uniform.item())
+        column[0] = first.item()
+        return np.full(first.shape, column.sum())
+    acc = first.copy()
+    for _ in range(copies):
+        acc += uniform
+    return acc
+
+
 def _exact_leakage(
     model: DiscreteSourceModel,
     structure: AccessStructure,
@@ -426,11 +462,13 @@ def _exact_leakage(
     dealer string and is 0 for the all-zero string, so neither GF(2)
     elimination nor a seed sweep is needed.
 
-    The (secret, message, observation) table is filled from two grouped sums
-    over the combos of q block outcomes, each taken in combo order: every
-    secret s >= 1 gets the 2^-k share of the nonzero combos, and secret 0
-    gets that share plus the full mass of the all-zero combo.  Entropies are
-    taken on the materialized table.
+    The (secret, message, observation) law is two grouped sums over the
+    combos of q block outcomes, each taken in combo order: every secret
+    s >= 1 gets the 2^-k share of the nonzero combos (the row `uniform`),
+    and secret 0 gets that share plus the full mass of the all-zero combo
+    (the row `first`).  The 2^k-row table is never built: its entropies and
+    marginals come from the two rows, with the additions numpy would make
+    over the table, so the results are the table's bit for bit.
     """
     n, q, k = config.n, config.q, config.k
 
@@ -456,6 +494,7 @@ def _exact_leakage(
     combo_m = np.array(combo_m, dtype=np.intp)
     combo_zero = np.array(combo_zero, dtype=bool)
     nonzero_m = combo_m[~combo_zero]
+    copies = 2**k - 1  # secrets s >= 1, which all share the row `uniform`
 
     per_u = []
     msg_leak = None
@@ -480,20 +519,18 @@ def _exact_leakage(
         np.add.at(uniform, nonzero_m, spread[~combo_zero])
         first = np.zeros_like(uniform)
         np.add.at(first, combo_m, np.where(combo_zero[:, None], p_full, spread))
-        table = np.empty((2**k,) + uniform.shape)
-        table[1:] = uniform
-        table[0] = first
 
-        h_smy = info.entropy(table)
-        h_my = info.entropy(table.sum(axis=0))
-        p_s = table.sum(axis=(1, 2))
-        h_s_here = info.entropy(p_s)
+        # the (secret, message, observation) table is [first, uniform, ...,
+        # uniform]; each quantity below is read from the two rows alone
+        h_smy = _stacked_entropy(first, uniform, copies)
+        h_my = info.entropy(_stacked_sum(first, uniform, copies))
+        h_s_here = _stacked_entropy(first.sum(), uniform.sum(), copies)
         leak_u = h_s_here + h_my - h_smy
 
         if msg_leak is None:
-            joint_sm = table.sum(axis=2)
-            h_m = info.entropy(joint_sm.sum(axis=0))
-            msg_leak = h_s_here + h_m - info.entropy(joint_sm)
+            first_m, uniform_m = first.sum(axis=1), uniform.sum(axis=1)
+            h_m = info.entropy(_stacked_sum(first_m, uniform_m, copies))
+            msg_leak = h_s_here + h_m - _stacked_entropy(first_m, uniform_m, copies)
             h_s = h_s_here
 
         if leak_u < msg_leak - 1e-9 or msg_leak < -1e-9:

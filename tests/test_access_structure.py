@@ -55,6 +55,19 @@ def test_superset_generators_are_dropped():
     assert set(a.authorized) == set(b.authorized)
 
 
+def test_equality_and_hash_follow_the_masks():
+    by_threshold = threshold_structure(3, 2)
+    by_closure = monotone_closure(3, [[1, 2], [1, 3], [2, 3], [1, 2, 3]])
+    assert by_threshold == by_closure
+    assert hash(by_threshold) == hash(by_closure)
+    assert threshold_structure(3, 2) == by_threshold
+    assert len({by_threshold, by_closure, threshold_structure(3, 3)}) == 2
+    # the same generators over four participants is a different structure
+    assert monotone_closure(4, [[1, 2], [1, 3], [2, 3]]) != by_threshold
+    assert threshold_structure(3, 3) != by_threshold
+    assert (by_threshold == (3, 2)) is False
+
+
 def reference_closure(l, generators):
     """(minimal, authorized, unauthorized) of the upward closure, by the
     antichain reduction: a generator is kept only if no other kept one is a

@@ -299,6 +299,23 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("knobs, message", [
+        (dict(q=10**12), "n*q = 2000000000000 symbols of 2 values each exceed "
+                         "the sample budget of 20000000"),
+        (dict(l_quant=4096), "l_quant 4096 with 1 observers needs 68719476736 "
+                             "cells, above the model budget of 20000000"),
+        (dict(k=3), "cannot extract 3 bits from 2 input bits"),
+        (dict(l_quant=3), "hashing a 3-letter auxiliary needs a power-of-two alphabet"),
+        (dict(n=4, q=4, k=12, exact_leakage=True),
+         "exact leakage enumeration exceeds the state budget for this instance"),
+    ])
+    def test_run_refusals_are_anchored_to_the_sim_block(self, tmp_path, capsys,
+                                                         knobs, message):
+        path = self.config(tmp_path, dict(self.SIM, **knobs))
+        code, out, err = run_cli(capsys, "simulate", "--config", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:{line_of(path, 'sim')}: {message}\n"
+
     def test_unknown_sim_key(self, tmp_path, capsys):
         path = self.config(tmp_path, dict(self.SIM, bogus=3))
         code, _, err = run_cli(capsys, "simulate", "--config", path)

@@ -230,6 +230,16 @@ class TestInfoArithmetic:
         assert info.entropy(np.array([0.5, 0.0, 0.5])) == pytest.approx(1.0)
         assert info.entropy(np.zeros(4)) == 0.0
 
+    @pytest.mark.parametrize("pmf", [[1.0], [0.0, 1.0, 0.0], np.eye(2)[:1], np.zeros(3)])
+    def test_entropy_of_a_point_mass_is_positive_zero(self, pmf):
+        h = info.entropy(np.asarray(pmf))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+    def test_entropy_keeps_nonzero_values(self):
+        # 0.0 - s equals -s exactly for every nonzero s
+        p = np.array([0.2, 0.3, 0.5])
+        assert info.entropy(p) == float(-np.sum(p * np.log2(p)))
+
     def test_marginal_respects_listed_order(self):
         rng = np.random.default_rng(7)
         pmf = rng.random((2, 3, 4))

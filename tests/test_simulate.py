@@ -3,9 +3,12 @@
 import csv
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gauss_share.access_structure import monotone_closure, threshold_structure
 from gauss_share.errors import BudgetExceeded, InvalidConfig, KTooLarge
@@ -321,6 +324,19 @@ class TestExactLeakageValues:
         assert report.uniformity_gap == 0.0
         assert report.secret_entropy == 1.0
 
+    def test_point_mass_secret_has_positive_zero_entropy(self):
+        report = run_protocol(
+            PAIR, BOTH_NEEDED,
+            config(l_quant=4, n=2, q=1, rv=0.5, rv_prime=0.5, k=1, seed=20,
+                   trials=1, exact_leakage=True),
+        )
+        assert report.secret_entropy == 0.0
+        assert math.copysign(1.0, report.secret_entropy) == 1.0
+        assert report.uniformity_gap == 1.0
+        text = report.to_text()
+        assert "  secret entropy: 0.000000000000 bits\n" in text
+        assert "-0.0" not in text
+
     def test_skewed_codebook_shows_a_positive_gap(self):
         report = run_protocol(
             NOISELESS, ONE_OF_ONE,
@@ -456,6 +472,95 @@ class TestExactLeakageMatchesPerComboFill:
         got, want, _ = self.both(self.README, self.README_STRUCTURE, cfg)
         assert got == want
         assert len(got[0]) == len(self.README_STRUCTURE.unauthorized)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_secret_length_on_the_workload(self, k):
+        cfg = ProtocolConfig(seed=0, **dict(self.WORKLOAD, k=k))
+        got, want, _ = self.both(PAIR, BOTH_NEEDED, cfg)
+        assert got == want
+
+    def test_one_message_gives_single_cell_marginals(self):
+        # rv = rv' = 0 leaves one message, and u = () sees one observation,
+        # so the message and (message, observation) marginals are one cell
+        cfg = ProtocolConfig(seed=0, **dict(self.WORKLOAD, rv=0.0, rv_prime=0.0))
+        got, want, _ = self.both(PAIR, BOTH_NEEDED, cfg)
+        assert got == want
+        assert got[1] == 0.0  # one message carries nothing about the secret
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (3,), (1, 3), (3, 1), (4, 16)])
+    @pytest.mark.parametrize("copies", [1, 6, 7, 8, 255, 1000])
+    def test_stack_helpers_match_the_materialized_stack(self, shape, copies):
+        # numpy adds a stack's rows one after another, but sums a stack of
+        # single cells as one 1-D array, pairwise; both orders must be kept
+        rng = np.random.default_rng(copies)
+        first, uniform = rng.random(shape), rng.random(shape)
+        if shape:
+            uniform.flat[0] = 0.0  # a zero cell is skipped, as in the table
+        stack = np.empty((1 + copies,) + shape)
+        stack[0], stack[1:] = first, uniform
+        summed = simulate._stacked_sum(first, uniform, copies)
+        assert summed.shape == shape
+        assert np.array_equal(summed, stack.sum(axis=0))
+        assert simulate._stacked_entropy(first, uniform, copies) == info.entropy(stack)
+
+
+def _sources_and_configs():
+    """(spec, structure, config) drawn small enough for the reference fill."""
+    sources = st.sampled_from([
+        (PAIR, BOTH_NEEDED),
+        (TestExactLeakageMatchesPerComboFill.README,
+         TestExactLeakageMatchesPerComboFill.README_STRUCTURE),
+    ])
+    knobs = st.fixed_dictionaries(dict(
+        l_quant=st.sampled_from([2, 4]),
+        n=st.integers(1, 3),
+        q=st.integers(1, 2),
+        k=st.integers(1, 4),
+        rv=st.sampled_from([0.0, 0.5, 1.0]),
+        rp_target=st.sampled_from([None, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    ))
+    return st.tuples(sources, knobs)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_sources_and_configs())
+def test_exact_leakage_properties(drawn):
+    (spec, structure), knobs = drawn
+    u_max = max(len(u) for u in structure.unauthorized)
+    symbols = knobs["n"] * knobs["q"]
+    bits = knobs["l_quant"].bit_length() - 1
+    # the reference fill materializes the table, so keep it small
+    assume(2 ** knobs["k"] * knobs["l_quant"] ** (symbols * (1 + u_max)) <= 2**16)
+    assume(knobs["k"] <= symbols * bits)
+    cfg = ProtocolConfig(epsilon=0.2, rv_prime=knobs["rv"], trials=1,
+                         exact_leakage=True, **knobs)
+    got, want, _ = TestExactLeakageMatchesPerComboFill.both(spec, structure, cfg)
+    assert got == want
+    leakage, msg_leak, h_s = got
+    assert 0.0 <= h_s <= cfg.k + 1e-9
+    assert 0.0 <= msg_leak <= cfg.k
+    assert [u for u, _ in leakage] == list(structure.unauthorized)
+    for _, leak in leakage:
+        assert msg_leak - 1e-9 <= leak <= cfg.k  # chain rule, and at most k bits
+        assert leak <= h_s + 1e-9  # a coalition learns at most H(S)
+
+
+def test_exact_leakage_peak_memory_is_below_one_table():
+    # the workload's (2^k, messages, Y) float64 table alone is 8 MiB
+    cfg = ProtocolConfig(seed=0, **TestExactLeakageMatchesPerComboFill.WORKLOAD)
+    model = build_quantized_source(PAIR, BOTH_NEEDED, cfg.l_quant, cfg.rp_target)
+    codebook = build_codebook(
+        model.joint_xv(), cfg.n, cfg.rv, cfg.rv_prime,
+        np.random.SeedSequence(cfg.seed, spawn_key=(0,)),
+    )
+    tracemalloc.start()
+    try:
+        _exact_leakage(model, BOTH_NEEDED, codebook, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 class TestPublicRateAccounting:
