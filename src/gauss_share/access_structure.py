@@ -193,39 +193,36 @@ class ExtremalSets:
     snr_unauthorized: float
 
 
-def extremal_sets(structure: AccessStructure, spec: SourceSpec) -> ExtremalSets:
-    """Exhaustive argmin/argmax of the effective SNR over both families.
+def _snr_table(spec: SourceSpec) -> np.ndarray:
+    """subset_snr of every bitmask, indexed by mask.  In gains mode bit b
+    adds its squared gain to every lower mask: subset_snr's left-to-right
+    sum in ascending member order, so each entry equals it bit for bit."""
+    if spec.mode == "covariance":
+        return np.array([subset_snr(spec, _subset_of(m)) for m in range(2**spec.l)])
+    table = np.zeros(2**spec.l)
+    for b, g in enumerate(spec.gains):
+        table[2**b : 2 ** (b + 1)] = table[: 2**b] + g * g
+    return table
 
-    A table of every bitmask's SNR narrows each family to the masks within a
-    1e-12 relative window of its extreme, and exact subset_snr keys decide
-    among those.  In gains mode bit b adds its squared gain to every lower
-    mask; such a sum of at most l squares is a few ulps off subset_snr.
-    """
+
+def extremal_sets(structure: AccessStructure, spec: SourceSpec) -> ExtremalSets:
+    """Exhaustive argmin/argmax of the effective SNR over both families,
+    read from _snr_table.  Its entries are subset_snr exactly, so there is
+    no tolerance window: only exact ties, broken by least (size, members)."""
     l = structure.l
     if spec.l != l:
         raise IndexOutOfRange(f"source has {spec.l} participants, structure has {l}")
-    if spec.mode == "gains":
-        table = np.zeros(2**l)
-        for b, g in enumerate(spec.gains):
-            table[2**b : 2 ** (b + 1)] = table[: 2**b] + g * g
-    else:
-        table = np.array([subset_snr(spec, _subset_of(m)) for m in range(2**l)])
+    table = _snr_table(spec)
 
     def least_key(masks: np.ndarray, sign: float) -> tuple:
         values = sign * table[masks]
         best = values.min()
-        near = masks[values <= best + 1e-12 * abs(best) + np.finfo(float).tiny]
-        subsets = map(_subset_of, near.tolist())
-        return min((sign * subset_snr(spec, s), len(s), s) for s in subsets)
+        ties = map(_subset_of, masks[values == best].tolist())
+        return float(sign * best), min(ties, key=lambda s: (len(s), s))
 
-    snr_a, _, min_a = least_key(structure.authorized_masks, 1.0)
-    neg_snr_u, _, max_u = least_key(structure.unauthorized_masks, -1.0)
-    return ExtremalSets(
-        min_authorized=min_a,
-        max_unauthorized=max_u,
-        snr_authorized=snr_a,
-        snr_unauthorized=-neg_snr_u,
-    )
+    snr_a, min_a = least_key(structure.authorized_masks, 1.0)
+    snr_u, max_u = least_key(structure.unauthorized_masks, -1.0)
+    return ExtremalSets(min_a, max_u, snr_a, snr_u)
 
 
 def threshold_extremal_chain(spec: SourceSpec, l: int) -> list[ExtremalSets]:

@@ -25,6 +25,7 @@ import numpy as np
 from .access_structure import (
     AccessStructure,
     ExtremalSets,
+    _snr_table,
     extremal_sets,
     threshold_extremal_chain,
 )
@@ -36,7 +37,7 @@ from .errors import (
     NegativeRate,
     NumericError,
 )
-from .source_model import SourceSpec, _gains_and_snr, derive_gain_vector
+from .source_model import SourceSpec, derive_gain_vector
 
 __all__ = [
     "UNLIMITED",
@@ -367,9 +368,8 @@ def saddle_check(
 
     ext = extremal_sets(structure, spec)
     sx = spec.sigma2_x
-    # tuples built from masks are canonical: skip derive_gain_vector's checks
-    snr_a = np.array([_gains_and_snr(spec, s)[1] for s in structure.authorized])
-    snr_u = np.array([_gains_and_snr(spec, s)[1] for s in structure.unauthorized])
+    table = _snr_table(spec)
+    snr_a, snr_u = table[structure.authorized_masks], table[structure.unauthorized_masks]
     grid = np.geomspace(sx * 1e-8, sx, grid_size)
 
     def gap_matrix(svec: np.ndarray, snr: np.ndarray) -> np.ndarray:

@@ -180,12 +180,16 @@ def _participant_sets(sets: Any, cfg: _Config) -> list[list[int]]:
     return sets
 
 
+# commands that read per-participant gains -> the start of their refusal
+_GAINS_ONLY = {"threshold": "threshold sweeps need", "simulate": "the protocol model needs"}
+
+
 def parse_access(cfg: _Config, spec: SourceSpec, command: str) -> AccessStructure | None:
     """The structure the command needs: None for the threshold command's
-    sweep (which also needs a gains-form source), a concrete structure for
-    every other command."""
-    if command == "threshold" and spec.mode != "gains":
-        raise cfg.fail("source", "threshold sweeps need a gains-form source")
+    sweep, a concrete structure for every other command.  The sweep and the
+    simulate command's protocol model also need a gains-form source."""
+    if command in _GAINS_ONLY and spec.mode != "gains":
+        raise cfg.fail("source", f"{_GAINS_ONLY[command]} a gains-form source")
     block = cfg.data.get("access")
     if not isinstance(block, dict):
         raise cfg.fail("access", "missing or malformed access block")

@@ -144,24 +144,6 @@ def _canonical_subset(spec: SourceSpec, subset: Iterable[int]) -> tuple[int, ...
     return tuple(members)
 
 
-def _gains_and_snr(spec: SourceSpec, members: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """Whitened gain vector of canonical members and its squared norm."""
-    if not members:
-        return np.zeros(0), 0.0
-    if spec.mode == "gains":
-        h = spec.gains[[m - 1 for m in members]]
-        return h, float(h @ h)
-
-    cov = spec.covariance
-    idx = np.array(members, dtype=int)  # participant i sits at row i
-    cross = cov[idx, 0]  # Sigma_{Y_S X}, shape (|S|,)
-    sigma_y = cov[np.ix_(idx, idx)]
-    noise_cov = sigma_y - np.outer(cross, cross) / spec.sigma2_x
-    b = _checked_cholesky(noise_cov)
-    h = np.linalg.solve(b, cross) / spec.sigma2_x
-    return h, float(h @ h)
-
-
 def derive_gain_vector(spec: SourceSpec, subset: Iterable[int]) -> SubsetGain:
     """Whiten a subset's observations into the unit-noise gain form.
 
@@ -172,7 +154,19 @@ def derive_gain_vector(spec: SourceSpec, subset: Iterable[int]) -> SubsetGain:
     The empty subset is legal and yields snr = 0.
     """
     members = _canonical_subset(spec, subset)
-    h, snr = _gains_and_snr(spec, members)
+    if spec.mode == "gains":
+        h = spec.gains[[m - 1 for m in members]]
+    elif not members:
+        h = np.zeros(0)
+    else:
+        cov = spec.covariance
+        idx = np.array(members, dtype=int)  # participant i sits at row i
+        cross = cov[idx, 0]  # Sigma_{Y_S X}, shape (|S|,)
+        sigma_y = cov[np.ix_(idx, idx)]
+        noise_cov = sigma_y - np.outer(cross, cross) / spec.sigma2_x
+        b = _checked_cholesky(noise_cov)
+        h = np.linalg.solve(b, cross) / spec.sigma2_x
+    snr = float(np.add.accumulate(h * h)[-1]) if members else 0.0
     return SubsetGain(subset=members, gains=_frozen_array(h), snr=snr)
 
 
@@ -181,7 +175,11 @@ def subset_snr(spec: SourceSpec, subset: Iterable[int]) -> float:
 
     This is the single shared definition used by every module, so that
     equality comparisons between independently computed extremal sets are
-    exact rather than tolerance-based.
+    exact rather than tolerance-based.  The squared gains are added left to
+    right in ascending member order: a BLAS dot sums in an order set by the
+    CPU kernel, and np.sum by its own accumulators, so printed capacities
+    would vary with the machine.  access_structure's SNR table adds members
+    in the same order and so equals this function bit for bit.
     """
     return derive_gain_vector(spec, subset).snr
 

@@ -237,8 +237,8 @@ def tie_sources(l):
         ),
         "all-zero": SourceSpec.from_gains(1.0, np.zeros(l)),
         # squares 0.01, 0.04, 0.09: subsets tie in exact arithmetic
-        # (0.01 + 0.04 + 0.04 = 0.09) but not in float, where the SNR table
-        # and subset_snr round their sums differently
+        # (0.01 + 0.04 + 0.04 = 0.09) but not in float, where sums of the
+        # same squares in different member orders round differently
         "decimal": SourceSpec.from_gains(1.0, (np.arange(l) % 3 + 1) / 10.0),
         "covariance": SourceSpec.from_covariance(root @ root.T + (l + 1) * np.eye(l + 1)),
     }
@@ -257,6 +257,29 @@ def test_extremal_sets_match_brute_force_keys_under_ties(l, kind):
         ext = extremal_sets(structure, spec)
         got = (ext.min_authorized, ext.max_unauthorized, ext.snr_authorized, ext.snr_unauthorized)
         assert got == brute_force_extremal(structure, snr)
+
+
+@st.composite
+def snr_sources(draw):
+    """A gains-form source (gains anywhere, or all near 1, where summation
+    orders most often round apart) or a covariance-form one, l <= 10."""
+    l = draw(st.integers(min_value=1, max_value=10))
+    kind = draw(st.sampled_from(["gains", "near-one", "covariance"]))
+    if kind == "covariance":
+        root = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=(l + 1) ** 2,
+                                      max_size=(l + 1) ** 2))).reshape(l + 1, l + 1)
+        return SourceSpec.from_covariance(root @ root.T + np.eye(l + 1))
+    values = st.floats(-3.0, 3.0) if kind == "gains" else st.floats(0.97, 1.03)
+    gains = draw(st.lists(values, min_size=l, max_size=l))
+    return SourceSpec.from_gains(draw(st.floats(0.1, 4.0)), gains)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(snr_sources())
+def test_snr_table_is_subset_snr_at_every_mask(spec):
+    table = access_structure._snr_table(spec)
+    direct = [subset_snr(spec, access_structure._subset_of(m)) for m in range(2**spec.l)]
+    assert table.tolist() == direct
 
 
 def test_extremal_requires_matching_sizes():
@@ -287,8 +310,8 @@ def test_threshold_chain_agrees_with_extremal_sets():
         chain = threshold_extremal_chain(spec, l)
         for t in range(1, l + 1):
             ext = extremal_sets(threshold_structure(l, t), spec)
-            assert chain[t - 1].snr_authorized == pytest.approx(ext.snr_authorized, rel=1e-14)
-            assert chain[t - 1].snr_unauthorized == pytest.approx(ext.snr_unauthorized, rel=1e-14)
+            assert chain[t - 1].snr_authorized == ext.snr_authorized
+            assert chain[t - 1].snr_unauthorized == ext.snr_unauthorized
 
 
 def test_threshold_chain_requires_gains_mode():

@@ -15,7 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gauss_share import capacity
-from gauss_share.access_structure import monotone_closure, threshold_structure
+from gauss_share.access_structure import (
+    extremal_sets,
+    monotone_closure,
+    threshold_structure,
+)
 from gauss_share.capacity import (
     UNLIMITED,
     is_unlimited,
@@ -445,6 +449,45 @@ def test_verify_rate_formulas_at_full_variance():
     report = verify_rate_formulas(SPEC3, STRUCT3, 2.0)
     assert report.rp_scalar == pytest.approx(0.0, abs=1e-12)
     assert report.rs_scalar == pytest.approx(0.0, abs=1e-12)
+
+
+@st.composite
+def rate_formula_cases(draw):
+    """A gains- or covariance-form source (l <= 5), a threshold or closure
+    structure over it, and a conditional variance s in (0, sigma2_x]."""
+    l = draw(st.integers(min_value=1, max_value=5))
+    if draw(st.booleans()):
+        gains = draw(st.lists(st.floats(-2.0, 2.0), min_size=l, max_size=l))
+        spec = SourceSpec.from_gains(draw(st.floats(0.2, 3.0)), gains)
+    else:
+        root = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=(l + 1) ** 2,
+                                      max_size=(l + 1) ** 2))).reshape(l + 1, l + 1)
+        spec = SourceSpec.from_covariance(root @ root.T + np.eye(l + 1))
+    if draw(st.booleans()):
+        structure = threshold_structure(l, draw(st.integers(1, l)))
+    else:
+        generators = draw(st.lists(st.sets(st.integers(1, l), min_size=1), min_size=1,
+                                   max_size=4))
+        structure = monotone_closure(l, generators)
+    s = draw(st.floats(0.0, spec.sigma2_x, exclude_min=True))
+    return spec, structure, s
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(rate_formula_cases())
+def test_property_rate_formula_routes_agree_with_the_closed_forms(case):
+    spec, structure, s = case
+    # raises NumericError when the log-det and scalar routes disagree
+    report = verify_rate_formulas(spec, structure, s)
+    assert report.max_rel_err <= 1e-9
+    assert report.rp_logdet == pytest.approx(report.rp_scalar, rel=1e-9, abs=1e-9)
+    assert report.rs_logdet == pytest.approx(report.rs_scalar, rel=1e-9, abs=1e-9)
+    ext = extremal_sets(structure, spec)
+    rs = secret_rate(s, ext.snr_authorized, ext.snr_unauthorized, spec)
+    assert report.rs_scalar == pytest.approx(rs, rel=0.0, abs=1e-12)
+    assert report.rp_scalar == pytest.approx(
+        public_rate(s, ext.snr_authorized, spec), rel=0.0, abs=1e-12
+    )
 
 
 # Property tests over random gains-mode sources (l <= 6) and structures.

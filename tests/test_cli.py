@@ -240,6 +240,19 @@ class TestSimulateCommand:
     SIM = {"l_quant": 2, "n": 2, "q": 1, "epsilon": 0.2, "rv": 1.0,
            "rv_prime": 1.0, "k": 1, "seed": 0, "trials": 1}
 
+    def test_covariance_source_is_refused_on_the_source_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "version": 1,
+            "source": {"covariance": [[2.0, 1.0], [1.0, 2.0]]},
+            "access": {"threshold": 1},
+            "rp": {"value": 1.0},
+            "sim": self.SIM,
+        })
+        code, out, err = run_cli(capsys, "simulate", "--config", path)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}:{line_of(path, 'source')}: "
+                       "the protocol model needs a gains-form source\n")
+
     def test_text_report(self, tmp_path, capsys):
         path = self.config(tmp_path, dict(self.SIM, q=2, k=2, trials=10))
         code, out, _ = run_cli(capsys, "simulate", "--config", path)
@@ -411,7 +424,10 @@ GOLDEN_POINT = {"access": {"threshold": 5}, "rp": {"value": 2.589892},
 class TestGoldenCapacityOutput:
     """stdout of the capacity commands on an l=10 source at threshold 5,
     pinned byte for byte to output recorded before extremal_sets gained its
-    SNR table and saddle_check its hoisted unauthorized maximum."""
+    SNR table and saddle_check its hoisted unauthorized maximum.  Only the
+    oracle's oracle_gap line was re-recorded since, when subset_snr became
+    a pinned left-to-right sum: before that it was a BLAS dot, and the line
+    changed with the CPU kernel OpenBLAS picked at run time."""
 
     @pytest.mark.parametrize("command, block", [
         ("capacity", GOLDEN_POINT),

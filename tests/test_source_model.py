@@ -52,6 +52,25 @@ def test_subset_snr_is_squared_norm_of_member_gains():
     assert subset_snr(spec, [1, 3]) == pytest.approx(0.89)
 
 
+def test_gains_snr_is_a_left_to_right_sum_over_ascending_members():
+    # 1 + 3 * 2**-54 is 1 added from the left but 1 + 2**-52 from the right
+    tiny = 2.0**-27
+    cases = [([1.0, tiny, tiny, tiny], [1, 2, 3, 4]), ([tiny, tiny, tiny, 1.0], [1, 2, 3, 4])]
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        l = int(rng.integers(1, 13))
+        # squares near 1 are where summation orders most often round apart
+        gains = rng.uniform(0.97, 1.03, l) * rng.choice([-1, 1], l)
+        members = rng.choice(l, size=int(rng.integers(1, l + 1)), replace=False) + 1
+        cases.append((gains, sorted(members.tolist())))
+    for gains, members in cases:
+        total = 0.0
+        for m in members:
+            g = float(gains[m - 1])
+            total = total + g * g
+        assert subset_snr(SourceSpec.from_gains(1.0, gains), members[::-1]) == total
+
+
 def test_empty_subset_has_zero_snr():
     spec = SourceSpec.from_gains(2.0, [0.5, 1.0, 0.8])
     sg = derive_gain_vector(spec, [])
