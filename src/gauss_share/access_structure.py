@@ -209,10 +209,16 @@ def extremal_sets(structure: AccessStructure, spec: SourceSpec) -> ExtremalSets:
     """Exhaustive argmin/argmax of the effective SNR over both families,
     read from _snr_table.  Its entries are subset_snr exactly, so there is
     no tolerance window: only exact ties, broken by least (size, members)."""
+    return _extremal_from_table(structure, _snr_table(spec))
+
+
+def _extremal_from_table(structure: AccessStructure, table: np.ndarray) -> ExtremalSets:
+    """extremal_sets read from a source's _snr_table, for callers that keep it."""
     l = structure.l
-    if spec.l != l:
-        raise IndexOutOfRange(f"source has {spec.l} participants, structure has {l}")
-    table = _snr_table(spec)
+    if table.size != 2**l:
+        raise IndexOutOfRange(
+            f"source has {table.size.bit_length() - 1} participants, structure has {l}"
+        )
 
     def least_key(masks: np.ndarray, sign: float) -> tuple:
         values = sign * table[masks]

@@ -25,6 +25,7 @@ import numpy as np
 from .access_structure import (
     AccessStructure,
     ExtremalSets,
+    _extremal_from_table,
     _snr_table,
     extremal_sets,
     threshold_extremal_chain,
@@ -122,7 +123,8 @@ def public_rate(sigma2_cond: float, snr_authorized: float, spec: SourceSpec) -> 
     visible to the authorized coalition.  Nonnegative and nonincreasing in s.
     """
     s = _check_sigma(sigma2_cond, spec)
-    return 0.5 * math.log2(spec.sigma2_x / s) - _rate_gap(s, snr_authorized, spec)
+    base = 0.5 * (math.log2(spec.sigma2_x) - math.log2(s))  # no overflow at a subnormal s
+    return base - _rate_gap(s, snr_authorized, spec)
 
 
 def secret_rate(
@@ -366,9 +368,9 @@ def saddle_check(
         raise BudgetExceeded(f"grid_size {grid_size} times {family} coalitions exceeds "
                              f"the oracle budget of {_ORACLE_CELL_BUDGET} cells")
 
-    ext = extremal_sets(structure, spec)
-    sx = spec.sigma2_x
     table = _snr_table(spec)
+    ext = _extremal_from_table(structure, table)
+    sx = spec.sigma2_x
     snr_a, snr_u = table[structure.authorized_masks], table[structure.unauthorized_masks]
     grid = np.geomspace(sx * 1e-8, sx, grid_size)
 
@@ -510,9 +512,14 @@ def verify_rate_formulas(
     rel_errs = [0.0]
 
     def record(a: float, b: float) -> None:
-        rel_errs.append(abs(a - b) / max(1.0, abs(a), abs(b)))
+        # max() would drop a NaN, so a non-finite error must raise here
+        err = abs(a - b) / max(1.0, abs(a), abs(b))
+        if not math.isfinite(err):
+            raise NumericError(f"log-det and scalar rate routes gave {a!r} and {b!r}")
+        rel_errs.append(err)
 
-    base = 0.5 * math.log2(sx / s)
+    # two logs, not log2(sx / s), which overflows for a subnormal s
+    base = 0.5 * (math.log2(sx) - math.log2(s))
     per_authorized = []
     a_gaps: dict[tuple[int, ...], tuple[float, float]] = {}
     for subset in structure.authorized:

@@ -9,12 +9,14 @@ noise, and a Gaussian auxiliary V.  Two auxiliary modes exist:
   variance is chosen so the conditional variance of X given V equals the
   capacity-optimal value at the target public rate.
 
-Everything downstream consumes the joint pmf tensor over (V, X, Y_1..Y_L):
-axis 0 is V, axis 1 is X, and participant p (1-based) sits on axis 1+p.  Each
-variable is quantized into equiprobable bins.  Cells are computed by
-Gauss-Legendre quadrature over each X bin in the u = CDF(x) coordinate, where
-the integrand (a product of Gaussian rectangle probabilities conditioned on x)
-is smooth; extremely steep gains make the conditional rectangle terms nearly
+The observations are independent given X, so the model keeps one factor per
+variable at each quadrature node of each X bin, and builds a coalition S's
+law p(v, x, y_S) from them when it is first read, with S's observations
+flattened into one axis, first member most significant.  Each variable is
+quantized into equiprobable bins.  Cells are computed by Gauss-Legendre
+quadrature over each X bin in the u = CDF(x) coordinate, where the integrand
+(a product of Gaussian rectangle probabilities conditioned on x) is smooth;
+extremely steep gains make the conditional rectangle terms nearly
 discontinuous inside a bin, which costs quadrature accuracy in the smallest
 cells but never their strict positivity pattern.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -43,10 +45,8 @@ __all__ = [
     "sample_source",
 ]
 
-AXIS_V = 0
-AXIS_X = 1
-_QUAD_NODES = 80  # Gauss-Legendre nodes per X bin of the pmf tensor
-_MODEL_CELL_BUDGET = 20_000_000  # float64 cells of the pmf or one X bin's product
+_QUAD_NODES = 80  # Gauss-Legendre nodes per X bin
+_MODEL_CELL_BUDGET = 20_000_000  # float64 cells of the kept laws or one X bin's product
 
 
 @functools.cache
@@ -63,22 +63,26 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _y_axes(subset: tuple[int, ...]) -> tuple[int, ...]:
-    # participant ids are 1-based, so participant p lives on tensor axis 1 + p
-    return tuple(1 + p for p in subset)
+def _min_positive(p: np.ndarray) -> float:
+    return float(p[p > 0.0].min())
 
 
 @dataclass(frozen=True)
 class DiscreteSourceModel:
-    """Joint pmf tensor over (V, X, Y_1..Y_L) plus the quantizers behind it."""
+    """Per-node conditional factors of (V, X, Y_1..Y_L) plus the quantizers.
+
+    Every accessor reads joint(subset), whose axes are (V, X, Y_subset).
+    """
 
     spec: SourceSpec
-    pmf: np.ndarray
+    node_v: np.ndarray  # (n_x, nodes, n_v): w_n * P[V = v | x_n] for X bin i
+    node_y: np.ndarray  # (L, n_x, nodes, l_quant): P[Y_p = y | x_n]
     v_quantizer: Quantizer
     x_quantizer: Quantizer
     y_quantizers: tuple[Quantizer, ...]
     sigma2_cond: float | None  # None in identity mode (V = X)
     aux_noise_var: float | None
+    _laws: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def identity_auxiliary(self) -> bool:
@@ -86,39 +90,67 @@ class DiscreteSourceModel:
 
     @property
     def n_v(self) -> int:
-        return self.pmf.shape[AXIS_V]
+        return self.node_v.shape[2]
 
     @property
     def n_x(self) -> int:
-        return self.pmf.shape[AXIS_X]
+        return self.node_v.shape[0]
 
     @property
     def l(self) -> int:
-        return self.pmf.ndim - 2
+        return self.node_y.shape[0]
 
     def n_y(self, subset: tuple[int, ...]) -> int:
-        return math.prod(self.pmf.shape[a] for a in _y_axes(subset))
+        return self.node_y.shape[3] ** len(subset)
+
+    def joint(self, subset: tuple[int, ...]) -> np.ndarray:
+        """p(v, x, y_subset), read-only, shape (n_v, n_x, n_y(subset)).
+
+        The observation index is flattened with the first member most
+        significant, as the simulator numbers a coalition's observations.
+        Built from the node factors on first read and kept; the laws kept
+        before are dropped first when they and it would pass
+        _MODEL_CELL_BUDGET cells.
+        """
+        key = tuple(subset)
+        law = self._laws.get(key)
+        if law is not None:
+            return law
+        if len(set(key)) != len(key) or not all(1 <= p <= self.l for p in key):
+            raise DomainError(f"{key} is not a set of participants 1..{self.l}")
+        shape = (self.n_v, self.n_x, self.n_y(key))
+        if math.prod(shape) + sum(kept.size for kept in self._laws.values()) > _MODEL_CELL_BUDGET:
+            self._laws.clear()
+        law = np.zeros(shape)
+        for i in range(self.n_x):
+            # weighted sum over X bin i's nodes of the members' outer product
+            cell = self.node_v[i]
+            for p in key:
+                cell = np.einsum("n...,nb->n...b", cell, self.node_y[p - 1, i])
+            law[:, i, :] = cell.sum(axis=0).reshape(self.n_v, -1)
+        total = float(law.sum())
+        info.check_normalized(total)
+        law /= total
+        law.flags.writeable = False
+        self._laws[key] = law
+        return law
 
     # -- single-letter marginals (flattened composite observation index) --
 
     def p_v(self) -> np.ndarray:
-        return info.marginal(self.pmf, (AXIS_V,))
+        return self.joint(()).sum(axis=(1, 2))
 
     def joint_xv(self) -> np.ndarray:
         """p(x, v) with X first: shape (n_x, n_v)."""
-        return info.marginal(self.pmf, (AXIS_X, AXIS_V))
+        return self.joint(())[:, :, 0].T
 
     def joint_vy(self, subset: tuple[int, ...]) -> np.ndarray:
         """p(v, y_subset) with the observation flattened: (n_v, n_y(subset))."""
-        axes = (AXIS_V,) + _y_axes(subset)
-        m = info.marginal(self.pmf, axes)
-        return m.reshape(self.n_v, -1)
+        return self.joint(subset).sum(axis=1)
 
     def joint_xy(self, subset: tuple[int, ...]) -> np.ndarray:
         """p(x, y_subset) flattened: (n_x, n_y(subset))."""
-        axes = (AXIS_X,) + _y_axes(subset)
-        m = info.marginal(self.pmf, axes)
-        return m.reshape(self.n_x, -1)
+        return self.joint(subset).sum(axis=0)
 
     # -- information quantities (bits) --
 
@@ -126,40 +158,43 @@ class DiscreteSourceModel:
         return info.entropy(self.p_v())
 
     def entropy_v_given_x(self) -> float:
-        return info.conditional_entropy(self.pmf, (AXIS_V,), (AXIS_X,))
+        vx = self.joint(())
+        return info.entropy(vx) - info.entropy(vx.sum(axis=0))
 
     def entropy_v_given_y(self, subset: tuple[int, ...]) -> float:
-        return info.conditional_entropy(self.pmf, (AXIS_V,), _y_axes(subset))
+        vy = self.joint_vy(subset)
+        return info.entropy(vy) - info.entropy(vy.sum(axis=0))
 
     def entropy_x_given_yv(self, subset: tuple[int, ...]) -> float:
-        return info.conditional_entropy(
-            self.pmf, (AXIS_X,), _y_axes(subset) + (AXIS_V,)
-        )
+        return info.entropy(self.joint(subset)) - info.entropy(self.joint_vy(subset))
 
     def mi_v_y(self, subset: tuple[int, ...]) -> float:
-        return info.mutual_information(self.pmf, (AXIS_V,), _y_axes(subset))
+        vy = self.joint_vy(subset)
+        return info.entropy(vy.sum(axis=1)) + info.entropy(vy.sum(axis=0)) - info.entropy(vy)
 
     def mi_x_v_given_y(self, subset: tuple[int, ...]) -> float:
-        return info.conditional_mutual_information(
-            self.pmf, (AXIS_X,), (AXIS_V,), _y_axes(subset)
-        )
+        """I(X; V | Y) = H(X, Y) + H(V, Y) - H(V, X, Y) - H(Y)."""
+        law = self.joint(subset)
+        vy = law.sum(axis=1)
+        return (info.entropy(law.sum(axis=0)) + info.entropy(vy)
+                - info.entropy(law) - info.entropy(vy.sum(axis=0)))
 
     # -- minimum positive masses for the concentration bounds --
 
     def mu_xy(self, subset: tuple[int, ...]) -> float:
-        return info.min_positive_mass(self.pmf, (AXIS_X,) + _y_axes(subset))
+        return _min_positive(self.joint_xy(subset))
 
     def mu_xv(self) -> float:
-        return info.min_positive_mass(self.pmf, (AXIS_X, AXIS_V))
+        return _min_positive(self.joint(()))
 
     def mu_vxy(self, subset: tuple[int, ...]) -> float:
-        return info.min_positive_mass(self.pmf, (AXIS_V, AXIS_X) + _y_axes(subset))
+        return _min_positive(self.joint(subset))
 
     def mu_vy(self, subset: tuple[int, ...]) -> float:
-        return info.min_positive_mass(self.pmf, (AXIS_V,) + _y_axes(subset))
+        return _min_positive(self.joint_vy(subset))
 
     def support_vy(self, subset: tuple[int, ...]) -> int:
-        return info.support_size(self.pmf, (AXIS_V,) + _y_axes(subset))
+        return int(np.count_nonzero(self.joint_vy(subset) > 0.0))
 
 
 def _require_gains(spec: SourceSpec) -> np.ndarray:
@@ -174,14 +209,15 @@ def build_quantized_source(
     l_quant: int,
     rp_target: float | None = None,
 ) -> DiscreteSourceModel:
-    """Quantize the joint Gaussian law into an exact-arithmetic pmf tensor.
+    """Quantize the joint Gaussian law into per-node conditional factors.
 
     rp_target picks the auxiliary: None means V = X; a positive rate selects
     the additive Gaussian auxiliary whose conditional variance is
     capacity-optimal at that rate for this structure's weakest authorized set.
-    Raises BudgetExceeded, before allocating, when the pmf tensor
-    (l_quant^(L+2) cells) or one X bin's quadrature product
-    (_QUAD_NODES * l_quant^(L+1) cells) passes _MODEL_CELL_BUDGET.
+    Raises BudgetExceeded, before allocating, when the largest coalition's
+    law (the grand coalition's, l_quant^(L+2) cells) or one X bin's node
+    product for it (_QUAD_NODES * l_quant^(L+1) cells) passes
+    _MODEL_CELL_BUDGET.
     """
     gains = _require_gains(spec)
     if structure.l != spec.l:
@@ -220,9 +256,13 @@ def build_quantized_source(
     # Gauss-Legendre nodes per X bin in u = CDF(x) coordinates, where the
     # X marginal is the uniform measure on (0, 1); one rule serves every bin
     # and every build.
+    # Gauss-Legendre nodes per X bin in u = CDF(x) coordinates, where the
+    # X marginal is the uniform measure on (0, 1); one rule serves every bin
+    # and every build.
     nodes, weights = _gauss_legendre()
-    shape = (v_quant.n_bins, l_quant) + tuple(q.n_bins for q in y_quants)
-    pmf = np.zeros(shape)
+    w = weights / (2.0 * l_quant)
+    node_v = np.zeros((l_quant, nodes.size, v_quant.n_bins))
+    node_y = np.empty((spec.l, l_quant, nodes.size, l_quant))
 
     def rectangle_probs(quant: Quantizer, centers: np.ndarray, scale: float) -> np.ndarray:
         """P[bin j | x] for each node: shape (n_nodes, n_bins)."""
@@ -233,31 +273,18 @@ def build_quantized_source(
     sqrt_sx = math.sqrt(sx)
     for i in range(l_quant):
         u = (i + (nodes + 1.0) / 2.0) / l_quant
-        w = weights / (2.0 * l_quant)
         x_vals = sqrt_sx * ndtri(u)
-
-        factors = []
         if sigma2_cond is None:
-            cond_v = np.zeros((u.size, l_quant))
-            cond_v[:, i] = 1.0
+            node_v[i, :, i] = w
         else:
-            cond_v = rectangle_probs(v_quant, x_vals, math.sqrt(aux_noise_var))
-        factors.append(cond_v)
-        for g, q in zip(gains, y_quants):
-            factors.append(rectangle_probs(q, g * x_vals, 1.0))
+            node_v[i] = w[:, None] * rectangle_probs(v_quant, x_vals, math.sqrt(aux_noise_var))
+        for p, (g, q) in enumerate(zip(gains, y_quants)):
+            node_y[p, i] = rectangle_probs(q, g * x_vals, 1.0)
 
-        # weighted sum over nodes of the outer product of all factors
-        cell = np.einsum("n,na->na", w, factors[0])
-        for f in factors[1:]:
-            cell = np.einsum("n...,nb->n...b", cell, f)
-        pmf[:, i, ...] = cell.sum(axis=0)
-
-    total = float(pmf.sum())
-    info.check_normalized(total)
-    pmf /= total
     return DiscreteSourceModel(
         spec=spec,
-        pmf=pmf,
+        node_v=node_v,
+        node_y=node_y,
         v_quantizer=v_quant,
         x_quantizer=x_quant,
         y_quantizers=y_quants,

@@ -537,4 +537,4 @@ def _exact_leakage(
             raise NumericError("leakage chain rule violated in exact enumeration")
         per_u.append((u, max(0.0, leak_u)))
 
-    return tuple(per_u), max(0.0, msg_leak), h_s
+    return tuple(per_u), max(0.0, msg_leak), max(0.0, h_s)

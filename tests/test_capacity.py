@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gauss_share import capacity
+from gauss_share import access_structure, capacity
 from gauss_share.access_structure import (
     extremal_sets,
     monotone_closure,
@@ -39,6 +39,7 @@ from gauss_share.errors import (
     EmptyGrid,
     IndexOutOfRange,
     NegativeRate,
+    NumericError,
 )
 from gauss_share.source_model import SourceSpec, derive_gain_vector
 
@@ -421,6 +422,20 @@ class TestSaddleOracle:
             tracemalloc.stop()
         assert peak < structure.unauthorized_masks.size * grid_size * 8
 
+    def test_the_snr_table_is_built_once(self, monkeypatch):
+        # covariance mode: each table entry is one subset_snr call
+        spec, structure = SourceSpec.from_covariance(self.COV7), threshold_structure(7, 3)
+        calls = []
+        real = access_structure.subset_snr
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(access_structure, "subset_snr", counted)
+        saddle_check(spec, structure, 1.1, 100)
+        assert len(calls) == 2**7
+
     def test_one_coalition_per_block_gives_the_same_values(self, monkeypatch):
         spec, structure = self.WIDE
         chk = saddle_check(spec, structure, 1.0, 100)
@@ -449,6 +464,25 @@ def test_verify_rate_formulas_at_full_variance():
     report = verify_rate_formulas(SPEC3, STRUCT3, 2.0)
     assert report.rp_scalar == pytest.approx(0.0, abs=1e-12)
     assert report.rs_scalar == pytest.approx(0.0, abs=1e-12)
+
+
+def test_verify_rate_formulas_at_a_subnormal_variance():
+    # log2(sigma2_x / s) overflows for this s; the base rate is about 515.69
+    # bits, less the 0.40 bits that participant 2 alone already sees
+    spec = SourceSpec.from_gains(3.0, [1.0, 0.5])
+    report = verify_rate_formulas(spec, threshold_structure(2, 1), 1e-310)
+    base = 0.5 * (math.log2(3.0) - math.log2(1e-310))
+    assert base == pytest.approx(515.69, abs=0.01)
+    expected = base - 0.5 * math.log2(1.75)
+    assert report.rp_scalar == pytest.approx(expected, rel=1e-12)
+    assert report.rp_logdet == pytest.approx(expected, rel=1e-12)
+    assert public_rate(1e-310, 0.25, spec) == pytest.approx(expected, rel=1e-12)
+
+
+def test_verify_rate_formulas_raises_on_a_non_finite_route(monkeypatch):
+    monkeypatch.setattr(capacity, "_logdet2", lambda matrix: math.inf)
+    with pytest.raises(NumericError):
+        verify_rate_formulas(SPEC3, STRUCT3, 1.0)
 
 
 @st.composite

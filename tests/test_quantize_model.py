@@ -1,5 +1,6 @@
-"""Quantizer, joint-pmf builder, and information-arithmetic tests."""
+"""Quantizer, coalition-law builder, and entropy tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
-from gauss_share.access_structure import extremal_sets, threshold_structure
+from gauss_share.access_structure import extremal_sets, monotone_closure, threshold_structure
 from gauss_share.capacity import optimal_conditional_variance
 from gauss_share.errors import BudgetExceeded, DegenerateVariance, DomainError
 from gauss_share.protocol import info, model
@@ -57,7 +58,7 @@ class TestIdentityModel:
 
     def test_shape_and_flags(self):
         m = self.MODEL
-        assert m.pmf.shape == (4, 4, 4, 4)
+        assert m.joint((1, 2)).shape == (4, 4, 16)
         assert m.identity_auxiliary
         assert m.sigma2_cond is None
         assert m.aux_noise_var is None
@@ -68,18 +69,20 @@ class TestIdentityModel:
         assert m.n_y((1, 2)) == 16
 
     def test_pmf_is_normalized(self):
-        assert self.MODEL.pmf.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(self.MODEL.pmf >= 0.0)
+        for subset in ((), (1,), (2,), (1, 2)):
+            law = self.MODEL.joint(subset)
+            assert law.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(law >= 0.0)
 
     def test_auxiliary_marginal_is_diagonal(self):
-        vx = info.marginal(self.MODEL.pmf, (0, 1))
+        vx = self.MODEL.joint_xv()
         off = vx - np.diag(np.diag(vx))
         assert np.all(off == 0.0)
         np.testing.assert_allclose(np.diag(vx), 0.25, atol=1e-12)
 
     def test_source_marginal_is_uniform(self):
         # Gauss-Legendre integrates the constant 1 exactly over each bin
-        p_x = info.marginal(self.MODEL.pmf, (1,))
+        p_x = self.MODEL.joint_xv().sum(axis=1)
         np.testing.assert_allclose(p_x, 0.25, atol=1e-12)
 
     def test_auxiliary_carries_no_extra_entropy(self):
@@ -95,7 +98,9 @@ class TestIdentityModel:
 
     def test_conditioning_on_nothing_reduces_to_plain_mi(self):
         m = self.MODEL
-        plain = info.mutual_information(m.pmf, (1,), (0,))
+        xv = m.joint_xv()
+        plain = (info.entropy(xv.sum(axis=1)) + info.entropy(xv.sum(axis=0))
+                 - info.entropy(xv))
         assert m.mi_x_v_given_y(()) == pytest.approx(plain, abs=1e-12)
 
     def test_mass_and_support_accessors(self):
@@ -153,7 +158,9 @@ class TestQuadratureRule:
 
         monkeypatch.setattr(model, "leggauss", no_lapack)
         again = build_quantized_source(SPEC, STRUCT, 2)
-        assert np.array_equal(again.pmf, first.pmf)
+        assert np.array_equal(again.node_v, first.node_v)
+        assert np.array_equal(again.node_y, first.node_y)
+        assert np.array_equal(again.joint((1, 2)), first.joint((1, 2)))
         build_quantized_source(SPEC, STRUCT, 4, rp_target=1.0)
 
     def test_the_rule_is_leggauss_with_80_nodes(self):
@@ -183,17 +190,151 @@ class TestModelValidation:
         class Allocated(Exception):
             pass
 
-        def zeros(shape, *args, **kwargs):
+        def allocate(shape, *args, **kwargs):
             raise Allocated(shape)
 
-        monkeypatch.setattr(np, "zeros", zeros)
         # two observers: the quadrature product, 80 * l_quant^3 cells, binds
         assert 80 * 62**3 <= model._MODEL_CELL_BUDGET < 80 * 63**3
-        with pytest.raises(Allocated, match=r"\(62, 62, 62, 62\)"):
-            build_quantized_source(SPEC, STRUCT, 62)
+        admitted = build_quantized_source(SPEC, STRUCT, 62)
+        monkeypatch.setattr(np, "zeros", allocate)
+        monkeypatch.setattr(np, "empty", allocate)
+        with pytest.raises(Allocated, match=r"\(62, 62, 3844\)"):
+            admitted.joint((1, 2))
         for l_quant in (63, 4096):
             with pytest.raises(BudgetExceeded, match="model budget of 20000000"):
                 build_quantized_source(SPEC, STRUCT, l_quant)
+
+
+README = SourceSpec.from_gains(2.0, [0.5, 1.0, 0.8])
+README_STRUCTURE = monotone_closure(3, [[1, 2], [2, 3]])
+L10 = SourceSpec.from_gains(2.0, [1.018678, 0.999161, 0.986091, 0.97514, 0.992476,
+                                  1.028655, 0.98063, 0.97867, 1.019405, 0.978587])
+
+
+def _coalitions(l):
+    return [c for r in range(l + 1) for c in itertools.combinations(range(1, l + 1), r)]
+
+
+def _full_tensor(m):
+    """Reference route: the pmf over (V, X, Y_1..Y_L) on all observers at
+    once, by the same quadrature; a coalition's law is its marginal."""
+    nodes, weights = leggauss(80)
+    l_quant = m.n_x
+
+    def rect(quant, centers, scale):
+        edges = np.concatenate([[-np.inf], quant.boundaries, [np.inf]])
+        return np.diff(ndtr((edges[None, :] - centers[:, None]) / scale), axis=1)
+
+    pmf = np.zeros((m.n_v, l_quant) + (l_quant,) * m.l)
+    for i in range(l_quant):
+        x_vals = math.sqrt(m.spec.sigma2_x) * ndtri((i + (nodes + 1.0) / 2.0) / l_quant)
+        if m.identity_auxiliary:
+            cond_v = np.zeros((nodes.size, l_quant))
+            cond_v[:, i] = 1.0
+        else:
+            cond_v = rect(m.v_quantizer, x_vals, math.sqrt(m.aux_noise_var))
+        cell = np.einsum("n,na->na", weights / (2.0 * l_quant), cond_v)
+        for g, q in zip(m.spec.gains, m.y_quantizers):
+            cell = np.einsum("n...,nb->n...b", cell, rect(q, g * x_vals, 1.0))
+        pmf[:, i, ...] = cell.sum(axis=0)
+    return pmf / pmf.sum()
+
+
+def _marginal(pmf, axes):
+    kept = sorted(axes)
+    summed = pmf.sum(axis=tuple(a for a in range(pmf.ndim) if a not in axes))
+    return np.transpose(summed, [kept.index(a) for a in axes])
+
+
+def _h(p):
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+class TestCoalitionLaws:
+    @pytest.mark.parametrize("l_quant", [2, 4])
+    @pytest.mark.parametrize("rp_target", [None, 1.0])
+    def test_every_accessor_matches_the_full_tensor(self, l_quant, rp_target):
+        m = build_quantized_source(README, README_STRUCTURE, l_quant, rp_target)
+        pmf = _full_tensor(m)
+
+        def h(*axes):
+            return info.entropy(_marginal(pmf, axes))
+
+        close = dict(rel=0.0, abs=1e-12)
+        xv = _marginal(pmf, (1, 0))
+        np.testing.assert_allclose(m.p_v(), _marginal(pmf, (0,)), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(m.joint_xv(), xv, rtol=0.0, atol=1e-12)
+        assert m.entropy_v() == pytest.approx(h(0), **close)
+        assert m.entropy_v_given_x() == pytest.approx(h(0, 1) - h(1), **close)
+        assert m.mu_xv() == pytest.approx(xv[xv > 0].min(), **close)
+        for subset in _coalitions(3):
+            y = tuple(1 + p for p in subset)
+            law = _marginal(pmf, (0, 1) + y).reshape(m.n_v, m.n_x, -1)
+            vy = _marginal(pmf, (0,) + y).reshape(m.n_v, -1)
+            xy = _marginal(pmf, (1,) + y).reshape(m.n_x, -1)
+            np.testing.assert_allclose(m.joint(subset), law, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(m.joint_vy(subset), vy, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(m.joint_xy(subset), xy, rtol=0.0, atol=1e-12)
+            assert m.n_y(subset) == vy.shape[1]
+            assert m.entropy_v_given_y(subset) == pytest.approx(h(0, *y) - h(*y), **close)
+            assert m.entropy_x_given_yv(subset) == pytest.approx(
+                h(1, *y, 0) - h(*y, 0), **close)
+            assert m.mi_v_y(subset) == pytest.approx(h(0) + h(*y) - h(0, *y), **close)
+            assert m.mi_x_v_given_y(subset) == pytest.approx(
+                h(1, *y) + h(0, *y) - h(1, 0, *y) - h(*y), **close)
+            assert m.mu_xy(subset) == pytest.approx(xy[xy > 0].min(), **close)
+            assert m.mu_vxy(subset) == pytest.approx(law[law > 0].min(), **close)
+            assert m.mu_vy(subset) == pytest.approx(vy[vy > 0].min(), **close)
+            assert m.support_vy(subset) == np.count_nonzero(vy > 0)
+
+    @pytest.mark.parametrize("l_quant", [2, 4])
+    @pytest.mark.parametrize("rp_target", [None, 1.0])
+    def test_information_identities_on_every_coalition(self, l_quant, rp_target):
+        m = build_quantized_source(README, README_STRUCTURE, l_quant, rp_target)
+        for subset in _coalitions(3):
+            law = m.joint(subset)
+            h_v = _h(law.sum(axis=(1, 2)))
+            h_v_given_xy = _h(law) - _h(law.sum(axis=0))
+            assert m.mi_v_y(subset) + m.mi_x_v_given_y(subset) == pytest.approx(
+                h_v - h_v_given_xy, rel=0.0, abs=1e-12)
+            for p in set(range(1, 4)) - set(subset):
+                grown = tuple(sorted(subset + (p,)))
+                assert m.mi_v_y(subset) <= m.mi_v_y(grown) + 1e-12
+        if rp_target is None:
+            assert m.entropy_v_given_x() == 0.0
+
+    @pytest.mark.parametrize("spec, structure", [
+        (README, README_STRUCTURE), (L10, threshold_structure(10, 5))])
+    def test_source_marginal_is_exact_at_two_bins(self, spec, structure):
+        # every X bin's mass is the same float sum of the node weights
+        m = build_quantized_source(spec, structure, 2)
+        assert np.array_equal(m.joint_xv(), np.diag([0.5, 0.5]))
+
+    def test_kept_laws_stay_within_the_budget(self, monkeypatch):
+        m = build_quantized_source(README, README_STRUCTURE, 4)
+        monkeypatch.setattr(model, "_MODEL_CELL_BUDGET", 300)
+        first = m.joint(())  # 16 cells
+        assert m.joint(()) is first
+        m.joint((1,))  # 64 cells, 80 kept
+        assert sorted(m._laws) == [(), (1,)]
+        m.joint((1, 2))  # 256 more would pass 300: the kept laws go first
+        assert list(m._laws) == [(1, 2)]
+        assert sum(law.size for law in m._laws.values()) <= 300
+        again = m.joint(())
+        assert again is not first and np.array_equal(again, first)
+        assert sorted(m._laws) == [(), (1, 2)]
+
+    def test_laws_are_read_only(self):
+        law = build_quantized_source(README, README_STRUCTURE, 2).joint((1, 3))
+        with pytest.raises(ValueError):
+            law[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("subset", [(0,), (4,), (1, 1)])
+    def test_a_coalition_names_distinct_participants(self, subset):
+        m = build_quantized_source(README, README_STRUCTURE, 2)
+        with pytest.raises(DomainError):
+            m.joint(subset)
 
 
 class TestSampling:
@@ -239,60 +380,6 @@ class TestInfoArithmetic:
         # 0.0 - s equals -s exactly for every nonzero s
         p = np.array([0.2, 0.3, 0.5])
         assert info.entropy(p) == float(-np.sum(p * np.log2(p)))
-
-    def test_marginal_respects_listed_order(self):
-        rng = np.random.default_rng(7)
-        pmf = rng.random((2, 3, 4))
-        pmf /= pmf.sum()
-        forward = info.marginal(pmf, (0, 2))
-        swapped = info.marginal(pmf, (2, 0))
-        np.testing.assert_allclose(swapped, forward.T)
-        np.testing.assert_allclose(forward, pmf.sum(axis=1))
-
-    def test_mutual_information_extremes(self):
-        independent = np.outer([0.3, 0.7], [0.25, 0.25, 0.5])
-        assert info.mutual_information(independent, (0,), (1,)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-        perfectly_coupled = np.diag([0.5, 0.5])
-        assert info.mutual_information(perfectly_coupled, (0,), (1,)) == pytest.approx(
-            1.0
-        )
-        assert info.mutual_information(independent, (), (1,)) == 0.0
-
-    def test_conditional_entropy(self):
-        copy_channel = np.diag([0.5, 0.5])
-        assert info.conditional_entropy(copy_channel, (0,), (1,)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-        assert info.conditional_entropy(copy_channel, (0,), ()) == pytest.approx(1.0)
-
-    def test_conditional_mi_xor_triple(self):
-        # Z = X xor Y with X, Y independent fair bits: I(X;Y) = 0, I(X;Y|Z) = 1
-        pmf = np.zeros((2, 2, 2))
-        for a in range(2):
-            for b in range(2):
-                pmf[a, b, a ^ b] = 0.25
-        assert info.mutual_information(pmf, (0,), (1,)) == pytest.approx(0.0, abs=1e-12)
-        assert info.conditional_mutual_information(
-            pmf, (0,), (1,), (2,)
-        ) == pytest.approx(1.0)
-
-    def test_axis_validation(self):
-        pmf = np.full((2, 2), 0.25)
-        with pytest.raises(DomainError):
-            info.marginal(pmf, (0, 0))
-        with pytest.raises(DomainError):
-            info.marginal(pmf, (2,))
-        with pytest.raises(DomainError):
-            info.mutual_information(pmf, (0,), (0,))
-
-    def test_min_mass_and_support(self):
-        pmf = np.array([0.25, 0.0, 0.75])
-        assert info.min_positive_mass(pmf) == 0.25
-        assert info.support_size(pmf) == 2
-        with pytest.raises(DomainError):
-            info.min_positive_mass(np.zeros(3))
 
     def test_normalization_guard(self):
         info.check_normalized(1.0)

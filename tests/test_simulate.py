@@ -148,7 +148,7 @@ class TestGoldenReports:
         report = run_protocol(PAIR, BOTH_NEEDED, cfg)
         assert self.fields(report) == {
             "errors": [((1, 2), 20, 33, 20)],
-            "leakage": (((), 0.0), ((1,), 0.0), ((2,), 1.0658141036401503e-14)),
+            "leakage": (((), 0.0), ((1,), 0.0), ((2,), 7.105427357601002e-15)),
             "message_leakage": 0.0,
             "secret_entropy": 8.0,
             "uniformity_gap": 0.0,
@@ -418,7 +418,7 @@ def _per_combo_leakage(model, structure, codebook, cfg):
             msg_leak = h_s_here + h_m - info.entropy(joint_sm)
             h_s = h_s_here
         per_u.append((u, max(0.0, leak_u)))
-    return (tuple(per_u), max(0.0, msg_leak), h_s), any(combo_zero)
+    return (tuple(per_u), max(0.0, msg_leak), max(0.0, h_s)), any(combo_zero)
 
 
 class TestExactLeakageMatchesPerComboFill:
