@@ -445,8 +445,9 @@ def minimax_oracle(
 
 def _check_saddle_orders(check: SaddleCheck) -> None:
     """NumericError when the two optimization orders differ by more than
-    1e-9 relative to the min-min-max value (absolute below 1)."""
-    if check.saddle_gap > 1e-9 * max(1.0, abs(check.min_min_max)):
+    1e-9 relative to the min-min-max value (absolute below 1), or when
+    either order is NaN."""
+    if not check.saddle_gap <= 1e-9 * max(1.0, abs(check.min_min_max)):
         raise NumericError(
             f"saddle orders disagree: {check.min_min_max!r} vs {check.max_min_min!r}"
         )

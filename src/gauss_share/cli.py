@@ -118,6 +118,14 @@ def _number(cfg: _Config, key: str, value: Any, integer: bool = False):
     return value
 
 
+def _real(cfg: _Config, key: str, value: Any) -> None:
+    """_number's check, plus a failure on the key's line for an integer too
+    large for a float.  The value itself is left as it is, so 1 prints as 1."""
+    _number(cfg, key, value)
+    if isinstance(value, int) and math.isinf(_as_float(value)):
+        raise cfg.fail(key, f"{key} does not fit in a float")
+
+
 def _as_float(value: int | float) -> float:
     """float(value), reading a JSON integer too large for a float as +-inf."""
     try:
@@ -166,8 +174,12 @@ def parse_source(cfg: _Config) -> SourceSpec:
             raise cfg.fail("covariance", "covariance must be a list of rows of numbers")
     try:
         if has_gains:
-            return SourceSpec.from_gains(block["sigma2_x"], block["gains"])
-        return SourceSpec.from_covariance(block["covariance"])
+            return SourceSpec.from_gains(
+                _as_float(block["sigma2_x"]), [_as_float(g) for g in block["gains"]]
+            )
+        return SourceSpec.from_covariance(
+            [[_as_float(v) for v in row] for row in block["covariance"]]
+        )
     except ValidationError as exc:
         raise cfg.fail("source", str(exc)) from exc
 
@@ -277,9 +289,9 @@ def parse_sim(cfg: _Config, seed_override: int | None) -> ProtocolConfig:
     if merged["trials"] > _MAX_TRIALS:
         raise cfg.fail("trials", f"trials must be at most {_MAX_TRIALS}")
     for key in ("epsilon", "rv", "rv_prime"):
-        _number(cfg, key, merged[key])
+        _real(cfg, key, merged[key])
     if merged.get("rp_target") is not None:
-        _number(cfg, "rp_target", merged["rp_target"])
+        _real(cfg, "rp_target", merged["rp_target"])
     if not isinstance(merged.get("exact_leakage", False), (bool, type(None))):
         raise cfg.fail("exact_leakage", "exact_leakage must be true, false or null")
     try:

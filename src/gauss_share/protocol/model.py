@@ -256,9 +256,6 @@ def build_quantized_source(
     # Gauss-Legendre nodes per X bin in u = CDF(x) coordinates, where the
     # X marginal is the uniform measure on (0, 1); one rule serves every bin
     # and every build.
-    # Gauss-Legendre nodes per X bin in u = CDF(x) coordinates, where the
-    # X marginal is the uniform measure on (0, 1); one rule serves every bin
-    # and every build.
     nodes, weights = _gauss_legendre()
     w = weights / (2.0 * l_quant)
     node_v = np.zeros((l_quant, nodes.size, v_quant.n_bins))

@@ -18,7 +18,6 @@ and forms its entropies from them, never the 2^k-row table.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -243,14 +242,15 @@ def run_protocol(
     spec: SourceSpec,
     structure: AccessStructure,
     config: ProtocolConfig,
-    trial_log: str | None = None,
 ) -> MetricsReport:
     """Execute the protocol and collect the metrics report.
 
     Reproducible: the report is a pure function of (spec, structure, config).
-    Raises BudgetExceeded when exact_leakage=True on an instance too large to
-    enumerate, or, before any work, when a trial would sample more than
-    _SAMPLE_BUDGET values; and InvalidConfig for inconsistent knobs.
+    Every trial is one pass: the dealer's blocks and hashed secret, then one
+    decode per authorized coalition, whose errors add to that coalition's
+    tally.  Raises BudgetExceeded when exact_leakage=True on an instance too
+    large to enumerate, or, before any work, when a trial would sample more
+    than _SAMPLE_BUDGET values; and InvalidConfig for inconsistent knobs.
     """
     if config.total_symbols * (1 + spec.l) > _SAMPLE_BUDGET:
         raise BudgetExceeded(f"n*q = {config.total_symbols} symbols of {1 + spec.l} values "
@@ -269,7 +269,7 @@ def run_protocol(
         raise KTooLarge(
             f"cannot extract {k} bits from {big_n * bits_per_symbol} input bits"
         )
-    d = seed_length(big_n, n_v, k) if k > 0 else 0
+    d = seed_length(big_n, n_v, k)
 
     # child i of SeedSequence(seed).spawn(), made only when it is used:
     # child 0 draws the codebook, child 1 + t drives trial t
@@ -277,13 +277,11 @@ def run_protocol(
         model.joint_xv(), n, config.rv, config.rv_prime,
         np.random.SeedSequence(config.seed, spawn_key=(0,)),
     )
-    joint_vy = {a: model.joint_vy(a) for a in structure.authorized}
-
-    counts = {
-        a: {"secret": 0, "block": 0, "trial_block": 0}
-        for a in structure.authorized
-    }
-    log_rows: list[tuple[int, str, int]] = []
+    authorized = structure.authorized
+    joint_vy = {a: model.joint_vy(a) for a in authorized}
+    # one row per authorized coalition, added to in place through the row views:
+    # secret errors, block errors, trials with a block error
+    tally = np.zeros((len(authorized), 3), dtype=np.int64)
 
     for t in range(config.trials):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1 + t,)))
@@ -298,13 +296,10 @@ def run_protocol(
             omega, nu = wz_encode(codebook, x_bins[sl], config.epsilon)
             omegas.append(omega)
             v_blocks.append(codebook.word(omega, nu))
-        v_dealer = np.concatenate(v_blocks)
-        seed_bits = (
-            rng.integers(0, 2, size=d, dtype=np.uint8) if d else np.zeros(0, np.uint8)
-        )
-        secret = privacy_amplify(v_dealer, seed_bits, k, n_v) if k else np.zeros(0, np.uint8)
+        seed_bits = rng.integers(0, 2, size=d, dtype=np.uint8)
+        secret = privacy_amplify(np.concatenate(v_blocks), seed_bits, k, n_v)
 
-        for a in structure.authorized:
+        for row, a in zip(tally, authorized):
             y_flat = _flatten_observation(y_bins, a, config.l_quant)
             mismatches = 0
             v_hat_blocks = []
@@ -317,28 +312,19 @@ def run_protocol(
                 v_hat_blocks.append(v_hat)
                 if not np.array_equal(v_hat, v_blocks[j]):
                     mismatches += 1
-            v_hat_all = np.concatenate(v_hat_blocks)
-            secret_hat = (
-                privacy_amplify(v_hat_all, seed_bits, k, n_v)
-                if k
-                else np.zeros(0, np.uint8)
-            )
-            secret_ok = np.array_equal(secret_hat, secret)
-            counts[a]["secret"] += 0 if secret_ok else 1
-            counts[a]["block"] += mismatches
-            counts[a]["trial_block"] += 1 if mismatches else 0
-            log_rows.append((t, _fmt_subset(a), int(secret_ok)))
+            secret_hat = privacy_amplify(np.concatenate(v_hat_blocks), seed_bits, k, n_v)
+            row += (not np.array_equal(secret_hat, secret), mismatches, mismatches > 0)
 
     per_authorized = tuple(
         ErrorStats(
             subset=a,
             trials=config.trials,
             blocks=config.trials * q,
-            secret_errors=counts[a]["secret"],
-            block_errors=counts[a]["block"],
-            trial_block_errors=counts[a]["trial_block"],
+            secret_errors=int(secret_errors),
+            block_errors=int(block_errors),
+            trial_block_errors=int(trial_block_errors),
         )
-        for a in structure.authorized
+        for a, (secret_errors, block_errors, trial_block_errors) in zip(authorized, tally)
     )
 
     leakage_mode, leakage, msg_leak, h_s, gap = _leakage_section(
@@ -347,7 +333,7 @@ def run_protocol(
 
     m_bits = q * math.log2(codebook.m_omega) / big_n
     seed_rate = d / big_n
-    report = MetricsReport(
+    return MetricsReport(
         config=config,
         m_omega=codebook.m_omega,
         m_nu=codebook.m_nu,
@@ -363,13 +349,6 @@ def run_protocol(
         reconciliation_bound=error_bound(n, config.epsilon, bound_inputs(model, structure)),
         rate_bound=achievable_rate_bound(model, structure, n, q, config.epsilon),
     )
-    if trial_log is not None:
-        with open(trial_log, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "set", "success", "leakage_mode"])
-            for row in log_rows:
-                writer.writerow([row[0], row[1], row[2], leakage_mode])
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,10 @@ class SourceSpec:
 
     @staticmethod
     def from_covariance(matrix) -> "SourceSpec":
-        cov = np.asarray(matrix, dtype=float)
+        try:
+            cov = np.asarray(matrix, dtype=float)
+        except ValueError as exc:  # rows of different lengths
+            raise NonPositiveDefinite("covariance must be a square matrix") from exc
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise NonPositiveDefinite("covariance must be a square matrix")
         if cov.shape[0] < 2:
@@ -87,11 +90,19 @@ class SourceSpec:
     def from_gains(sigma2_x: float, gains) -> "SourceSpec":
         if not sigma2_x > 0:
             raise DomainError("sigma2_x must be positive")
+        if not math.isfinite(sigma2_x):
+            raise DomainError("sigma2_x must be finite")
         g = np.asarray(gains, dtype=float)
         if g.ndim != 1 or g.size < 1:
             raise DomainError("gains must be a nonempty vector")
         if not np.all(np.isfinite(g)):
             raise DomainError("gains must be finite")
+        # sigma2_x * snr of all participants, summed as subset_snr sums it: no
+        # coalition's is larger, and the capacity formulas need it finite
+        with np.errstate(over="ignore"):
+            grand = sigma2_x * np.add.accumulate(g * g)[-1]
+        if not np.isfinite(grand):
+            raise DomainError("sigma2_x times the sum of squared gains must be finite")
         return SourceSpec(
             mode="gains", covariance=None, sigma2_x=float(sigma2_x), gains=_frozen_array(g)
         )

@@ -329,6 +329,20 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {path}:{line_of(path, 'sim')}: {message}\n"
 
+    @pytest.mark.parametrize("knob", ["epsilon", "rv", "rv_prime", "rp_target"])
+    @pytest.mark.parametrize("value", [10**400, -(10**400)])
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, knob, value):
+        path = self.config(tmp_path, dict(self.SIM, **{knob: value}))
+        code, out, err = run_cli(capsys, "simulate", "--config", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:{line_of(path, knob)}: {knob} does not fit in a float\n"
+
+    def test_integer_rates_print_as_written(self, tmp_path, capsys):
+        path = self.config(tmp_path, dict(self.SIM, rv=1, rv_prime=1))
+        code, out, _ = run_cli(capsys, "simulate", "--config", path)
+        assert code == 0
+        assert "(rv=1, rv_prime=1)" in out
+
     def test_unknown_sim_key(self, tmp_path, capsys):
         path = self.config(tmp_path, dict(self.SIM, bogus=3))
         code, _, err = run_cli(capsys, "simulate", "--config", path)
@@ -382,11 +396,15 @@ class TestOracleCommand:
         assert code == 3
         assert "numeric failure" in err
 
-    def test_saddle_disagreement_exit_code(self, tmp_path, capsys, monkeypatch):
+    # a NaN order fails a "gap > tol" test, so the check must read "gap <= tol"
+    @pytest.mark.parametrize("max_min_min", [0.5, float("nan")])
+    def test_saddle_disagreement_exit_code(self, tmp_path, capsys, monkeypatch,
+                                           max_min_min):
         real_check = cli.saddle_check
 
         def skewed(*args, **kwargs):
-            return dataclasses.replace(real_check(*args, **kwargs), max_min_min=0.5)
+            return dataclasses.replace(real_check(*args, **kwargs),
+                                       max_min_min=max_min_min)
 
         monkeypatch.setattr(cli, "saddle_check", skewed)
         code, out, err = run_cli(capsys, "oracle", "--config", self.config(tmp_path))
@@ -646,6 +664,30 @@ class TestConfigErrors:
         assert err == (
             f"error: {path}:{line}: rp value must be a finite nonnegative number\n"
         )
+
+    @pytest.mark.parametrize("command", ["capacity", "oracle"])
+    @pytest.mark.parametrize("source, message", [
+        ({"sigma2_x": 10**400, "gains": [0.5, 1.0, 0.8]}, "sigma2_x must be finite"),
+        ({"sigma2_x": float("inf"), "gains": [0.5, 1.0, 0.8]}, "sigma2_x must be finite"),
+        ({"sigma2_x": -(10**400), "gains": [0.5, 1.0, 0.8]}, "sigma2_x must be positive"),
+        ({"sigma2_x": 2.0, "gains": [0.5, 10**400, 0.8]}, "gains must be finite"),
+        ({"covariance": [[10**400, 1.0], [1.0, 2.0]]}, "matrix is numerically singular"),
+        ({"covariance": [[2.0, 1.0], [1.0]]}, "covariance must be a square matrix"),
+        # finite numbers whose capacity formulas would overflow
+        ({"sigma2_x": 1e308, "gains": [0.5, 1.0, 0.8]},
+         "sigma2_x times the sum of squared gains must be finite"),
+        ({"sigma2_x": 2.0, "gains": [0.5, 1e160, 0.8]},
+         "sigma2_x times the sum of squared gains must be finite"),
+    ])
+    def test_source_numbers_a_float_cannot_carry(self, tmp_path, capsys, command,
+                                                 source, message):
+        access = {"threshold": 1} if "covariance" in source else EXAMPLE_ACCESS
+        path = write_config(tmp_path, {
+            "version": 1, "source": source, "access": access, "rp": {"value": 1.0},
+        })
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:{line_of(path, 'source')}: {message}\n"
 
     @pytest.mark.parametrize("bounds", [
         {"min": 10**400, "max": 1.0},

@@ -1,6 +1,5 @@
 """Protocol driver tests: determinism, error statistics, exact leakage."""
 
-import csv
 import itertools
 import math
 import tracemalloc
@@ -140,6 +139,39 @@ class TestGoldenReports:
             "secret_entropy": None,
             "uniformity_gap": None,
             "public_rate_used": 2.083333333333333,
+        }
+
+    # the mc-reconcile workload's knobs, except that no secret is hashed
+    @pytest.mark.parametrize("seed, errors", [
+        (0, [((1, 2), 0, 26, 24), ((2, 3), 0, 26, 24), ((1, 2, 3), 0, 26, 24)]),
+        (1, [((1, 2), 0, 33, 27), ((2, 3), 0, 33, 27), ((1, 2, 3), 0, 33, 27)]),
+    ])
+    def test_readme_source_without_a_secret(self, seed, errors):
+        knobs = dict(self.README_KNOBS, k=0, trials=50)
+        report = run_protocol(self.README, self.README_STRUCTURE,
+                              ProtocolConfig(seed=seed, **knobs))
+        assert self.fields(report) == {
+            "errors": errors,
+            "leakage": (((), 0.0), ((1,), 0.0), ((2,), 0.0), ((3,), 0.0), ((1, 3), 0.0)),
+            "message_leakage": 0.0,
+            "secret_entropy": 0.0,
+            "uniformity_gap": 0.0,
+            "public_rate_used": 1.0,
+        }
+
+    def test_three_letter_auxiliary_without_a_secret(self):
+        # a non-power-of-two alphabet, which only k = 0 admits: no hash seed
+        report = run_protocol(
+            PAIR, BOTH_NEEDED,
+            config(l_quant=3, n=4, epsilon=0.5, k=0, trials=20),
+        )
+        assert self.fields(report) == {
+            "errors": [((1, 2), 0, 18, 14)],
+            "leakage": (((), 0.0), ((1,), 0.0), ((2,), 0.0)),
+            "message_leakage": 0.0,
+            "secret_entropy": 0.0,
+            "uniformity_gap": 0.0,
+            "public_rate_used": 1.0,
         }
 
     def test_two_of_two_exact_leakage_at_k8(self):
@@ -597,22 +629,6 @@ class TestConfigInteractions:
             PAIR, BOTH_NEEDED, config(rp_target=1.0, k=0, trials=2)
         )
         assert report.per_authorized[0].trials == 2
-
-
-class TestTrialLog:
-    def test_log_rows_cover_every_trial_and_coalition(self, tmp_path):
-        path = tmp_path / "log.csv"
-        structure = threshold_structure(2, 1)
-        run_protocol(PAIR, structure, config(k=1, trials=3), trial_log=str(path))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["trial", "set", "success", "leakage_mode"]
-        body = rows[1:]
-        assert len(body) == 3 * len(structure.authorized)
-        assert {r[0] for r in body} == {"0", "1", "2"}
-        assert {r[1] for r in body} == {"{1}", "{2}", "{1,2}"}
-        assert all(r[2] in ("0", "1") for r in body)
-        assert {r[3] for r in body} <= {"exact", "unavailable"}
 
 
 class TestReportText:

@@ -146,11 +146,20 @@ def test_from_gains_validation():
         SourceSpec.from_gains(1.0, [])
     with pytest.raises(DomainError):
         SourceSpec.from_gains(1.0, [np.inf])
+    with pytest.raises(DomainError, match="sigma2_x must be finite"):
+        SourceSpec.from_gains(math.inf, [1.0])
+    # every entry finite, but sigma2_x * snr of all participants is not
+    for sigma2_x, gains in [(1e308, [0.5, 1.0, 0.8]), (2.0, [0.5, 1e160, 0.8])]:
+        with pytest.raises(DomainError, match="sum of squared gains must be finite"):
+            SourceSpec.from_gains(sigma2_x, gains)
+    SourceSpec.from_gains(1e300, [0.5, 1.0, 0.8])  # large, but its product fits
 
 
 def test_from_covariance_validation():
     with pytest.raises(NonPositiveDefinite):
         SourceSpec.from_covariance([[1.0, 0.5]])  # not square
+    with pytest.raises(NonPositiveDefinite):
+        SourceSpec.from_covariance([[1.0, 0.5], [0.5]])  # ragged rows
     with pytest.raises(NonPositiveDefinite):
         SourceSpec.from_covariance([[1.0]])  # no participants
     with pytest.raises(NonPositiveDefinite):
