@@ -145,7 +145,8 @@ def optimal_conditional_variance(spec: SourceSpec, snr_authorized: float, rp) ->
 
     Closed form: sigma2_x / (sigma2_x * snr_a * (2^(2 rp) - 1) + 2^(2 rp)).
     rp = 0 returns sigma2_x exactly.  From rp = 512 on, 2^(2 rp) passes the
-    largest float, so numerator and denominator are divided by it.
+    largest float, so numerator and denominator are divided by it; below
+    that, a denominator that overflows is divided through by sigma2_x.
     """
     rp = _check_finite_rate(rp)
     sx = spec.sigma2_x
@@ -153,7 +154,10 @@ def optimal_conditional_variance(spec: SourceSpec, snr_authorized: float, rp) ->
         shrink = 2.0 ** (-2.0 * rp)
         return sx * shrink / (sx * float(snr_authorized) * (1.0 - shrink) + 1.0)
     growth = 2.0 ** (2.0 * rp)
-    return sx / (sx * float(snr_authorized) * (growth - 1.0) + growth)
+    denominator = sx * float(snr_authorized) * (growth - 1.0) + growth
+    if not math.isfinite(denominator):
+        return 1.0 / (float(snr_authorized) * (growth - 1.0) + growth / sx)
+    return sx / denominator
 
 
 @dataclass(frozen=True)

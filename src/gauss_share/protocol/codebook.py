@@ -13,18 +13,26 @@ The encoder returns the row-major first jointly typical codeword label
 (omega, nu), both 1-based; the decoder searches one omega row and returns the
 smallest typical nu, falling back to 1.
 
-Both directions share one count kernel.  A codebook caches a letter-major
-0/1 indicator matrix with a row per (codeword letter, position) and a column
-per codeword.  A call turns its x-block or y-block into a 0/1 selector with a
-row per pair letter, so one matrix product gives the pair-letter counts of
-every candidate codeword at once: all codewords for the encoder, the omega
-row for the decoder.  The counts are exact integers, and the typicality test
+Both directions share one count kernel: a letter-major 0/1 indicator matrix
+with a row per (codeword letter, position) and a column per candidate word.
+A call turns its x-block or y-block into a 0/1 selector with a row per pair
+letter, so one matrix product gives the pair-letter counts of every
+candidate at once.  The counts are exact integers, and the typicality test
 applied to them, alphabet first, is the same floating-point expression that
 is_letter_typical evaluates, so every decision equals the scalar definition
-and tests can enumerate both directions independently.  The encoder also
-memoizes its labels on the codebook per (epsilon, x-block): the label is a
-pure function of those, so repeated blocks, across trials and in the exact
-leakage enumeration, return the label computed the first time.
+and tests can enumerate both directions independently.
+
+Typicality of (x, w) depends only on the letters of w, so the encoder's
+candidates are the codebook's distinct words, each with the first row-major
+label that holds it; the first typical label is the smallest of those labels
+among the typical words.  When the codebook has more words than its
+alphabet has blocks (n_v^n), the distinct words are found by their base-n_v
+codes, so the count product has at most n_v^n columns whatever the rates;
+otherwise every word is its own candidate.  The decoder's candidates are the
+m_nu words of one bin, whose indicator is kept per omega on first use.  The
+encoder also memoizes its labels on the codebook per (epsilon, x-block): the
+label is a pure function of those, so repeated blocks, across trials and in
+the exact leakage enumeration, return the label computed the first time.
 """
 
 from __future__ import annotations
@@ -98,7 +106,8 @@ class Codebook:
     joint_xv: np.ndarray  # (n_x, n_v)
     rv: float
     rv_prime: float
-    _indicator: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _distinct: tuple | None = field(default=None, repr=False, compare=False)
+    _bins: dict = field(default_factory=dict, repr=False, compare=False)
     _labels: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -127,14 +136,36 @@ class Codebook:
             raise IndexOutOfRange(f"label ({omega}, {nu}) outside the codebook")
         return self.words[omega - 1, nu - 1]
 
-    def _words_indicator(self) -> np.ndarray:
-        """(n_v * n, m_omega * m_nu) letter-major 0/1 matrix, cached: entry
-        [v * n + i, w] is 1 when codeword w (row-major labels) has v at i."""
-        if self._indicator is None:
-            flat = self.words.reshape(-1, self.n).T  # (n, W)
-            letters = np.arange(self.n_v).reshape(-1, 1, 1)
-            self._indicator = (flat == letters).reshape(self.n_v * self.n, -1).astype(float)
-        return self._indicator
+    def _distinct_words(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached (indicator, first): the letter-major indicator of the
+        codebook's distinct words, one column each, and first[j], the smallest
+        row-major flat label of the word in column j."""
+        if self._distinct is None:
+            flat = self.words.reshape(-1, self.n)  # (W, n)
+            size = flat.shape[0]
+            if self.n_v ** self.n <= size:
+                codes = flat @ (self.n_v ** np.arange(self.n - 1, -1, -1))
+                first = np.full(self.n_v ** self.n, size, dtype=np.int64)
+                np.minimum.at(first, codes, np.arange(size))
+                first = first[first < size]
+            else:
+                first = np.arange(size)
+            self._distinct = (_indicator(flat[first], self.n_v), first)
+        return self._distinct
+
+    def _bin_indicator(self, omega: int) -> np.ndarray:
+        """Cached letter-major indicator of bin omega's m_nu words."""
+        row = self._bins.get(omega)
+        if row is None:
+            row = self._bins[omega] = _indicator(self.words[omega - 1], self.n_v)
+        return row
+
+
+def _indicator(words: np.ndarray, n_v: int) -> np.ndarray:
+    """(n_v * n, W) letter-major 0/1 matrix of (W, n) words: entry
+    [v * n + i, w] is 1 when word w has v at position i."""
+    letters = np.arange(n_v).reshape(-1, 1, 1)
+    return (words.T == letters).reshape(n_v * words.shape[1], -1).astype(float)
 
 
 def _label_count(n: int, rate: float) -> int:
@@ -193,12 +224,13 @@ def wz_encode(codebook: Codebook, x_seq: np.ndarray, epsilon: float) -> tuple[in
         # selector row of pair (a, v) picks indicator rows v*n + i with x[i] == a
         eye_v = np.eye(n_v, dtype=bool)
         selector = _letter_rows(x, n_x)[:, None, None, :] & eye_v[None, :, :, None]
-        counts = selector.reshape(n_x * n_v, -1) @ codebook._words_indicator()
+        indicator, first = codebook._distinct_words()
+        counts = selector.reshape(n_x * n_v, -1) @ indicator
         mask = _typical_from_counts(
             counts, codebook.joint_xv.ravel(), codebook.n, float(epsilon)
         )
-        hits = np.flatnonzero(mask)
-        row, col = divmod(int(hits[0]) if hits.size else 0, codebook.m_nu)
+        hits = first[mask]
+        row, col = divmod(int(hits.min()) if hits.size else 0, codebook.m_nu)
         label = codebook._labels[key] = (row + 1, col + 1)
     return label
 
@@ -226,9 +258,7 @@ def wz_decode(
     # selector row of pair (v, b) picks indicator rows v*n + i with y[i] == b
     eye_v = np.eye(n_v, dtype=bool)
     selector = eye_v[:, None, :, None] & _letter_rows(y, n_y)[None, :, None, :]
-    m_nu = codebook.m_nu
-    row = codebook._words_indicator()[:, (omega - 1) * m_nu : omega * m_nu]
-    counts = selector.reshape(n_v * n_y, -1) @ row
+    counts = selector.reshape(n_v * n_y, -1) @ codebook._bin_indicator(omega)
     mask = _typical_from_counts(counts, joint_vy.ravel(), codebook.n, float(epsilon))
     hits = np.flatnonzero(mask)
     return int(hits[0]) + 1 if hits.size else 1

@@ -17,6 +17,7 @@ transforms.  All logarithms here and in the rest of the package are base 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -82,7 +83,7 @@ class SourceSpec:
         return SourceSpec(
             mode="covariance",
             covariance=_frozen_array(cov),
-            sigma2_x=float(cov[0, 0]),
+            sigma2_x=_normal_sigma2_x(float(cov[0, 0])),
             gains=None,
         )
 
@@ -92,6 +93,7 @@ class SourceSpec:
             raise DomainError("sigma2_x must be positive")
         if not math.isfinite(sigma2_x):
             raise DomainError("sigma2_x must be finite")
+        _normal_sigma2_x(sigma2_x)
         g = np.asarray(gains, dtype=float)
         if g.ndim != 1 or g.size < 1:
             raise DomainError("gains must be a nonempty vector")
@@ -133,6 +135,16 @@ class SubsetGain:
     subset: tuple[int, ...]
     gains: np.ndarray
     snr: float
+
+
+def _normal_sigma2_x(value: float) -> float:
+    """value, refused below the smallest normal float: saddle_check's grid
+    starts at sigma2_x * 1e-8, which must not round to 0."""
+    if value < sys.float_info.min:
+        raise DomainError(
+            f"sigma2_x must be at least {sys.float_info.min!r}, the smallest normal float"
+        )
+    return value
 
 
 def _checked_cholesky(matrix: np.ndarray) -> np.ndarray:

@@ -378,6 +378,21 @@ class TestOracleCommand:
         assert float(fields["saddle_gap"]) <= 1e-12
         assert float(fields["oracle_gap"]) <= 1e-5
 
+    def test_sigma2_x_near_the_largest_float(self, tmp_path, capsys):
+        # sigma2_x * snr_a * (2^(2 rp) - 1) overflows in the closed form's
+        # denominator; the variance is the one sigma2_x = 1e307 gives
+        path = write_config(tmp_path, {
+            "version": 1, "source": {"sigma2_x": 5e307, "gains": [0.5, 1.0, 0.8]},
+            "access": EXAMPLE_ACCESS, "rp": {"value": 1.0},
+        })
+        code, out, _ = run_cli(capsys, "capacity", "--config", path)
+        assert code == 0
+        assert "optimal conditional variance: 0.266666666667\n" in out
+        code, out, _ = run_cli(capsys, "oracle", "--config", path)
+        assert code == 0
+        fields = dict(line.split(": ", 1) for line in out.splitlines())
+        assert float(fields["oracle_gap"]) <= 1e-6
+
     def test_csv_form(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "oracle", "--config", self.config(tmp_path), "--format", "csv"
@@ -678,6 +693,11 @@ class TestConfigErrors:
          "sigma2_x times the sum of squared gains must be finite"),
         ({"sigma2_x": 2.0, "gains": [0.5, 1e160, 0.8]},
          "sigma2_x times the sum of squared gains must be finite"),
+        # below the smallest normal float, saddle_check's grid start is 0
+        ({"sigma2_x": 5e-324, "gains": [0.5, 1.0, 0.8]},
+         "sigma2_x must be at least 2.2250738585072014e-308, the smallest normal float"),
+        ({"covariance": [[1e-310, 0.0], [0.0, 1e-310]]},
+         "sigma2_x must be at least 2.2250738585072014e-308, the smallest normal float"),
     ])
     def test_source_numbers_a_float_cannot_carry(self, tmp_path, capsys, command,
                                                  source, message):

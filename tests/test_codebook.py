@@ -181,11 +181,18 @@ class TestEncoder:
 
     def test_exhaustive_against_scalar_loop(self):
         joint = np.array([[0.4, 0.1], [0.1, 0.4]])
-        book = build_codebook(joint, 4, 0.5, 0.5, np.random.SeedSequence(9))
-        for eps in (0.2, 0.6, 1.5):
-            for x in itertools.product(range(2), repeat=4):
-                x = np.array(x)
-                assert wz_encode(book, x, eps) == scalar_encode(book, x, eps)
+        books = [
+            build_codebook(joint, 4, 0.5, 0.5, np.random.SeedSequence(9)),
+            build_codebook(joint, 3, 1.0, 1.0, np.random.SeedSequence(9)),
+        ]
+        # the second holds 64 words over 2^3 patterns, so words repeat and
+        # the label of a typical word is the first of its repeats
+        assert books[1].m_omega * books[1].m_nu > 2**3
+        for book in books:
+            for eps in (0.2, 0.6, 1.5, 2.5):
+                for x in itertools.product(range(2), repeat=book.n):
+                    x = np.array(x)
+                    assert wz_encode(book, x, eps) == scalar_encode(book, x, eps)
 
     def test_three_letter_joint_with_a_zero_cell(self):
         # p(x=2, v=0) = 0: a codeword with v=0 where x=2 is never typical

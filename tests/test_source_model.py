@@ -7,6 +7,7 @@ log-det cross check inside mutual_information.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +154,10 @@ def test_from_gains_validation():
         with pytest.raises(DomainError, match="sum of squared gains must be finite"):
             SourceSpec.from_gains(sigma2_x, gains)
     SourceSpec.from_gains(1e300, [0.5, 1.0, 0.8])  # large, but its product fits
+    for sigma2_x in (5e-324, 1e-310):  # subnormal
+        with pytest.raises(DomainError, match="the smallest normal float"):
+            SourceSpec.from_gains(sigma2_x, [1.0])
+    SourceSpec.from_gains(sys.float_info.min, [1.0])
 
 
 def test_from_covariance_validation():
@@ -169,6 +174,8 @@ def test_from_covariance_validation():
     singular = [[1.0, 1.0], [1.0, 1.0]]
     with pytest.raises(NonPositiveDefinite):
         SourceSpec.from_covariance(singular)
+    with pytest.raises(DomainError, match="the smallest normal float"):
+        SourceSpec.from_covariance([[1e-310, 0.0], [0.0, 1e-310]])
 
 
 def test_spec_arrays_are_frozen():
