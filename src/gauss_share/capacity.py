@@ -59,7 +59,7 @@ __all__ = [
     "verify_rate_formulas",
 ]
 
-_ORACLE_CELL_BUDGET = 20_000_000  # saddle_check's work: grid points x larger family
+_ORACLE_CELL_BUDGET = 20_000_000  # saddle_check's work: grid x larger family, A x U
 _ORACLE_BLOCK_CELLS = 2**17  # float64 cells per matrix of a saddle_check block
 
 
@@ -348,29 +348,29 @@ def saddle_check(
     log-spaced on [sigma2_x * 1e-8, sigma2_x] and always contains sigma2_x
     (feasible at every rp, where the objective is exactly zero) plus the
     analytic feasibility boundary; the boundary point dominates, so the grid
-    verifies rather than finds the optimum.  Raises BudgetExceeded, before
-    any work, when grid_size times the larger family passes
-    _ORACLE_CELL_BUDGET; that bounds the time spent, not a matrix.
+    verifies rather than finds the optimum.
 
-    Both orders read two grid columns: the largest unauthorized gap, taken
-    in blocks of unauthorized rows, and the smallest authorized gap, taken
-    while min-min-max runs in blocks of authorized rows.  Such a block also
-    holds its edge points against the unauthorized family.  Each matrix has
-    at most _ORACLE_BLOCK_CELLS cells (1 MiB), or is one coalition's row
-    when grid_size or the unauthorized family alone is larger, so peak
-    memory is a few grid- or family-sized rows: no matrix spans a whole
-    family against the grid, or the two families against each other.
-    Every cell sees the same float operations as a per-coalition loop, and
-    max and min are exact, so the result does not depend on the block size.
+    Raises BudgetExceeded, before any work, when grid_size times the larger
+    family or the authorized family times the unauthorized one passes
+    _ORACLE_CELL_BUDGET: the oracle evaluates about (|A| + |U|) * grid_size
+    gaps on the grid and |A| * |U| at the authorized edge points.  Every
+    family-by-points matrix is taken in row blocks of at most
+    _ORACLE_BLOCK_CELLS cells (1 MiB), or one row when the points alone are
+    more, so peak memory is a few such blocks and point-sized columns.  Max
+    and min are exact, so the result does not depend on the block size.
     """
     rp = _check_rate(rp)
     grid_size = int(grid_size)
     if grid_size < 100:
         raise DomainError("grid_size must be at least 100")
-    family = max(structure.authorized_masks.size, structure.unauthorized_masks.size)
+    n_a, n_u = structure.authorized_masks.size, structure.unauthorized_masks.size
+    family = max(n_a, n_u)
     if family * grid_size > _ORACLE_CELL_BUDGET:
         raise BudgetExceeded(f"grid_size {grid_size} times {family} coalitions exceeds "
                              f"the oracle budget of {_ORACLE_CELL_BUDGET} cells")
+    if n_a * n_u > _ORACLE_CELL_BUDGET:
+        raise BudgetExceeded(f"{n_a} authorized times {n_u} unauthorized coalitions "
+                             f"exceeds the oracle budget of {_ORACLE_CELL_BUDGET} cells")
 
     table = _snr_table(spec)
     ext = _extremal_from_table(structure, table)
@@ -378,11 +378,17 @@ def saddle_check(
     snr_a, snr_u = table[structure.authorized_masks], table[structure.unauthorized_masks]
     grid = np.geomspace(sx * 1e-8, sx, grid_size)
 
-    def gap_matrix(svec: np.ndarray, snr: np.ndarray) -> np.ndarray:
-        # (len(snr), len(svec)) array of _rate_gap values
-        num = sx * snr[:, None] + 1.0
-        den = svec[None, :] * snr[:, None] + 1.0
-        return 0.5 * np.log2(num / den)
+    def gap(s, snr):
+        # _rate_gap, broadcast over the caller's arrays
+        return 0.5 * np.log2((sx * snr + 1.0) / (s * snr + 1.0))
+
+    def largest(points: np.ndarray, snr: np.ndarray) -> np.ndarray:
+        # the family's largest gap at each point, in blocks of the family's rows
+        out = np.full(points.size, -np.inf)
+        rows = max(1, _ORACLE_BLOCK_CELLS // points.size)
+        for lo in range(0, snr.size, rows):
+            np.maximum(out, np.max(gap(points, snr[lo : lo + rows, None]), axis=0), out=out)
+        return out
 
     def boundary(snr: float) -> float:
         if is_unlimited(rp):
@@ -390,32 +396,22 @@ def saddle_check(
         return optimal_conditional_variance(spec, snr, rp)
 
     # min over A of (max over feasible s of (min over U of secret rate)); the
-    # min over U subtracts each column's largest unauthorized gap, which does
-    # not depend on A, so it is taken once for the grid, in blocks of U's.
-    # Each block of A's takes the maximum over its own edge points'
-    # unauthorized gaps, then over the feasible grid points, infeasible ones
-    # masked to -inf; it also lowers each column's least authorized gap.
-    max_u_grid = np.full(grid_size, -np.inf)
-    rows = max(1, _ORACLE_BLOCK_CELLS // grid_size)
-    for lo in range(0, snr_u.size, rows):
-        np.maximum(max_u_grid, np.max(gap_matrix(grid, snr_u[lo : lo + rows]), axis=0),
-                   out=max_u_grid)
-    min_a_grid = np.full(grid_size, np.inf)
+    # min over U subtracts the largest unauthorized gap at each s, which does
+    # not depend on A.  Each A's maximum is over its edge point and its
+    # feasible grid points, infeasible ones masked to -inf; the same pass
+    # lowers each column's least authorized gap.
+    max_u_grid = largest(grid, snr_u)
     s_edges = np.array([boundary(float(oa)) for oa in snr_a])
-    per_a_max = np.empty(snr_a.shape, dtype=float)
-    rows = max(1, _ORACLE_BLOCK_CELLS // max(grid_size, snr_u.size))
+    per_a_max = gap(s_edges, snr_a) - largest(s_edges, snr_u)
+    min_a_grid = np.full(grid_size, np.inf)
+    rows = max(1, _ORACLE_BLOCK_CELLS // grid_size)
     for lo in range(0, snr_a.size, rows):
         block = slice(lo, lo + rows)
-        oa, edge = snr_a[block], s_edges[block]
-        edge_max = 0.5 * np.log2((sx * oa + 1.0) / (edge * oa + 1.0)) - np.max(
-            gap_matrix(edge, snr_u), axis=0
-        )
-        col = oa[:, None]
-        gap_a = 0.5 * np.log2((sx * col + 1.0) / (grid * col + 1.0))
+        gap_a = gap(grid, snr_a[block, None])
         np.minimum(min_a_grid, np.min(gap_a, axis=0), out=min_a_grid)
         gap_a -= max_u_grid
-        gap_a[grid < edge[:, None]] = -np.inf
-        per_a_max[block] = np.maximum(edge_max, np.max(gap_a, axis=1))
+        gap_a[grid < s_edges[block, None]] = -np.inf
+        np.maximum(per_a_max[block], np.max(gap_a, axis=1), out=per_a_max[block])
     min_min_max = float(np.min(per_a_max))
 
     # max over s feasible at the weakest authorized coalition of
@@ -423,8 +419,7 @@ def saddle_check(
     # from the grid columns above plus the edge point.
     s_edge = boundary(float(ext.snr_authorized))
     feasible = grid >= s_edge
-    edge_point = np.array([s_edge])
-    edge_inner = np.min(gap_matrix(edge_point, snr_a)) - np.max(gap_matrix(edge_point, snr_u))
+    edge_inner = np.min(gap(s_edge, snr_a)) - largest(np.array([s_edge]), snr_u)[0]
     inner = np.append(min_a_grid[feasible] - max_u_grid[feasible], edge_inner)
     max_min_min = float(np.max(inner))
 

@@ -246,49 +246,39 @@ def achievable_rate_bound(
 
     rp_asym = max(model.mi_x_v_given_y(a) for a in structure.authorized)
 
-    if asymptotic:
-        rs = min_mi_a - max_mi_u
-        per = tuple(
-            UnauthorizedRateTerm(subset=u, mi_v_y=mi_u_all[u], delta1=0.0, delta2=0.0)
-            for u in unauthorized
-        )
-        return AchievableRateBound(
-            n=n,
-            q=q,
-            epsilon=epsilon,
-            asymptotic=True,
-            rs_lower=rs,
-            rp_upper=rp_asym,
-            suggested_k=max(0, math.floor(big_n * rs)) if rs > 0 else 0,
-            min_mi_authorized=min_mi_a,
-            max_mi_unauthorized=max_mi_u,
-            per_unauthorized=per,
-        )
-
-    mu_xv = model.mu_xv()
+    # the finite-N corrections; in the limit each is 0.0, delta1 and delta2
+    # too, and x - 0.0 == x, so the single-letter values come back exactly
+    inv_root_n, inv_n, root_n, slack_v = (
+        (0.0, 0.0, 0.0, 0.0)
+        if asymptotic
+        else (big_n**-0.5, 1.0 / big_n, math.sqrt(big_n), 6.0 * epsilon * h_v)
+    )
+    mu_xv = 0.0 if asymptotic else model.mu_xv()
     per_terms = []
     for u in unauthorized:
-        support = model.support_vy(u) ** n
-        mu_block = model.mu_vy(u) ** n
-        slack = 1.0 - 2.0 * support * _exp(-(epsilon**2) * q * mu_block / 6.0)
-        delta1 = -math.log2(slack) if slack > 0.0 else math.inf
-        i_xv_given_yu = model.mi_x_v_given_y(u)
-        h_x_given_yuv = model.entropy_x_given_yv(u)
-        tail = math.log2(model.n_x) * (
-            4.0 * model.n_v * model.n_x * _exp(-n * epsilon**2 * mu_xv)
-            + 2.0
-            * model.n_v
-            * model.n_x
-            * model.n_y(u)
-            * _exp(-(epsilon**2) * n * model.mu_vxy(u) / 8.0)
-        )
-        delta2 = (
-            epsilon * i_xv_given_yu
-            + (1.0 - epsilon) * (2.0 * epsilon * h_x_given_yuv + 2.0 / n + tail)
-            + delta1 / big_n
-            + 6.0 * epsilon * h_v
-            + big_n**-0.5
-        )
+        delta1 = delta2 = 0.0
+        if not asymptotic:
+            support = model.support_vy(u) ** n
+            mu_block = model.mu_vy(u) ** n
+            slack = 1.0 - 2.0 * support * _exp(-(epsilon**2) * q * mu_block / 6.0)
+            delta1 = -math.log2(slack) if slack > 0.0 else math.inf
+            i_xv_given_yu = model.mi_x_v_given_y(u)
+            h_x_given_yuv = model.entropy_x_given_yv(u)
+            tail = math.log2(model.n_x) * (
+                4.0 * model.n_v * model.n_x * _exp(-n * epsilon**2 * mu_xv)
+                + 2.0
+                * model.n_v
+                * model.n_x
+                * model.n_y(u)
+                * _exp(-(epsilon**2) * n * model.mu_vxy(u) / 8.0)
+            )
+            delta2 = (
+                epsilon * i_xv_given_yu
+                + (1.0 - epsilon) * (2.0 * epsilon * h_x_given_yuv + 2.0 / n + tail)
+                + delta1 / big_n
+                + slack_v
+                + inv_root_n
+            )
         per_terms.append(
             UnauthorizedRateTerm(
                 subset=u, mi_v_y=mi_u_all[u], delta1=delta1, delta2=delta2
@@ -296,16 +286,16 @@ def achievable_rate_bound(
         )
 
     max_delta2 = max((t.delta2 for t in per_terms), default=0.0)
-    rs_lower = min_mi_a - max_mi_u - max_delta2 - big_n**-0.5 - 1.0 / big_n
-    k_core = big_n * (min_mi_a - max_mi_u - max_delta2) - math.sqrt(big_n)
+    rs_lower = min_mi_a - max_mi_u - max_delta2 - inv_root_n - inv_n
+    k_core = big_n * (min_mi_a - max_mi_u - max_delta2) - root_n
     suggested_k = max(0, math.floor(k_core)) if math.isfinite(k_core) else 0
     return AchievableRateBound(
         n=n,
         q=q,
         epsilon=epsilon,
-        asymptotic=False,
+        asymptotic=bool(asymptotic),
         rs_lower=rs_lower,
-        rp_upper=rp_asym + 6.0 * epsilon * h_v,
+        rp_upper=rp_asym + slack_v,
         suggested_k=suggested_k,
         min_mi_authorized=min_mi_a,
         max_mi_unauthorized=max_mi_u,

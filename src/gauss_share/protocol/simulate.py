@@ -62,6 +62,7 @@ _EXACT_SWEEP_BUDGET = 10_000_000
 # but its p log p terms are, so this bounds that float64 array
 _EXACT_TABLE_BUDGET = 20_000_000
 _SAMPLE_BUDGET = 20_000_000  # float64 source samples per trial, n*q*(1+L)
+_Z95 = 1.959963984540054  # standard normal quantile of a two-sided 95% interval
 
 
 @dataclass(frozen=True)
@@ -104,15 +105,15 @@ class ProtocolConfig:
         return self.n * self.q
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if total == 0:
         return 0.0, 1.0
     p = successes / total
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / total
     center = (p + z2 / (2.0 * total)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
     # the analytic endpoints at the extremes are exactly 0 and 1; rounding in
     # center - half would otherwise leave a stray ulp there
     lo = 0.0 if successes == 0 else max(0.0, center - half)

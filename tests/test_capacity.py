@@ -293,6 +293,16 @@ class TestSaddleOracle:
         with pytest.raises(BudgetExceeded, match="oracle budget"):
             saddle_check(SPEC3, STRUCT3, 1.0, 10**12)
 
+    def test_edge_cells_count_against_the_budget(self, monkeypatch):
+        # with a budget of 100,000 cells, the larger family times the grid
+        # (638 x 100) passes and the edge cells (638 x 386) do not
+        spec = SourceSpec.from_gains(2.0, np.linspace(0.3, 1.2, 10))
+        structure = threshold_structure(10, 5)
+        assert (structure.authorized_masks.size, structure.unauthorized_masks.size) == (638, 386)
+        monkeypatch.setattr(capacity, "_ORACLE_CELL_BUDGET", 100_000)
+        with pytest.raises(BudgetExceeded, match="638 authorized times 386 unauthorized"):
+            saddle_check(spec, structure, 1.0, 100)
+
     @staticmethod
     def per_pair_reference(spec, structure, rp, grid_size):
         """Both orders as plain loops that take the maximum over unauthorized
@@ -551,6 +561,10 @@ def test_property_oracle_matches_closed_form(case, rp):
     spec, structure = case
     value = minimax_oracle(spec, structure, rp, 200)
     assert value == pytest.approx(secret_capacity(spec, structure, rp).cs, abs=1e-6)
+    chk = saddle_check(spec, structure, rp, 200)
+    assert (chk.min_min_max, chk.max_min_min) == TestSaddleOracle.per_pair_reference(
+        spec, structure, rp, 200
+    )
 
 
 @PROPERTY_SETTINGS

@@ -578,6 +578,20 @@ class TestConfigErrors:
         assert (code, out) == (2, "")
         assert f"{path}:{line_of(path, 'grid_size')}: {message}" in err
 
+    def test_edge_cells_over_the_oracle_budget(self, tmp_path, capsys):
+        # 9908 x 100 grid cells fit the budget; 9908 x 6476 edge cells do not
+        gains = [1.0 + 0.01 * i for i in range(14)]
+        path = write_config(tmp_path, {
+            "version": 1, "source": {"sigma2_x": 2.0, "gains": gains},
+            "access": {"threshold": 7}, "rp": {"value": 1.0}, "oracle": {"grid_size": 100},
+        })
+        code, out, err = run_cli(capsys, "oracle", "--config", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}:{line_of(path, 'grid_size')}: 9908 authorized times 6476 unauthorized "
+            "coalitions exceeds the oracle budget of 20000000 cells\n"
+        )
+
     def test_fractional_threshold(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "version": 1, "source": EXAMPLE_SOURCE,
