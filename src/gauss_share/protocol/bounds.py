@@ -258,7 +258,10 @@ def achievable_rate_bound(
     for u in unauthorized:
         delta1 = delta2 = 0.0
         if not asymptotic:
-            support = model.support_vy(u) ** n
+            try:
+                support = float(model.support_vy(u) ** n)
+            except OverflowError:  # the count of pair blocks exceeds the float range
+                support = math.inf
             mu_block = model.mu_vy(u) ** n
             slack = 1.0 - 2.0 * support * _exp(-(epsilon**2) * q * mu_block / 6.0)
             delta1 = -math.log2(slack) if slack > 0.0 else math.inf

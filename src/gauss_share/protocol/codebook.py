@@ -13,12 +13,13 @@ The encoder returns the row-major first jointly typical codeword label
 (omega, nu), both 1-based; the decoder searches one omega row and returns the
 smallest typical nu, falling back to 1.
 
-Both directions share one count kernel: a letter-major 0/1 indicator matrix
-with a row per (codeword letter, position) and a column per candidate word.
-A call turns its x-block or y-block into a 0/1 selector with a row per pair
-letter, so one matrix product gives the pair-letter counts of every
-candidate at once.  The counts are exact integers, and the typicality test
-applied to them, alphabet first, is the same floating-point expression that
+Both directions share one count kernel: a position-major 0/1 indicator
+matrix with a row per position and a column per (codeword letter, candidate
+word).  A call turns its x-block or y-block into 0/1 letter rows, one per
+block letter, so one matrix product gives the pair-letter counts of every
+candidate at once, a row per (block letter, codeword letter) once reshaped.
+The counts are exact integers, and the typicality test applied to them,
+alphabet first, is the same floating-point expression that
 is_letter_typical evaluates, so every decision equals the scalar definition
 and tests can enumerate both directions independently.
 
@@ -27,7 +28,7 @@ candidates are the codebook's distinct words, each with the first row-major
 label that holds it; the first typical label is the smallest of those labels
 among the typical words.  When the codebook has more words than its
 alphabet has blocks (n_v^n), the distinct words are found by their base-n_v
-codes, so the count product has at most n_v^n columns whatever the rates;
+codes, so the count product has at most n_v^n candidates whatever the rates;
 otherwise every word is its own candidate.  The decoder's candidates are the
 m_nu words of one bin, whose indicator is kept per omega on first use.  The
 encoder also memoizes its labels on the codebook per (epsilon, x-block): the
@@ -37,6 +38,7 @@ the exact leakage enumeration, return the label computed the first time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -93,7 +95,7 @@ def is_jointly_typical(
     return is_letter_typical(pair, joint.ravel(), epsilon)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Codebook:
     """Immutable table of i.i.d. codewords over the auxiliary alphabet.
 
@@ -104,9 +106,6 @@ class Codebook:
 
     words: np.ndarray  # (m_omega, m_nu, n) integer symbols
     joint_xv: np.ndarray  # (n_x, n_v)
-    rv: float
-    rv_prime: float
-    _distinct: tuple | None = field(default=None, repr=False, compare=False)
     _bins: dict = field(default_factory=dict, repr=False, compare=False)
     _labels: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -136,25 +135,24 @@ class Codebook:
             raise IndexOutOfRange(f"label ({omega}, {nu}) outside the codebook")
         return self.words[omega - 1, nu - 1]
 
-    def _distinct_words(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (indicator, first): the letter-major indicator of the
-        codebook's distinct words, one column each, and first[j], the smallest
-        row-major flat label of the word in column j."""
-        if self._distinct is None:
-            flat = self.words.reshape(-1, self.n)  # (W, n)
-            size = flat.shape[0]
-            if self.n_v ** self.n <= size:
-                codes = flat @ (self.n_v ** np.arange(self.n - 1, -1, -1))
-                first = np.full(self.n_v ** self.n, size, dtype=np.int64)
-                np.minimum.at(first, codes, np.arange(size))
-                first = first[first < size]
-            else:
-                first = np.arange(size)
-            self._distinct = (_indicator(flat[first], self.n_v), first)
-        return self._distinct
+    @functools.cached_property
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indicator, first): the position-major indicator of the codebook's
+        distinct words, and first[j], the smallest row-major flat label of
+        distinct word j."""
+        flat = self.words.reshape(-1, self.n)  # (W, n)
+        size = flat.shape[0]
+        if self.n_v ** self.n <= size:
+            codes = flat @ (self.n_v ** np.arange(self.n - 1, -1, -1))
+            first = np.full(self.n_v ** self.n, size, dtype=np.int64)
+            np.minimum.at(first, codes, np.arange(size))
+            first = first[first < size]
+        else:
+            first = np.arange(size)
+        return _indicator(flat[first], self.n_v), first
 
     def _bin_indicator(self, omega: int) -> np.ndarray:
-        """Cached letter-major indicator of bin omega's m_nu words."""
+        """Cached position-major indicator of bin omega's m_nu words."""
         row = self._bins.get(omega)
         if row is None:
             row = self._bins[omega] = _indicator(self.words[omega - 1], self.n_v)
@@ -162,10 +160,10 @@ class Codebook:
 
 
 def _indicator(words: np.ndarray, n_v: int) -> np.ndarray:
-    """(n_v * n, W) letter-major 0/1 matrix of (W, n) words: entry
-    [v * n + i, w] is 1 when word w has v at position i."""
-    letters = np.arange(n_v).reshape(-1, 1, 1)
-    return (words.T == letters).reshape(n_v * words.shape[1], -1).astype(float)
+    """(n, n_v * W) position-major 0/1 matrix of (W, n) words: entry
+    [i, v * W + w] is 1 when word w has v at position i."""
+    letters = np.arange(n_v).reshape(1, -1, 1)
+    return (words.T[:, None, :] == letters).reshape(words.shape[1], -1).astype(float)
 
 
 def _label_count(n: int, rate: float) -> int:
@@ -198,7 +196,7 @@ def build_codebook(
     p_v = joint_xv.sum(axis=0)
     rng = np.random.default_rng(seed_seq)
     words = rng.choice(p_v.size, size=(m_omega, m_nu, n), p=p_v / p_v.sum())
-    return Codebook(words=words, joint_xv=joint_xv, rv=float(rv), rv_prime=float(rv_prime))
+    return Codebook(words=words, joint_xv=joint_xv)
 
 
 def _block(seq, n: int, n_letters: int, name: str) -> np.ndarray:
@@ -221,11 +219,8 @@ def wz_encode(codebook: Codebook, x_seq: np.ndarray, epsilon: float) -> tuple[in
     key = (float(epsilon), x.tobytes())
     label = codebook._labels.get(key)
     if label is None:
-        # selector row of pair (a, v) picks indicator rows v*n + i with x[i] == a
-        eye_v = np.eye(n_v, dtype=bool)
-        selector = _letter_rows(x, n_x)[:, None, None, :] & eye_v[None, :, :, None]
-        indicator, first = codebook._distinct_words()
-        counts = selector.reshape(n_x * n_v, -1) @ indicator
+        indicator, first = codebook._distinct
+        counts = (_letter_rows(x, n_x) @ indicator).reshape(n_x * n_v, -1)
         mask = _typical_from_counts(
             counts, codebook.joint_xv.ravel(), codebook.n, float(epsilon)
         )
@@ -255,10 +250,8 @@ def wz_decode(
     if n_v != codebook.n_v:
         raise DomainError(f"joint_vy needs one row per codeword letter ({codebook.n_v})")
     y = _block(y_seq, codebook.n, n_y, "y")
-    # selector row of pair (v, b) picks indicator rows v*n + i with y[i] == b
-    eye_v = np.eye(n_v, dtype=bool)
-    selector = eye_v[:, None, :, None] & _letter_rows(y, n_y)[None, :, None, :]
-    counts = selector.reshape(n_v * n_y, -1) @ codebook._bin_indicator(omega)
-    mask = _typical_from_counts(counts, joint_vy.ravel(), codebook.n, float(epsilon))
+    indicator = codebook._bin_indicator(omega)
+    counts = (_letter_rows(y, n_y) @ indicator).reshape(n_y * n_v, -1)
+    mask = _typical_from_counts(counts, joint_vy.T.ravel(), codebook.n, float(epsilon))
     hits = np.flatnonzero(mask)
     return int(hits[0]) + 1 if hits.size else 1

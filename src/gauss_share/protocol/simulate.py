@@ -4,8 +4,10 @@ One trial: sample N = n*q continuous source symbols, quantize, run the
 codebook encoder per block (the dealer keeps the selected codewords as its
 secret material), let every authorized coalition decode its blocks, then
 hash both sides' symbol strings down to k bits with a fresh public Toeplitz
-seed.  Reported per coalition: how often the hashed secrets disagree and how
-often individual blocks fail reconciliation.
+seed.  A coalition's string is hashed only when one of its blocks failed,
+since an equal string gives the dealer's secret.  Reported per coalition:
+how often the hashed secrets disagree and how often individual blocks fail
+reconciliation.
 
 Security accounting is exact or absent, never sampled: for small instances
 the full joint distribution of (secret, public messages, unauthorized
@@ -290,31 +292,22 @@ def run_protocol(
         x_bins, y_bins = discretize_source(
             model.x_quantizer, model.y_quantizers, x, y
         )
-        v_blocks = []
-        omegas = []
-        for j in range(q):
-            sl = slice(j * n, (j + 1) * n)
-            omega, nu = wz_encode(codebook, x_bins[sl], config.epsilon)
-            omegas.append(omega)
-            v_blocks.append(codebook.word(omega, nu))
+        labels = [wz_encode(codebook, xb, config.epsilon) for xb in x_bins.reshape(q, n)]
+        v = np.stack([codebook.word(omega, nu) for omega, nu in labels])  # (q, n)
         seed_bits = rng.integers(0, 2, size=d, dtype=np.uint8)
-        secret = privacy_amplify(np.concatenate(v_blocks), seed_bits, k, n_v)
+        secret = privacy_amplify(v.ravel(), seed_bits, k, n_v)
 
         for row, a in zip(tally, authorized):
-            y_flat = _flatten_observation(y_bins, a, config.l_quant)
-            mismatches = 0
-            v_hat_blocks = []
-            for j in range(q):
-                sl = slice(j * n, (j + 1) * n)
-                nu_hat = wz_decode(
-                    codebook, y_flat[sl], omegas[j], config.epsilon, joint_vy[a]
-                )
-                v_hat = codebook.word(omegas[j], nu_hat)
-                v_hat_blocks.append(v_hat)
-                if not np.array_equal(v_hat, v_blocks[j]):
-                    mismatches += 1
-            secret_hat = privacy_amplify(np.concatenate(v_hat_blocks), seed_bits, k, n_v)
-            row += (not np.array_equal(secret_hat, secret), mismatches, mismatches > 0)
+            y_flat = _flatten_observation(y_bins, a, config.l_quant).reshape(q, n)
+            v_hat = np.stack([
+                codebook.word(omega, wz_decode(codebook, yb, omega, config.epsilon, joint_vy[a]))
+                for (omega, _), yb in zip(labels, y_flat)
+            ])
+            mismatches = int((v_hat != v).any(axis=1).sum())
+            secret_error = mismatches > 0 and not np.array_equal(
+                privacy_amplify(v_hat.ravel(), seed_bits, k, n_v), secret
+            )
+            row += (secret_error, mismatches, mismatches > 0)
 
     per_authorized = tuple(
         ErrorStats(

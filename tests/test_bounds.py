@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gauss_share.access_structure import threshold_structure
+from gauss_share.access_structure import monotone_closure, threshold_structure
 from gauss_share.errors import DomainError
 from gauss_share.protocol.bounds import (
     CoalitionBoundInput,
@@ -206,6 +206,17 @@ class TestAchievableRate:
         # to inf, rs_lower to -inf, and suggested_k falls back to zero
         bound = achievable_rate_bound(MODEL, STRUCT, 4, 3, 0.2)
         assert any(not math.isfinite(t.delta1) for t in bound.per_unauthorized)
+        assert bound.rs_lower == -math.inf
+        assert bound.suggested_k == 0
+        assert bound.vacuous
+
+    def test_long_blocks_overflow_to_a_vacuous_bound(self):
+        # coalition {1,3} has 8 pair letters and 8^400 is past the float
+        # range: the support term reads as inf instead of raising OverflowError
+        spec = SourceSpec.from_gains(2.0, [0.5, 1.0, 0.8])
+        structure = monotone_closure(3, [[1, 2], [2, 3]])
+        model = build_quantized_source(spec, structure, 2)
+        bound = achievable_rate_bound(model, structure, 400, 1, 0.2)
         assert bound.rs_lower == -math.inf
         assert bound.suggested_k == 0
         assert bound.vacuous

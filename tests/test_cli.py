@@ -271,6 +271,17 @@ class TestSimulateCommand:
         )
         assert "uniformity_gap,0.188721875541" in out9
 
+    def test_long_blocks_print_a_vacuous_rate_bound(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+            "rp": {"value": 1.0},
+            "sim": {"l_quant": 2, "n": 400, "q": 1, "epsilon": 0.2, "rv": 0.0,
+                    "rv_prime": 0.0, "k": 2, "seed": 0, "trials": 2},
+        })
+        code, out, err = run_cli(capsys, "simulate", "--config", path)
+        assert (code, err) == (0, "")
+        assert "rate bound: rs_lower=-inf" in out
+
     def test_csv_blocks(self, tmp_path, capsys):
         path = self.config(tmp_path, self.SIM)
         code, out, _ = run_cli(

@@ -89,7 +89,7 @@ class TestJointTypicality:
 
 def make_codebook(words, joint_xv):
     words = np.asarray(words, dtype=np.int64)
-    return Codebook(words=words, joint_xv=np.asarray(joint_xv, float), rv=0.0, rv_prime=0.0)
+    return Codebook(words=words, joint_xv=np.asarray(joint_xv, float))
 
 
 def scalar_encode(book, x, eps):
@@ -184,13 +184,16 @@ class TestEncoder:
         books = [
             build_codebook(joint, 4, 0.5, 0.5, np.random.SeedSequence(9)),
             build_codebook(joint, 3, 1.0, 1.0, np.random.SeedSequence(9)),
+            build_codebook([[0.30, 0.05], [0.10, 0.15], [0.05, 0.35]], 4, 0.5, 0.5,
+                           np.random.SeedSequence(9)),
         ]
         # the second holds 64 words over 2^3 patterns, so words repeat and
-        # the label of a typical word is the first of its repeats
+        # the label of a typical word is the first of its repeats; the third
+        # has three source letters over two codeword letters
         assert books[1].m_omega * books[1].m_nu > 2**3
         for book in books:
             for eps in (0.2, 0.6, 1.5, 2.5):
-                for x in itertools.product(range(2), repeat=book.n):
+                for x in itertools.product(range(book.joint_xv.shape[0]), repeat=book.n):
                     x = np.array(x)
                     assert wz_encode(book, x, eps) == scalar_encode(book, x, eps)
 
