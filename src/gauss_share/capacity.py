@@ -453,14 +453,6 @@ def _check_saddle_orders(check: SaddleCheck) -> None:
 
 
 @dataclass(frozen=True)
-class PairRates:
-    authorized: tuple[int, ...]
-    unauthorized: tuple[int, ...]
-    logdet: float
-    scalar: float
-
-
-@dataclass(frozen=True)
 class RateFormulaReport:
     sigma2_cond: float
     rp_logdet: float
@@ -468,7 +460,6 @@ class RateFormulaReport:
     rs_logdet: float
     rs_scalar: float
     per_authorized: tuple[tuple[tuple[int, ...], float, float], ...]
-    per_pair: tuple[PairRates, ...]
     max_rel_err: float
 
 
@@ -490,9 +481,17 @@ def verify_rate_formulas(
     Route one works with matrix log-determinants of the whitened observation
     covariances H S H^T + I (differential-entropy bookkeeping); route two uses
     the scalar effective-SNR forms.  They are equal by the rank-one
-    determinant identity; disagreement beyond 1e-9 relative raises
-    NumericError.  The public rate is the maximum over authorized sets, the
-    secret rate the minimum over authorized/unauthorized pairs.
+    determinant identity.  Each coalition's visible gap is computed once per
+    route.  The public rate is the base rate less the smallest authorized
+    gap; the secret rate, a minimum over (authorized, unauthorized) pairs of
+    the gap difference, is the smallest authorized gap less the largest
+    unauthorized one, which rounds to the same float as that minimum.
+
+    max_rel_err is the larger of two checks.  Per authorized set: the public
+    routes' difference relative to max(1, |rate|).  Over all pairs: the
+    largest difference of the routes' disagreements d = logdet - scalar
+    between an authorized and an unauthorized set, which bounds every pair's
+    secret-rate disagreement.  Above 1e-9, or non-finite, raises NumericError.
     """
     s = _check_sigma(sigma2_cond, spec)
     sx = spec.sigma2_x
@@ -502,60 +501,37 @@ def verify_rate_formulas(
         mat = var * np.outer(h, h) + np.eye(h.size)
         return _logdet2(mat)
 
-    def visible_gap(subset: tuple[int, ...]) -> tuple[float, float]:
-        """(logdet, scalar) forms of the auxiliary information visible to subset."""
-        snr = derive_gain_vector(spec, subset).snr
-        logdet = 0.5 * (logdet_form(subset, sx) - logdet_form(subset, s))
-        scalar = _rate_gap(s, snr, spec)
-        return logdet, scalar
+    def visible_gaps(subsets) -> tuple[np.ndarray, np.ndarray]:
+        """(logdet, scalar) forms of the auxiliary information each subset sees."""
+        return np.array([
+            (
+                0.5 * (logdet_form(subset, sx) - logdet_form(subset, s)),
+                _rate_gap(s, derive_gain_vector(spec, subset).snr, spec),
+            )
+            for subset in subsets
+        ]).T
 
-    rel_errs = [0.0]
-
-    def record(a: float, b: float) -> None:
-        # max() would drop a NaN, so a non-finite error must raise here
-        err = abs(a - b) / max(1.0, abs(a), abs(b))
-        if not math.isfinite(err):
-            raise NumericError(f"log-det and scalar rate routes gave {a!r} and {b!r}")
-        rel_errs.append(err)
+    a_ld, a_sc = visible_gaps(structure.authorized)
+    u_ld, u_sc = visible_gaps(structure.unauthorized)
 
     # two logs, not log2(sx / s), which overflows for a subnormal s
     base = 0.5 * (math.log2(sx) - math.log2(s))
-    per_authorized = []
-    a_gaps: dict[tuple[int, ...], tuple[float, float]] = {}
-    for subset in structure.authorized:
-        gap_ld, gap_sc = visible_gap(subset)
-        a_gaps[subset] = (gap_ld, gap_sc)
-        rp_ld, rp_sc = base - gap_ld, base - gap_sc
-        record(rp_ld, rp_sc)
-        per_authorized.append((subset, rp_ld, rp_sc))
-
-    u_gaps = {subset: visible_gap(subset) for subset in structure.unauthorized}
-    per_pair = []
-    for a_subset, (a_ld, a_sc) in a_gaps.items():
-        for u_subset, (u_ld, u_sc) in u_gaps.items():
-            rs_ld, rs_sc = a_ld - u_ld, a_sc - u_sc
-            record(rs_ld, rs_sc)
-            per_pair.append(
-                PairRates(
-                    authorized=a_subset,
-                    unauthorized=u_subset,
-                    logdet=rs_ld,
-                    scalar=rs_sc,
-                )
-            )
-
-    max_rel_err = max(rel_errs)
-    if max_rel_err > 1e-9:
+    rp_ld, rp_sc = base - a_ld, base - a_sc
+    rp_err = np.abs(rp_ld - rp_sc) / np.maximum(1.0, np.maximum(np.abs(rp_ld), np.abs(rp_sc)))
+    d_a, d_u = a_ld - a_sc, u_ld - u_sc
+    pair_err = np.maximum(d_a.max() - d_u.min(), d_u.max() - d_a.min())
+    # np.max keeps a NaN, which the negated comparison then refuses
+    max_rel_err = float(np.max(rp_err, initial=pair_err))
+    if not max_rel_err <= 1e-9:
         raise NumericError(
             f"log-det and scalar rate formulas disagree (rel err {max_rel_err:.3e})"
         )
     return RateFormulaReport(
         sigma2_cond=s,
-        rp_logdet=max(rp for _, rp, _ in per_authorized),
-        rp_scalar=max(rp for _, _, rp in per_authorized),
-        rs_logdet=min(p.logdet for p in per_pair),
-        rs_scalar=min(p.scalar for p in per_pair),
-        per_authorized=tuple(per_authorized),
-        per_pair=tuple(per_pair),
+        rp_logdet=float(rp_ld.max()),
+        rp_scalar=float(rp_sc.max()),
+        rs_logdet=float(a_ld.min() - u_ld.max()),
+        rs_scalar=float(a_sc.min() - u_sc.max()),
+        per_authorized=tuple(zip(structure.authorized, rp_ld.tolist(), rp_sc.tolist())),
         max_rel_err=max_rel_err,
     )

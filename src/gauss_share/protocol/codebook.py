@@ -95,19 +95,20 @@ def is_jointly_typical(
     return is_letter_typical(pair, joint.ravel(), epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """Immutable table of i.i.d. codewords over the auxiliary alphabet.
 
     words[i, j] is the blocklength-n codeword labeled (omega=i+1, nu=j+1).
     joint_xv is the source/auxiliary joint p(x, v) the encoder tests against;
-    its V marginal is the generating distribution.
+    its V marginal is the generating distribution.  Equality and hashing are
+    by identity, so two draws of equal words are different codebooks.
     """
 
     words: np.ndarray  # (m_omega, m_nu, n) integer symbols
     joint_xv: np.ndarray  # (n_x, n_v)
-    _bins: dict = field(default_factory=dict, repr=False, compare=False)
-    _labels: dict = field(default_factory=dict, repr=False, compare=False)
+    _bins: dict = field(default_factory=dict, repr=False)
+    _labels: dict = field(default_factory=dict, repr=False)
 
     @property
     def m_omega(self) -> int:

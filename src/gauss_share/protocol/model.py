@@ -15,8 +15,11 @@ law p(v, x, y_S) from them when it is first read, with S's observations
 flattened into one axis, first member most significant.  Each variable is
 quantized into equiprobable bins.  Cells are computed by Gauss-Legendre
 quadrature over each X bin in the u = CDF(x) coordinate, where the integrand
-(a product of Gaussian rectangle probabilities conditioned on x) is smooth;
-extremely steep gains make the conditional rectangle terms nearly
+is a product of Gaussian rectangle probabilities conditioned on x.  It is
+not smooth everywhere: in a tail bin it behaves roughly like u^(g^2 sigma2_x)
+at the open end, an endpoint singularity when g^2 sigma2_x < 1, and cells
+there are off by up to a few 1e-6 relative (gain 0.5, sigma2_x 2).
+Extremely steep gains make the conditional rectangle terms nearly
 discontinuous inside a bin, which costs quadrature accuracy in the smallest
 cells but never their strict positivity pattern.
 """

@@ -2,11 +2,13 @@
 
 One trial: sample N = n*q continuous source symbols, quantize, run the
 codebook encoder per block (the dealer keeps the selected codewords as its
-secret material), let every authorized coalition decode its blocks, then
-hash both sides' symbol strings down to k bits with a fresh public Toeplitz
-seed.  A coalition's string is hashed only when one of its blocks failed,
-since an equal string gives the dealer's secret.  Reported per coalition:
-how often the hashed secrets disagree and how often individual blocks fail
+secret material), let every authorized coalition decode its blocks; a
+secret is a symbol string hashed down to k bits with a fresh public Toeplitz
+seed.  The error pattern, a coalition's string XOR the dealer's, is what gets
+hashed, and only when one of its blocks failed: symbol XOR is bit XOR for a
+power-of-two alphabet and the hash is linear over GF(2), so the two secrets
+differ exactly when the pattern hashes to nonzero.  Reported per coalition:
+how often the secrets disagree and how often individual blocks fail
 reconciliation.
 
 Security accounting is exact or absent, never sampled: for small instances
@@ -249,11 +251,12 @@ def run_protocol(
     """Execute the protocol and collect the metrics report.
 
     Reproducible: the report is a pure function of (spec, structure, config).
-    Every trial is one pass: the dealer's blocks and hashed secret, then one
+    Every trial is one pass: the dealer's blocks and hash seed, then one
     decode per authorized coalition, whose errors add to that coalition's
-    tally.  Raises BudgetExceeded when exact_leakage=True on an instance too
-    large to enumerate, or, before any work, when a trial would sample more
-    than _SAMPLE_BUDGET values; and InvalidConfig for inconsistent knobs.
+    tally.  Raises BudgetExceeded, before any trial, when exact_leakage=True
+    on an instance too large to enumerate, or, before any work, when a trial
+    would sample more than _SAMPLE_BUDGET values; and InvalidConfig for
+    inconsistent knobs.
     """
     if config.total_symbols * (1 + spec.l) > _SAMPLE_BUDGET:
         raise BudgetExceeded(f"n*q = {config.total_symbols} symbols of {1 + spec.l} values "
@@ -280,6 +283,7 @@ def run_protocol(
         model.joint_xv(), n, config.rv, config.rv_prime,
         np.random.SeedSequence(config.seed, spawn_key=(0,)),
     )
+    exact = _leakage_is_exact(model, structure, codebook, config)
     authorized = structure.authorized
     joint_vy = {a: model.joint_vy(a) for a in authorized}
     # one row per authorized coalition, added to in place through the row views:
@@ -295,7 +299,6 @@ def run_protocol(
         labels = [wz_encode(codebook, xb, config.epsilon) for xb in x_bins.reshape(q, n)]
         v = np.stack([codebook.word(omega, nu) for omega, nu in labels])  # (q, n)
         seed_bits = rng.integers(0, 2, size=d, dtype=np.uint8)
-        secret = privacy_amplify(v.ravel(), seed_bits, k, n_v)
 
         for row, a in zip(tally, authorized):
             y_flat = _flatten_observation(y_bins, a, config.l_quant).reshape(q, n)
@@ -304,9 +307,9 @@ def run_protocol(
                 for (omega, _), yb in zip(labels, y_flat)
             ])
             mismatches = int((v_hat != v).any(axis=1).sum())
-            secret_error = mismatches > 0 and not np.array_equal(
-                privacy_amplify(v_hat.ravel(), seed_bits, k, n_v), secret
-            )
+            secret_error = mismatches > 0 and privacy_amplify(
+                (v_hat ^ v).ravel(), seed_bits, k, n_v
+            ).any()
             row += (secret_error, mismatches, mismatches > 0)
 
     per_authorized = tuple(
@@ -322,7 +325,7 @@ def run_protocol(
     )
 
     leakage_mode, leakage, msg_leak, h_s, gap = _leakage_section(
-        model, structure, codebook, config
+        model, structure, codebook, config, exact
     )
 
     m_bits = q * math.log2(codebook.m_omega) / big_n
@@ -350,12 +353,31 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 
 
-def _exact_budget_ok(structure: AccessStructure, config: ProtocolConfig, codebook_cells: int) -> bool:
+def _leakage_is_exact(
+    model: DiscreteSourceModel,
+    structure: AccessStructure,
+    codebook: Codebook,
+    config: ProtocolConfig,
+) -> bool:
+    """Decide the leakage mode before any trial: True for exact, always so
+    when k = 0, which leaks nothing.  Raises BudgetExceeded when
+    exact_leakage=True forces an enumeration past the budget."""
+    if config.k == 0:
+        return True
+    if config.exact_leakage is False:
+        return False
     u_max = max((len(u) for u in structure.unauthorized), default=0)
     l = config.l_quant
-    sweep = (l ** (config.n * (1 + u_max))) * codebook_cells
+    sweep = (l ** (config.n * (1 + u_max))) * codebook.m_omega * codebook.m_nu
     table = (2 ** min(config.k, 60)) * (l ** (config.total_symbols * (1 + u_max)))
-    return sweep <= _EXACT_SWEEP_BUDGET and table <= _EXACT_TABLE_BUDGET
+    budget_ok = sweep <= _EXACT_SWEEP_BUDGET and table <= _EXACT_TABLE_BUDGET
+    if config.exact_leakage is None:
+        return config.total_symbols <= 8 and l == 2 and model.n_v == 2 and budget_ok
+    if not budget_ok:
+        raise BudgetExceeded(
+            "exact leakage enumeration exceeds the state budget for this instance"
+        )
+    return True
 
 
 def _leakage_section(
@@ -363,23 +385,14 @@ def _leakage_section(
     structure: AccessStructure,
     codebook: Codebook,
     config: ProtocolConfig,
+    exact: bool,
 ):
-    """Decide the leakage mode and, when exact, enumerate the joint law."""
+    """The report's leakage fields; when exact and k > 0, the enumerated law."""
+    if not exact:
+        return "unavailable", None, None, None, None
     if config.k == 0:
         zero = tuple((u, 0.0) for u in structure.unauthorized)
         return "exact", zero, 0.0, 0.0, 0.0
-
-    binary = config.l_quant == 2 and model.n_v == 2
-    budget_ok = _exact_budget_ok(structure, config, codebook.m_omega * codebook.m_nu)
-    if config.exact_leakage is False:
-        return "unavailable", None, None, None, None
-    if config.exact_leakage is None:
-        if not (config.total_symbols <= 8 and binary and budget_ok):
-            return "unavailable", None, None, None, None
-    elif not budget_ok:
-        raise BudgetExceeded(
-            "exact leakage enumeration exceeds the state budget for this instance"
-        )
 
     leak, msg_leak, h_s = _exact_leakage(model, structure, codebook, config)
     gap = config.k - h_s

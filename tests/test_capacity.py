@@ -495,6 +495,25 @@ def test_verify_rate_formulas_raises_on_a_non_finite_route(monkeypatch):
         verify_rate_formulas(SPEC3, STRUCT3, 1.0)
 
 
+@pytest.mark.parametrize("skew, raises", [(2e-10, False), (2e-9, True)])
+def test_verify_rate_formulas_sees_one_unauthorized_disagreement(monkeypatch, skew, raises):
+    # the scalar route of {1,3} alone is off by skew bits: no public rate
+    # reads it, but every secret rate against it does
+    target = derive_gain_vector(SPEC3, (1, 3)).snr
+    real = capacity._rate_gap
+
+    def skewed(s, snr, spec):
+        return real(s, snr, spec) + (skew if snr == target else 0.0)
+
+    monkeypatch.setattr(capacity, "_rate_gap", skewed)
+    if raises:
+        with pytest.raises(NumericError):
+            verify_rate_formulas(SPEC3, STRUCT3, 1.0)
+    else:
+        report = verify_rate_formulas(SPEC3, STRUCT3, 1.0)
+        assert report.max_rel_err == pytest.approx(skew, rel=1e-3)
+
+
 @st.composite
 def rate_formula_cases(draw):
     """A gains- or covariance-form source (l <= 5), a threshold or closure
@@ -532,6 +551,19 @@ def test_property_rate_formula_routes_agree_with_the_closed_forms(case):
     assert report.rp_scalar == pytest.approx(
         public_rate(s, ext.snr_authorized, spec), rel=0.0, abs=1e-12
     )
+
+    def gaps(subset):
+        """(logdet, scalar) gap of one coalition, as each route writes it."""
+        h = derive_gain_vector(spec, subset)
+        ld = [capacity._logdet2(var * np.outer(h.gains, h.gains) + np.eye(h.gains.size))
+              for var in (spec.sigma2_x, s)]
+        return 0.5 * (ld[0] - ld[1]), capacity._rate_gap(s, h.snr, spec)
+
+    # each secret rate is exactly the minimum over pairs of the gap difference
+    a_gaps = [gaps(a) for a in structure.authorized]
+    u_gaps = [gaps(u) for u in structure.unauthorized]
+    assert report.rs_logdet == min(a - u for a, _ in a_gaps for u, _ in u_gaps)
+    assert report.rs_scalar == min(a - u for _, a in a_gaps for _, u in u_gaps)
 
 
 # Property tests over random gains-mode sources (l <= 6) and structures.

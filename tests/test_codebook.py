@@ -129,6 +129,15 @@ class TestBuildCodebook:
         b = build_codebook(self.JOINT, 5, 1.0, 0.5, np.random.SeedSequence(42))
         np.testing.assert_array_equal(a.words, b.words)
 
+    def test_equality_is_identity(self):
+        # equal draws are still two codebooks, each with its own memo tables
+        a, b = (build_codebook(self.JOINT, 5, 1.0, 0.5, np.random.SeedSequence(1))
+                for _ in range(2))
+        np.testing.assert_array_equal(a.words, b.words)
+        assert a == a
+        assert a != b
+        assert len({a, b, a}) == 2
+
     def test_symbols_follow_the_auxiliary_marginal(self):
         book = build_codebook(self.JOINT, 10, 1.0, 0.5, np.random.SeedSequence(7))
         freq = np.mean(book.words == 1)

@@ -123,6 +123,22 @@ class TestToeplitzHash:
             rhs = toeplitz_hash(seed, v1, 3) ^ toeplitz_hash(seed, v2, 3)
             np.testing.assert_array_equal(lhs, rhs)
 
+    def test_symbol_error_pattern_decides_agreement(self):
+        # symbol XOR is bit XOR for a power-of-two alphabet, so two strings
+        # hash apart exactly when their XOR hashes to nonzero
+        rng = np.random.default_rng(8)
+        for size in (2, 4, 8):
+            for _ in range(40):
+                n = int(rng.integers(1, 8))
+                bits = n * (size.bit_length() - 1)
+                k = int(rng.integers(1, bits + 1))
+                seed = rng.integers(0, 2, bits + k - 1, dtype=np.uint8)
+                a = rng.integers(0, size, n)
+                b = a.copy() if rng.random() < 0.25 else rng.integers(0, size, n)
+                differ = not np.array_equal(privacy_amplify(a, seed, k, size),
+                                            privacy_amplify(b, seed, k, size))
+                assert privacy_amplify(a ^ b, seed, k, size).any() == differ
+
     def test_matrix_form_agrees(self):
         rng = np.random.default_rng(6)
         for _ in range(30):

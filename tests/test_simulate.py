@@ -301,10 +301,15 @@ class TestLeakageModes:
         assert report.leakage_mode == "unavailable"
         assert report.leakage is None
 
-    def test_forcing_past_the_budget_raises(self):
+    def test_forcing_past_the_budget_raises(self, monkeypatch):
+        # refused before the first trial, however many trials are asked for
+        def sample(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(simulate, "sample_source", sample)
         cfg = config(n=10, q=3, k=25, rv=0.5, rv_prime=0.5,
-                     trials=1, exact_leakage=True)
-        with pytest.raises(BudgetExceeded):
+                     trials=100_000, exact_leakage=True)
+        with pytest.raises(BudgetExceeded, match="exact leakage enumeration"):
             run_protocol(NOISELESS, ONE_OF_ONE, cfg)
 
     def test_sample_budget_is_checked_before_the_codebook_and_trials(self, monkeypatch):
