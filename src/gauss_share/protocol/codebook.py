@@ -13,34 +13,35 @@ The encoder returns the row-major first jointly typical codeword label
 (omega, nu), both 1-based; the decoder searches one omega row and returns the
 smallest typical nu, falling back to 1.
 
-Both directions share one count kernel: a position-major 0/1 indicator
-matrix with a row per position and a column per (codeword letter, candidate
-word).  A call turns its x-block or y-block into 0/1 letter rows, one per
-block letter, so one matrix product gives the pair-letter counts of every
-candidate at once, a row per (block letter, codeword letter) once reshaped.
-The counts are exact integers, and the typicality test applied to them,
-alphabet first, is the same floating-point expression that
-is_letter_typical evaluates, so every decision equals the scalar definition
-and tests can enumerate both directions independently.
+Both directions share one count kernel, which takes a batch of blocks,
+each against its own set of candidate words.  A pair letter is block letter
+* n_v + codeword letter; one np.bincount over (block, candidate, pair)
+gives the integer pair counts of every candidate of every block.  The counts
+are exact on any platform, since no floating-point product (and so no BLAS
+kernel) forms them, and the typicality test applied to them is the same
+floating-point expression that is_letter_typical evaluates, so every
+decision equals the scalar definition and tests can enumerate both
+directions independently.  Each call handles as many blocks as fit in a cell
+budget its caller passes, and at least one.
 
 Typicality of (x, w) depends only on the letters of w, so the encoder's
 candidates are the codebook's distinct words, each with the first row-major
-label that holds it; the first typical label is the smallest of those labels
-among the typical words.  When the codebook has more words than its
-alphabet has blocks (n_v^n), the distinct words are found by their base-n_v
-codes, so the count product has at most n_v^n candidates whatever the rates;
-otherwise every word is its own candidate.  The decoder's candidates are the
-m_nu words of one bin, whose indicator is kept per omega on first use.  The
-encoder also memoizes its labels on the codebook per (epsilon, x-block): the
-label is a pure function of those, so repeated blocks, across trials and in
-the exact leakage enumeration, return the label computed the first time.
+label that holds it, in the order of those labels; the first typical
+candidate therefore carries the first typical label.  When the codebook has
+more words than its alphabet has blocks (n_v^n), the distinct words are
+found by their base-n_v codes, so each x-block meets at most n_v^n
+candidates whatever the rates; otherwise every word is its own candidate.
+A batch encodes each of its distinct x-blocks once (np.unique), so blocks
+that repeat within a batch cost one count; the codebook keeps only its
+distinct words between calls.  The decoder's candidates are the m_nu words
+of the block's own bin.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +62,9 @@ _MAX_TABLE_CELLS = 100_000_000
 def _typical_from_counts(
     counts: np.ndarray, pmf: np.ndarray, n: int, epsilon: float
 ) -> np.ndarray:
-    """Relative-tolerance test, alphabet first: counts is (L,) or (L, candidates)."""
-    target = (n * pmf).reshape((-1,) + (1,) * (counts.ndim - 1))
-    return (np.abs(counts - target) <= epsilon * target).all(axis=0)
+    """Relative-tolerance test over the last axis, the alphabet of pmf."""
+    target = n * pmf
+    return (np.abs(counts - target) <= epsilon * target).all(axis=-1)
 
 
 def _symbols(seq, n_letters: int, name: str) -> np.ndarray:
@@ -107,8 +108,6 @@ class Codebook:
 
     words: np.ndarray  # (m_omega, m_nu, n) integer symbols
     joint_xv: np.ndarray  # (n_x, n_v)
-    _bins: dict = field(default_factory=dict, repr=False)
-    _labels: dict = field(default_factory=dict, repr=False)
 
     @property
     def m_omega(self) -> int:
@@ -138,33 +137,18 @@ class Codebook:
 
     @functools.cached_property
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indicator, first): the position-major indicator of the codebook's
-        distinct words, and first[j], the smallest row-major flat label of
-        distinct word j."""
+        """(words, first): the codebook's distinct words, and first[j], the
+        smallest row-major flat label of word j, in increasing order."""
         flat = self.words.reshape(-1, self.n)  # (W, n)
         size = flat.shape[0]
         if self.n_v ** self.n <= size:
             codes = flat @ (self.n_v ** np.arange(self.n - 1, -1, -1))
             first = np.full(self.n_v ** self.n, size, dtype=np.int64)
             np.minimum.at(first, codes, np.arange(size))
-            first = first[first < size]
+            first = np.sort(first[first < size])
         else:
             first = np.arange(size)
-        return _indicator(flat[first], self.n_v), first
-
-    def _bin_indicator(self, omega: int) -> np.ndarray:
-        """Cached position-major indicator of bin omega's m_nu words."""
-        row = self._bins.get(omega)
-        if row is None:
-            row = self._bins[omega] = _indicator(self.words[omega - 1], self.n_v)
-        return row
-
-
-def _indicator(words: np.ndarray, n_v: int) -> np.ndarray:
-    """(n, n_v * W) position-major 0/1 matrix of (W, n) words: entry
-    [i, v * W + w] is 1 when word w has v at position i."""
-    letters = np.arange(n_v).reshape(1, -1, 1)
-    return (words.T[:, None, :] == letters).reshape(words.shape[1], -1).astype(float)
+        return flat[first], first
 
 
 def _label_count(n: int, rate: float) -> int:
@@ -208,27 +192,76 @@ def _block(seq, n: int, n_letters: int, name: str) -> np.ndarray:
     return _symbols(block, n_letters, f"{name} block")
 
 
-def _letter_rows(block: np.ndarray, n_letters: int) -> np.ndarray:
-    """(n_letters, n) indicator: [a, i] is True when block[i] == a."""
-    return block == np.arange(n_letters).reshape(-1, 1)
+def _first_typical(
+    blocks: np.ndarray,
+    groups: np.ndarray,
+    words: np.ndarray,
+    joint: np.ndarray,
+    epsilon: float,
+    cells: int,
+) -> np.ndarray:
+    """Index of the first of the words[groups[b]] jointly typical with
+    blocks[b], for each of the (B, n) blocks, or W when none is.
+
+    words is (G, W, n) over the joint's n_v codeword letters; joint[a, v] is
+    the pmf of block letter a with codeword letter v.  Each bincount covers
+    as many blocks as fit in `cells` index and count cells, and at least one.
+    """
+    n_blocks, n = blocks.shape
+    n_words = words.shape[1]
+    n_v = joint.shape[1]
+    pmf = joint.ravel()
+    step = max(1, cells // (n_words * (n + pmf.size)))
+    # offset of each (block, candidate) row in the flat count array
+    rows = np.arange(min(step, n_blocks) * n_words).reshape(-1, n_words, 1) * pmf.size
+    first = np.empty(n_blocks, dtype=np.int64)
+    for lo in range(0, n_blocks, step):
+        batch = blocks[lo : lo + step]
+        pairs = rows[: len(batch)] + batch[:, None, :] * n_v + words[groups[lo : lo + step]]
+        counts = np.bincount(pairs.ravel(), minlength=len(batch) * n_words * pmf.size)
+        typical = _typical_from_counts(
+            counts.reshape(len(batch), n_words, pmf.size), pmf, n, epsilon
+        )
+        first[lo : lo + step] = np.where(typical.any(axis=1), typical.argmax(axis=1), n_words)
+    return first
+
+
+def _encode_blocks(
+    codebook: Codebook, x_blocks: np.ndarray, epsilon: float, cells: int
+) -> np.ndarray:
+    """Flat row-major label (omega - 1) * m_nu + (nu - 1) of each (B, n)
+    x-block: the first jointly typical one, else 0."""
+    words, first = codebook._distinct
+    distinct, inverse = np.unique(x_blocks, axis=0, return_inverse=True)
+    hit = _first_typical(
+        distinct, np.zeros(len(distinct), dtype=np.intp), words[None],
+        codebook.joint_xv, float(epsilon), cells,
+    )
+    return np.append(first, 0)[hit][inverse.reshape(-1)]
+
+
+def _decode_blocks(
+    codebook: Codebook,
+    y_blocks: np.ndarray,
+    omegas: np.ndarray,
+    epsilon: float,
+    joint_vy: np.ndarray,
+    cells: int,
+) -> np.ndarray:
+    """nu of each (B, n) y-block in its bin omegas[b] (1-based): the
+    smallest typical one, else 1."""
+    hit = _first_typical(
+        y_blocks, omegas - 1, codebook.words, joint_vy.T, float(epsilon), cells
+    )
+    return np.where(hit < codebook.m_nu, hit + 1, 1)
 
 
 def wz_encode(codebook: Codebook, x_seq: np.ndarray, epsilon: float) -> tuple[int, int]:
     """First (row-major) codeword label jointly typical with x, else (1, 1)."""
-    n_x, n_v = codebook.joint_xv.shape
-    x = _block(x_seq, codebook.n, n_x, "x")
-    key = (float(epsilon), x.tobytes())
-    label = codebook._labels.get(key)
-    if label is None:
-        indicator, first = codebook._distinct
-        counts = (_letter_rows(x, n_x) @ indicator).reshape(n_x * n_v, -1)
-        mask = _typical_from_counts(
-            counts, codebook.joint_xv.ravel(), codebook.n, float(epsilon)
-        )
-        hits = first[mask]
-        row, col = divmod(int(hits.min()) if hits.size else 0, codebook.m_nu)
-        label = codebook._labels[key] = (row + 1, col + 1)
-    return label
+    x = _block(x_seq, codebook.n, codebook.joint_xv.shape[0], "x")
+    label = int(_encode_blocks(codebook, x[None], epsilon, cells=0)[0])
+    row, col = divmod(label, codebook.m_nu)
+    return row + 1, col + 1
 
 
 def wz_decode(
@@ -251,8 +284,5 @@ def wz_decode(
     if n_v != codebook.n_v:
         raise DomainError(f"joint_vy needs one row per codeword letter ({codebook.n_v})")
     y = _block(y_seq, codebook.n, n_y, "y")
-    indicator = codebook._bin_indicator(omega)
-    counts = (_letter_rows(y, n_y) @ indicator).reshape(n_y * n_v, -1)
-    mask = _typical_from_counts(counts, joint_vy.T.ravel(), codebook.n, float(epsilon))
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) + 1 if hits.size else 1
+    omegas = np.array([omega])
+    return int(_decode_blocks(codebook, y[None], omegas, epsilon, joint_vy, cells=0)[0])

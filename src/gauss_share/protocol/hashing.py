@@ -2,15 +2,19 @@
 
 The hash of an N-symbol block is a k-bit vector T(seed) @ bits(v) mod 2,
 where T(seed) is the k x (N b) Toeplitz matrix whose diagonals are the seed
-bits and b = log2(alphabet size).  The seed therefore has
-d = N b + k - 1 bits; it is public and is charged to the public channel by
-the protocol report.  Because the map is linear in the seed for fixed input,
-the output distribution over a uniform seed is uniform on the column space of
-an input-dependent matrix (`hash_matrix_for_input`: row i, column t holds bit
-v[N b - 1 + i - t]).  That matrix has full rank k for every nonzero input: if
-j is its highest set bit, columns t = N b - 1 - j + i (i < k) are triangular
-with a unit diagonal.  So the exact leakage evaluator takes the output as
-uniform on all 2^k values for a nonzero input and as 0 for the zero input.
+bits and b = log2(alphabet size).  The seed therefore has d = N b + k - 1
+bits; it is public and is charged to the public channel by the protocol
+report.  Output bit i is the window seed[i : i + N b] against the reversed
+input bits, so one integer product of a sliding window view of the seeds
+with the bit rows hashes a batch of inputs, each under its own seed; a
+single hash is the one-row case.  Because the map is linear in the seed for
+fixed input, the output distribution over a uniform seed is uniform on the
+column space of an input-dependent matrix (`hash_matrix_for_input`: row i,
+column t holds bit v[N b - 1 + i - t]).  That matrix has full rank k for
+every nonzero input: if j is its highest set bit, columns
+t = N b - 1 - j + i (i < k) are triangular with a unit diagonal.  So the
+exact leakage evaluator takes the output as uniform on all 2^k values for a
+nonzero input and as 0 for the zero input.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DomainError, KTooLarge
 
@@ -60,8 +65,20 @@ def symbols_to_bits(v_seq: np.ndarray, alphabet_size: int) -> np.ndarray:
     return ((v[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
 
 
+def _hash_rows(seeds: np.ndarray, v_bits: np.ndarray, k: int) -> np.ndarray:
+    """(F, k) Toeplitz hashes of the (F, N b) bit rows, row f under seeds[f].
+
+    seeds is (F, N b + k - 1) and k >= 1.  Both operands are uint8, so the
+    product's sums wrap modulo 256, an even modulus: their parity is exact.
+    """
+    seeds = np.asarray(seeds).astype(np.uint8, copy=False)
+    v_bits = np.asarray(v_bits).astype(np.uint8, copy=False)
+    windows = sliding_window_view(seeds, v_bits.shape[1], axis=1)  # (F, k, N b)
+    return (windows @ v_bits[:, ::-1, None])[:, :, 0] & 1
+
+
 def toeplitz_hash(seed_bits: np.ndarray, v_bits: np.ndarray, k: int) -> np.ndarray:
-    """k output bits of the Toeplitz product, via one binary convolution."""
+    """k output bits of the Toeplitz product of one seed and one bit string."""
     k = int(k)
     if k == 0:
         return np.zeros(0, dtype=np.uint8)
@@ -72,8 +89,7 @@ def toeplitz_hash(seed_bits: np.ndarray, v_bits: np.ndarray, k: int) -> np.ndarr
         raise DomainError(
             f"seed must have {n_bits + k - 1} bits, got {seed.size}"
         )
-    conv = np.convolve(seed, v)
-    return (conv[n_bits - 1 : n_bits - 1 + k] % 2).astype(np.uint8)
+    return _hash_rows(seed[None], v[None], k)[0]
 
 
 def privacy_amplify(

@@ -1,15 +1,18 @@
 """Monte Carlo driver for the quantize / reconcile / hash pipeline.
 
-One trial: sample N = n*q continuous source symbols, quantize, run the
-codebook encoder per block (the dealer keeps the selected codewords as its
-secret material), let every authorized coalition decode its blocks; a
-secret is a symbol string hashed down to k bits with a fresh public Toeplitz
-seed.  The error pattern, a coalition's string XOR the dealer's, is what gets
-hashed, and only when one of its blocks failed: symbol XOR is bit XOR for a
-power-of-two alphabet and the hash is linear over GF(2), so the two secrets
-differ exactly when the pattern hashes to nonzero.  Reported per coalition:
-how often the secrets disagree and how often individual blocks fail
-reconciliation.
+Trials run in chunks.  Each trial of a chunk draws, from its own generator
+and in this order, N = n*q continuous source symbols and a fresh public
+Toeplitz seed; the chunk's samples are then quantized together, and every
+block of the chunk goes through one batched codebook encoder call (the
+dealer keeps the selected codewords as its secret material) and, per
+authorized coalition, one batched decoder call.  A secret is a symbol string
+hashed down to k bits with the trial's seed.  The error pattern, a
+coalition's string XOR the dealer's, is what gets hashed, and only in the
+trials where one of its blocks failed, all in one batched hash: symbol XOR
+is bit XOR for a power-of-two alphabet and the hash is linear over GF(2), so
+the two secrets differ exactly when the pattern hashes to nonzero.  Reported
+per coalition: how often the secrets disagree and how often individual
+blocks fail reconciliation.  The report does not depend on the chunk size.
 
 Security accounting is exact or absent, never sampled: for small instances
 the full joint distribution of (secret, public messages, unauthorized
@@ -44,8 +47,8 @@ from .bounds import (
     bound_inputs,
     error_bound,
 )
-from .codebook import Codebook, build_codebook, wz_decode, wz_encode
-from .hashing import privacy_amplify, seed_length
+from .codebook import Codebook, _decode_blocks, _encode_blocks, build_codebook
+from .hashing import _hash_rows, seed_length, symbols_to_bits
 from .model import (
     DiscreteSourceModel,
     build_quantized_source,
@@ -65,7 +68,9 @@ _EXACT_SWEEP_BUDGET = 10_000_000
 # cells of the (2^k, messages, observations) law; the table is never built,
 # but its p log p terms are, so this bounds that float64 array
 _EXACT_TABLE_BUDGET = 20_000_000
-_SAMPLE_BUDGET = 20_000_000  # float64 source samples per trial, n*q*(1+L)
+# float64 source samples of one trial, n*q*(1+L); also the cells of one
+# chunk's samples and of one count-kernel call (at least one trial and block)
+_SAMPLE_BUDGET = 20_000_000
 _Z95 = 1.959963984540054  # standard normal quantile of a two-sided 95% interval
 
 
@@ -251,12 +256,12 @@ def run_protocol(
     """Execute the protocol and collect the metrics report.
 
     Reproducible: the report is a pure function of (spec, structure, config).
-    Every trial is one pass: the dealer's blocks and hash seed, then one
-    decode per authorized coalition, whose errors add to that coalition's
-    tally.  Raises BudgetExceeded, before any trial, when exact_leakage=True
-    on an instance too large to enumerate, or, before any work, when a trial
-    would sample more than _SAMPLE_BUDGET values; and InvalidConfig for
-    inconsistent knobs.
+    Every chunk of trials is one pass: the dealer's blocks and hash seeds,
+    then one batched decode per authorized coalition, whose errors add to
+    that coalition's tally.  Raises BudgetExceeded, before any trial, when
+    exact_leakage=True on an instance too large to enumerate, or, before any
+    work, when a trial would sample more than _SAMPLE_BUDGET values; and
+    InvalidConfig for inconsistent knobs.
     """
     if config.total_symbols * (1 + spec.l) > _SAMPLE_BUDGET:
         raise BudgetExceeded(f"n*q = {config.total_symbols} symbols of {1 + spec.l} values "
@@ -286,31 +291,43 @@ def run_protocol(
     exact = _leakage_is_exact(model, structure, codebook, config)
     authorized = structure.authorized
     joint_vy = {a: model.joint_vy(a) for a in authorized}
+    words = codebook.words.reshape(-1, n)
     # one row per authorized coalition, added to in place through the row views:
     # secret errors, block errors, trials with a block error
     tally = np.zeros((len(authorized), 3), dtype=np.int64)
 
-    for t in range(config.trials):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1 + t,)))
-        x, y = sample_source(spec, rng, big_n)
+    chunk = max(1, _SAMPLE_BUDGET // (big_n * (1 + spec.l)))
+    for start in range(0, config.trials, chunk):
+        trials = range(start, min(start + chunk, config.trials))
+        x, y, seeds = [], [], []
+        for t in trials:
+            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1 + t,)))
+            x_t, y_t = sample_source(spec, rng, big_n)
+            x.append(x_t)
+            y.append(y_t)
+            seeds.append(rng.integers(0, 2, size=d, dtype=np.uint8))
         x_bins, y_bins = discretize_source(
-            model.x_quantizer, model.y_quantizers, x, y
+            model.x_quantizer, model.y_quantizers, np.concatenate(x), np.concatenate(y)
         )
-        labels = [wz_encode(codebook, xb, config.epsilon) for xb in x_bins.reshape(q, n)]
-        v = np.stack([codebook.word(omega, nu) for omega, nu in labels])  # (q, n)
-        seed_bits = rng.integers(0, 2, size=d, dtype=np.uint8)
+        seeds = np.stack(seeds)
+        labels = _encode_blocks(codebook, x_bins.reshape(-1, n), config.epsilon, _SAMPLE_BUDGET)
+        omegas = labels // codebook.m_nu + 1
+        v = words[labels]  # (trials * q, n)
 
         for row, a in zip(tally, authorized):
-            y_flat = _flatten_observation(y_bins, a, config.l_quant).reshape(q, n)
-            v_hat = np.stack([
-                codebook.word(omega, wz_decode(codebook, yb, omega, config.epsilon, joint_vy[a]))
-                for (omega, _), yb in zip(labels, y_flat)
-            ])
-            mismatches = int((v_hat != v).any(axis=1).sum())
-            secret_error = mismatches > 0 and privacy_amplify(
-                (v_hat ^ v).ravel(), seed_bits, k, n_v
-            ).any()
-            row += (secret_error, mismatches, mismatches > 0)
+            y_flat = _flatten_observation(y_bins, a, config.l_quant).reshape(-1, n)
+            nus = _decode_blocks(
+                codebook, y_flat, omegas, config.epsilon, joint_vy[a], _SAMPLE_BUDGET
+            )
+            v_hat = codebook.words[omegas - 1, nus - 1]
+            mismatches = (v_hat != v).any(axis=1).reshape(len(trials), q).sum(axis=1)
+            failed = mismatches > 0
+            secret_errors = 0
+            if k > 0 and failed.any():
+                patterns = (v_hat ^ v).reshape(len(trials), big_n)[failed]
+                bits = symbols_to_bits(patterns.ravel(), n_v).reshape(len(patterns), -1)
+                secret_errors = _hash_rows(seeds[failed], bits, k).any(axis=1).sum()
+            row += (secret_errors, mismatches.sum(), failed.sum())
 
     per_authorized = tuple(
         ErrorStats(
@@ -458,11 +475,13 @@ def _exact_leakage(
     """
     n, q, k = config.n, config.q, config.k
 
-    outcomes = []
-    for xb in itertools.product(range(model.n_x), repeat=n):
-        omega, nu = wz_encode(codebook, np.array(xb, dtype=np.int64), config.epsilon)
-        word = tuple(int(s) for s in codebook.word(omega, nu))
-        outcomes.append((omega, word))
+    # every x block, in itertools.product order
+    x_blocks = np.indices((model.n_x,) * n).reshape(n, -1).T
+    labels = _encode_blocks(codebook, x_blocks, config.epsilon, _SAMPLE_BUDGET)
+    outcomes = list(zip(
+        (labels // codebook.m_nu + 1).tolist(),
+        map(tuple, codebook.words.reshape(-1, n)[labels].tolist()),
+    ))
     distinct = sorted(set(outcomes))
     out_id = {o: i for i, o in enumerate(distinct)}
     xb_out = np.array([out_id[o] for o in outcomes])

@@ -13,6 +13,8 @@ import pytest
 from gauss_share.errors import BudgetExceeded, DomainError, IndexOutOfRange
 from gauss_share.protocol.codebook import (
     Codebook,
+    _decode_blocks,
+    _encode_blocks,
     build_codebook,
     is_jointly_typical,
     is_letter_typical,
@@ -109,6 +111,14 @@ def scalar_decode(book, y, omega, eps, joint_vy):
     return 1
 
 
+def all_blocks(n_letters, n):
+    return np.array(list(itertools.product(range(n_letters), repeat=n)), dtype=np.int64)
+
+
+# cell budgets of one block per bincount, a few blocks, and the whole batch
+BATCH_CELLS = (0, 500, 10**9)
+
+
 class TestBuildCodebook:
     JOINT = np.outer([0.5, 0.5], [0.25, 0.75])
 
@@ -130,7 +140,7 @@ class TestBuildCodebook:
         np.testing.assert_array_equal(a.words, b.words)
 
     def test_equality_is_identity(self):
-        # equal draws are still two codebooks, each with its own memo tables
+        # equal draws are still two codebooks, each with its own cached words
         a, b = (build_codebook(self.JOINT, 5, 1.0, 0.5, np.random.SeedSequence(1))
                 for _ in range(2))
         np.testing.assert_array_equal(a.words, b.words)
@@ -206,6 +216,34 @@ class TestEncoder:
                     x = np.array(x)
                     assert wz_encode(book, x, eps) == scalar_encode(book, x, eps)
 
+    def test_batched_exhaustive_against_scalar_loop(self):
+        # the square, repeated-words and 3x2 books above, every x-block in
+        # one batch, each block twice and the second copy in reverse order
+        joint = np.array([[0.4, 0.1], [0.1, 0.4]])
+        books = [
+            build_codebook(joint, 4, 0.5, 0.5, np.random.SeedSequence(9)),
+            build_codebook(joint, 3, 1.0, 1.0, np.random.SeedSequence(9)),
+            build_codebook([[0.30, 0.05], [0.10, 0.15], [0.05, 0.35]], 4, 0.5, 0.5,
+                           np.random.SeedSequence(9)),
+        ]
+        mixed = False
+        for book in books:
+            blocks = all_blocks(book.joint_xv.shape[0], book.n)
+            blocks = np.concatenate([blocks, blocks[::-1]])
+            for eps in (0.2, 0.6, 1.5, 2.5):
+                want = [scalar_encode(book, x, eps) for x in blocks]
+                for cells in BATCH_CELLS:
+                    flat = _encode_blocks(book, blocks, eps, cells)
+                    got = [(int(f) // book.m_nu + 1, int(f) % book.m_nu + 1) for f in flat]
+                    assert got == want
+                fallbacks = sum(
+                    not is_jointly_typical(x, book.word(*label), book.joint_xv, eps)
+                    for x, label in zip(blocks, want)
+                )
+                bins = {omega for omega, _ in want}
+                mixed |= 0 < fallbacks < len(blocks) and len(bins) > 1
+        assert mixed  # some batch mixes fallbacks with labels from several bins
+
     def test_three_letter_joint_with_a_zero_cell(self):
         # p(x=2, v=0) = 0: a codeword with v=0 where x=2 is never typical
         joint = np.array([[0.20, 0.10, 0.05], [0.05, 0.20, 0.05], [0.00, 0.10, 0.25]])
@@ -275,6 +313,33 @@ class TestDecoder:
                     assert nu == scalar_decode(book, y, omega, eps, joint_vy)
                     decoded.add(nu)
         assert len(decoded) > 1  # labels past the fallback are exercised
+
+    @pytest.mark.parametrize("joint_vy, rv, rv_prime, n, seed", [
+        ([[0.35, 0.15], [0.1, 0.4]], 0.5, 0.5, 4, 15),  # square
+        ([[0.35, 0.15], [0.1, 0.4]], 1.0, 1.0, 3, 9),  # repeated words
+        ([[0.25, 0.1, 0.1, 0.05], [0.05, 0.1, 0.1, 0.25]], 0.5, 0.75, 4, 21),  # composite y
+    ])
+    def test_batched_exhaustive_against_scalar_loop(self, joint_vy, rv, rv_prime, n, seed):
+        # every (y-block, bin) pair in one batch, bins interleaved in a
+        # fixed shuffled order
+        joint_vy = np.array(joint_vy)
+        joint_xv = np.array([[0.4, 0.1], [0.1, 0.4]])
+        book = build_codebook(joint_xv, n, rv, rv_prime, np.random.SeedSequence(seed))
+        ys = all_blocks(joint_vy.shape[1], n)
+        pairs = [(y, omega) for y in ys for omega in range(1, book.m_omega + 1)]
+        order = np.random.default_rng(0).permutation(len(pairs))
+        blocks = np.array([pairs[i][0] for i in order])
+        omegas = np.array([pairs[i][1] for i in order])
+        for eps in (0.3, 1.0, 3.0):
+            want = [scalar_decode(book, y, omega, eps, joint_vy)
+                    for y, omega in zip(blocks, omegas)]
+            for cells in BATCH_CELLS:
+                got = _decode_blocks(book, blocks, omegas, eps, joint_vy, cells)
+                assert got.tolist() == want
+            typical = [is_jointly_typical(book.word(omega, nu), y, joint_vy, eps)
+                       for y, omega, nu in zip(blocks, omegas, want)]
+            if eps == 1.0:  # the batch holds both fallbacks and decoded labels
+                assert not all(typical) and any(typical)
 
     def test_out_of_alphabet_symbols(self):
         book = make_codebook([[[0, 1, 0, 1]]], DIAG2)

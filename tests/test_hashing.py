@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gauss_share.errors import DomainError, KTooLarge
 from gauss_share.protocol.hashing import (
     InputHashMatrix,
+    _hash_rows,
     hash_matrix_for_input,
     privacy_amplify,
     seed_length,
@@ -138,6 +139,32 @@ class TestToeplitzHash:
                 differ = not np.array_equal(privacy_amplify(a, seed, k, size),
                                             privacy_amplify(b, seed, k, size))
                 assert privacy_amplify(a ^ b, seed, k, size).any() == differ
+
+    def test_batched_rows_equal_privacy_amplify(self):
+        # each row hashed under its own seed, every k up to the full length
+        rng = np.random.default_rng(9)
+        for size in (2, 4, 8):
+            n = 5
+            bits = n * (size.bit_length() - 1)
+            v = rng.integers(0, size, (6, n))
+            v[2] = 0
+            v_bits = symbols_to_bits(v.ravel(), size).reshape(len(v), bits)
+            for k in range(1, bits + 1):
+                seeds = rng.integers(0, 2, (len(v), bits + k - 1), dtype=np.uint8)
+                got = _hash_rows(seeds, v_bits, k)
+                assert got.shape == (len(v), k)
+                for row, vf, seed in zip(got, v, seeds):
+                    np.testing.assert_array_equal(row, privacy_amplify(vf, seed, k, size))
+                    np.testing.assert_array_equal(
+                        row, brute_hash(seed, symbols_to_bits(vf, size), k))
+
+    def test_long_rows_keep_their_parity(self):
+        # more than 255 ones meet in one output bit, past the uint8 range
+        for n_bits in (255, 256, 257, 600):
+            seed = np.ones(n_bits + 2, dtype=np.uint8)
+            v = np.ones(n_bits, dtype=np.uint8)
+            np.testing.assert_array_equal(toeplitz_hash(seed, v, 3), brute_hash(seed, v, 3))
+            assert toeplitz_hash(seed, v, 3).tolist() == [n_bits % 2] * 3
 
     def test_matrix_form_agrees(self):
         rng = np.random.default_rng(6)

@@ -13,7 +13,7 @@ from gauss_share.access_structure import monotone_closure, threshold_structure
 from gauss_share.errors import BudgetExceeded, InvalidConfig, KTooLarge
 from gauss_share.protocol import info
 from gauss_share.protocol.codebook import build_codebook, wz_decode, wz_encode
-from gauss_share.protocol.model import build_quantized_source
+from gauss_share.protocol.model import build_quantized_source, discretize_source
 from gauss_share.protocol import simulate
 from gauss_share.protocol.simulate import (
     ProtocolConfig,
@@ -94,6 +94,29 @@ class TestDeterminism:
         a = run_protocol(NOISELESS, ONE_OF_ONE, config(seed=0, trials=40, k=1))
         b = run_protocol(NOISELESS, ONE_OF_ONE, config(seed=1, trials=40, k=1))
         assert a.per_authorized[0].secret_errors != b.per_authorized[0].secret_errors
+
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_chunking_leaves_the_report_unchanged(self, monkeypatch, per_chunk):
+        # README source with secret errors; the budget fits per_chunk trials
+        # of 12 symbols of 4 values each, and also limits each count kernel
+        # call to one block
+        spec, structure = TestGoldenReports.README, TestGoldenReports.README_STRUCTURE
+        cfg = ProtocolConfig(seed=0, **TestGoldenReports.README_KNOBS)
+        whole = run_protocol(spec, structure, cfg)
+        assert whole.per_authorized[0].secret_errors > 0
+
+        sizes = []
+
+        def discretize(x_quantizer, y_quantizers, x, y):
+            sizes.append(x.size)
+            return discretize_source(x_quantizer, y_quantizers, x, y)
+
+        monkeypatch.setattr(simulate, "discretize_source", discretize)
+        monkeypatch.setattr(simulate, "_SAMPLE_BUDGET", 12 * 4 * per_chunk)
+        assert run_protocol(spec, structure, cfg) == whole
+        chunks, last = divmod(cfg.trials, per_chunk)
+        assert sizes == [12 * per_chunk] * chunks + [12 * last] * (last > 0)
 
 
 class TestGoldenReports:
@@ -247,6 +270,32 @@ class TestErrorStatistics:
         sampled = report.per_authorized[0].block_error_rate
         sigma = math.sqrt(exact * (1.0 - exact) / (trials * q))
         assert abs(sampled - exact) <= 5.0 * sigma
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        source=st.sampled_from([(PAIR, BOTH_NEEDED),
+                                (TestGoldenReports.README, TestGoldenReports.README_STRUCTURE)]),
+        l_quant=st.sampled_from([2, 4]),
+        n=st.integers(1, 4),
+        q=st.integers(1, 3),
+        k=st.integers(0, 4),
+        epsilon=st.sampled_from([0.2, 0.5, 0.9]),
+        rv=st.sampled_from([0.0, 0.5, 1.0]),
+        trials=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_error_counts_are_ordered(self, source, k, trials, **knobs):
+        (spec, structure) = source
+        assume(k <= knobs["n"] * knobs["q"] * (knobs["l_quant"].bit_length() - 1))
+        cfg = ProtocolConfig(k=k, trials=trials, rv_prime=knobs["rv"],
+                             exact_leakage=False, **knobs)
+        report = run_protocol(spec, structure, cfg)
+        assert [e.subset for e in report.per_authorized] == list(structure.authorized)
+        for e in report.per_authorized:
+            assert e.trials == trials and e.blocks == trials * cfg.q
+            assert e.secret_errors <= e.trial_block_errors
+            assert e.trial_block_errors <= min(e.block_errors, trials)
+            assert e.block_errors <= trials * cfg.q
 
     def test_reliability_improves_with_blocklength_at_fixed_symbols(self):
         # N = 12 split as 6x2, 3x4, 2x6: longer blocks reconcile better
