@@ -54,6 +54,7 @@ from .capacity import (
 )
 from .errors import (
     BudgetExceeded,
+    DegenerateVariance,
     DomainError,
     GaussShareError,
     InvalidConfig,
@@ -368,8 +369,8 @@ def cmd_simulate(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int 
     sim = parse_sim(cfg, seed)
     try:
         report = run_protocol(spec, structure, sim)
-    except (BudgetExceeded, KTooLarge, InvalidConfig) as exc:  # refusals of the sim knobs
-        raise cfg.fail("sim", str(exc)) from exc
+    except (BudgetExceeded, DegenerateVariance, KTooLarge, InvalidConfig) as exc:
+        raise cfg.fail("sim", str(exc)) from exc  # refusals of the sim knobs
     if fmt == "csv":
         rows = [
             "set,trials,secret_errors,secret_error_rate,secret_ci_lo,secret_ci_hi,"

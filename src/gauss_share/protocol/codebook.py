@@ -21,8 +21,8 @@ are exact on any platform, since no floating-point product (and so no BLAS
 kernel) forms them, and the typicality test applied to them is the same
 floating-point expression that is_letter_typical evaluates, so every
 decision equals the scalar definition and tests can enumerate both
-directions independently.  Each call handles as many blocks as fit in a cell
-budget its caller passes, and at least one.
+directions independently.  Each bincount covers as many blocks as fit in
+_KERNEL_CELLS index and count cells, and at least one.
 
 Typicality of (x, w) depends only on the letters of w, so the encoder's
 candidates are the codebook's distinct words, each with the first row-major
@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 _MAX_TABLE_CELLS = 100_000_000
+_KERNEL_CELLS = 20_000_000  # index and count cells of one bincount
 
 
 def _typical_from_counts(
@@ -198,20 +199,20 @@ def _first_typical(
     words: np.ndarray,
     joint: np.ndarray,
     epsilon: float,
-    cells: int,
 ) -> np.ndarray:
     """Index of the first of the words[groups[b]] jointly typical with
     blocks[b], for each of the (B, n) blocks, or W when none is.
 
     words is (G, W, n) over the joint's n_v codeword letters; joint[a, v] is
     the pmf of block letter a with codeword letter v.  Each bincount covers
-    as many blocks as fit in `cells` index and count cells, and at least one.
+    as many blocks as fit in _KERNEL_CELLS index and count cells, and at
+    least one.
     """
     n_blocks, n = blocks.shape
     n_words = words.shape[1]
     n_v = joint.shape[1]
     pmf = joint.ravel()
-    step = max(1, cells // (n_words * (n + pmf.size)))
+    step = max(1, _KERNEL_CELLS // (n_words * (n + pmf.size)))
     # offset of each (block, candidate) row in the flat count array
     rows = np.arange(min(step, n_blocks) * n_words).reshape(-1, n_words, 1) * pmf.size
     first = np.empty(n_blocks, dtype=np.int64)
@@ -227,17 +228,18 @@ def _first_typical(
 
 
 def _encode_blocks(
-    codebook: Codebook, x_blocks: np.ndarray, epsilon: float, cells: int
-) -> np.ndarray:
-    """Flat row-major label (omega - 1) * m_nu + (nu - 1) of each (B, n)
-    x-block: the first jointly typical one, else 0."""
+    codebook: Codebook, x_blocks: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """1-based labels (omegas, nus) of each (B, n) x-block: the first
+    (row-major) jointly typical one, else (1, 1)."""
     words, first = codebook._distinct
     distinct, inverse = np.unique(x_blocks, axis=0, return_inverse=True)
     hit = _first_typical(
         distinct, np.zeros(len(distinct), dtype=np.intp), words[None],
-        codebook.joint_xv, float(epsilon), cells,
+        codebook.joint_xv, float(epsilon),
     )
-    return np.append(first, 0)[hit][inverse.reshape(-1)]
+    rows, cols = np.divmod(np.append(first, 0)[hit][inverse.reshape(-1)], codebook.m_nu)
+    return rows + 1, cols + 1
 
 
 def _decode_blocks(
@@ -246,22 +248,18 @@ def _decode_blocks(
     omegas: np.ndarray,
     epsilon: float,
     joint_vy: np.ndarray,
-    cells: int,
 ) -> np.ndarray:
     """nu of each (B, n) y-block in its bin omegas[b] (1-based): the
     smallest typical one, else 1."""
-    hit = _first_typical(
-        y_blocks, omegas - 1, codebook.words, joint_vy.T, float(epsilon), cells
-    )
+    hit = _first_typical(y_blocks, omegas - 1, codebook.words, joint_vy.T, float(epsilon))
     return np.where(hit < codebook.m_nu, hit + 1, 1)
 
 
 def wz_encode(codebook: Codebook, x_seq: np.ndarray, epsilon: float) -> tuple[int, int]:
     """First (row-major) codeword label jointly typical with x, else (1, 1)."""
     x = _block(x_seq, codebook.n, codebook.joint_xv.shape[0], "x")
-    label = int(_encode_blocks(codebook, x[None], epsilon, cells=0)[0])
-    row, col = divmod(label, codebook.m_nu)
-    return row + 1, col + 1
+    omegas, nus = _encode_blocks(codebook, x[None], epsilon)
+    return int(omegas[0]), int(nus[0])
 
 
 def wz_decode(
@@ -285,4 +283,4 @@ def wz_decode(
         raise DomainError(f"joint_vy needs one row per codeword letter ({codebook.n_v})")
     y = _block(y_seq, codebook.n, n_y, "y")
     omegas = np.array([omega])
-    return int(_decode_blocks(codebook, y[None], omegas, epsilon, joint_vy, cells=0)[0])
+    return int(_decode_blocks(codebook, y[None], omegas, epsilon, joint_vy)[0])

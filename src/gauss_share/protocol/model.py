@@ -110,7 +110,7 @@ class DiscreteSourceModel:
         """p(v, x, y_subset), read-only, shape (n_v, n_x, n_y(subset)).
 
         The observation index is flattened with the first member most
-        significant, as the simulator numbers a coalition's observations.
+        significant, as `observations` numbers it.
         Built from the node factors on first read and kept; the laws kept
         before are dropped first when they and it would pass
         _MODEL_CELL_BUDGET cells.
@@ -137,6 +137,14 @@ class DiscreteSourceModel:
         law.flags.writeable = False
         self._laws[key] = law
         return law
+
+    def observations(self, y_bins: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
+        """Each symbol's observation by the coalition, numbered as joint(subset)'s
+        last axis, from the (size, L) observation bins y_bins."""
+        flat = np.zeros(y_bins.shape[0], dtype=np.int64)
+        for member in subset:
+            flat = flat * self.node_y.shape[3] + y_bins[:, member - 1]
+        return flat
 
     # -- single-letter marginals (flattened composite observation index) --
 
@@ -220,7 +228,9 @@ def build_quantized_source(
     Raises BudgetExceeded, before allocating, when the largest coalition's
     law (the grand coalition's, l_quant^(L+2) cells) or one X bin's node
     product for it (_QUAD_NODES * l_quant^(L+1) cells) passes
-    _MODEL_CELL_BUDGET.
+    _MODEL_CELL_BUDGET; and DegenerateVariance when rp_target is so small
+    that V would be independent of X, or so large that the auxiliary noise
+    variance rounds to 0.
     """
     gains = _require_gains(spec)
     if structure.l != spec.l:
@@ -254,6 +264,11 @@ def build_quantized_source(
                 "rp_target too small: the auxiliary would be independent of the source"
             )
         aux_noise_var = sigma2_cond * sx / (sx - sigma2_cond)
+        if not aux_noise_var > 0.0:
+            raise DegenerateVariance(
+                "rp_target too large: the auxiliary would equal the source "
+                "(rp_target null gives V = X)"
+            )
         v_quant = build_quantizer(sx + aux_noise_var, l_quant)
 
     # Gauss-Legendre nodes per X bin in u = CDF(x) coordinates, where the

@@ -68,8 +68,8 @@ _EXACT_SWEEP_BUDGET = 10_000_000
 # cells of the (2^k, messages, observations) law; the table is never built,
 # but its p log p terms are, so this bounds that float64 array
 _EXACT_TABLE_BUDGET = 20_000_000
-# float64 source samples of one trial, n*q*(1+L); also the cells of one
-# chunk's samples and of one count-kernel call (at least one trial and block)
+# float64 source samples of one trial, n*q*(1+L); also the samples of one
+# chunk of trials (at least one trial)
 _SAMPLE_BUDGET = 20_000_000
 _Z95 = 1.959963984540054  # standard normal quantile of a two-sided 95% interval
 
@@ -240,14 +240,6 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _flatten_observation(y_bins: np.ndarray, subset: tuple[int, ...], l_quant: int) -> np.ndarray:
-    """Composite observation index per symbol; member order most significant first."""
-    flat = np.zeros(y_bins.shape[0], dtype=np.int64)
-    for member in subset:
-        flat = flat * l_quant + y_bins[:, member - 1]
-    return flat
-
-
 def run_protocol(
     spec: SourceSpec,
     structure: AccessStructure,
@@ -288,10 +280,9 @@ def run_protocol(
         model.joint_xv(), n, config.rv, config.rv_prime,
         np.random.SeedSequence(config.seed, spawn_key=(0,)),
     )
-    exact = _leakage_is_exact(model, structure, codebook, config)
+    exact = _leakage_is_exact(structure, codebook, config)
     authorized = structure.authorized
     joint_vy = {a: model.joint_vy(a) for a in authorized}
-    words = codebook.words.reshape(-1, n)
     # one row per authorized coalition, added to in place through the row views:
     # secret errors, block errors, trials with a block error
     tally = np.zeros((len(authorized), 3), dtype=np.int64)
@@ -310,16 +301,13 @@ def run_protocol(
             model.x_quantizer, model.y_quantizers, np.concatenate(x), np.concatenate(y)
         )
         seeds = np.stack(seeds)
-        labels = _encode_blocks(codebook, x_bins.reshape(-1, n), config.epsilon, _SAMPLE_BUDGET)
-        omegas = labels // codebook.m_nu + 1
-        v = words[labels]  # (trials * q, n)
+        omegas, nus = _encode_blocks(codebook, x_bins.reshape(-1, n), config.epsilon)
+        v = codebook.words[omegas - 1, nus - 1]  # (trials * q, n)
 
         for row, a in zip(tally, authorized):
-            y_flat = _flatten_observation(y_bins, a, config.l_quant).reshape(-1, n)
-            nus = _decode_blocks(
-                codebook, y_flat, omegas, config.epsilon, joint_vy[a], _SAMPLE_BUDGET
-            )
-            v_hat = codebook.words[omegas - 1, nus - 1]
+            y_a = model.observations(y_bins, a).reshape(-1, n)
+            nus_a = _decode_blocks(codebook, y_a, omegas, config.epsilon, joint_vy[a])
+            v_hat = codebook.words[omegas - 1, nus_a - 1]
             mismatches = (v_hat != v).any(axis=1).reshape(len(trials), q).sum(axis=1)
             failed = mismatches > 0
             secret_errors = 0
@@ -371,7 +359,6 @@ def run_protocol(
 
 
 def _leakage_is_exact(
-    model: DiscreteSourceModel,
     structure: AccessStructure,
     codebook: Codebook,
     config: ProtocolConfig,
@@ -389,7 +376,8 @@ def _leakage_is_exact(
     table = (2 ** min(config.k, 60)) * (l ** (config.total_symbols * (1 + u_max)))
     budget_ok = sweep <= _EXACT_SWEEP_BUDGET and table <= _EXACT_TABLE_BUDGET
     if config.exact_leakage is None:
-        return config.total_symbols <= 8 and l == 2 and model.n_v == 2 and budget_ok
+        # l == 2 also makes V binary: both auxiliary modes quantize V into l bins
+        return config.total_symbols <= 8 and l == 2 and budget_ok
     if not budget_ok:
         raise BudgetExceeded(
             "exact leakage enumeration exceeds the state budget for this instance"
@@ -477,10 +465,9 @@ def _exact_leakage(
 
     # every x block, in itertools.product order
     x_blocks = np.indices((model.n_x,) * n).reshape(n, -1).T
-    labels = _encode_blocks(codebook, x_blocks, config.epsilon, _SAMPLE_BUDGET)
+    omegas, nus = _encode_blocks(codebook, x_blocks, config.epsilon)
     outcomes = list(zip(
-        (labels // codebook.m_nu + 1).tolist(),
-        map(tuple, codebook.words.reshape(-1, n)[labels].tolist()),
+        omegas.tolist(), map(tuple, codebook.words[omegas - 1, nus - 1].tolist())
     ))
     distinct = sorted(set(outcomes))
     out_id = {o: i for i, o in enumerate(distinct)}
@@ -501,9 +488,9 @@ def _exact_leakage(
     nonzero_m = combo_m[~combo_zero]
     copies = 2**k - 1  # secrets s >= 1, which all share the row `uniform`
 
+    # the empty coalition comes first (the masks ascend) and observes one
+    # cell, so its row gives I(S; M) and H(S)
     per_u = []
-    msg_leak = None
-    h_s = None
     for u in structure.unauthorized:
         p_xy = model.joint_xy(u)
         p_block = p_xy
@@ -531,12 +518,8 @@ def _exact_leakage(
         h_my = info.entropy(_stacked_sum(first, uniform, copies))
         h_s_here = _stacked_entropy(first.sum(), uniform.sum(), copies)
         leak_u = h_s_here + h_my - h_smy
-
-        if msg_leak is None:
-            first_m, uniform_m = first.sum(axis=1), uniform.sum(axis=1)
-            h_m = info.entropy(_stacked_sum(first_m, uniform_m, copies))
-            msg_leak = h_s_here + h_m - _stacked_entropy(first_m, uniform_m, copies)
-            h_s = h_s_here
+        if not per_u:
+            msg_leak, h_s = leak_u, h_s_here
 
         if leak_u < msg_leak - 1e-9 or msg_leak < -1e-9:
             raise NumericError("leakage chain rule violated in exact enumeration")

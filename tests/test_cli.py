@@ -332,6 +332,10 @@ class TestSimulateCommand:
         (dict(l_quant=3), "hashing a 3-letter auxiliary needs a power-of-two alphabet"),
         (dict(n=4, q=4, k=12, exact_leakage=True),
          "exact leakage enumeration exceeds the state budget for this instance"),
+        (dict(rp_target=1e-17),
+         "rp_target too small: the auxiliary would be independent of the source"),
+        (dict(rp_target=600.0), "rp_target too large: the auxiliary would equal the "
+                                "source (rp_target null gives V = X)"),
     ])
     def test_run_refusals_are_anchored_to_the_sim_block(self, tmp_path, capsys,
                                                          knobs, message):
@@ -830,6 +834,47 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, "region", "--config", path)
         assert code == 2
         assert "max > min" in err
+
+
+_BASE = {"version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
+         "rp": {"value": 1.0}}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("command, doc, key, message", [
+    ("capacity", [_BASE], "version", "config must be a JSON object"),
+    *[("capacity", _without(_BASE, block), None, f"missing or malformed {block} block")
+      for block in ("source", "access", "rp")],
+    ("simulate", _BASE, None, "missing or malformed sim block"),
+    ("capacity", dict(_BASE, source=dict(EXAMPLE_SOURCE, covariance=[[1.0]])), "source",
+     "source needs exactly one of gains, covariance"),
+    ("capacity", dict(_BASE, source={"gains": [0.5, 1.0, 0.8]}), "source",
+     "gains form needs sigma2_x"),
+    ("capacity", dict(_BASE, access={"threshold": 4}), "access", "t=4 outside 1..3"),
+    ("capacity", dict(_BASE, access={"minimal_sets": [[1, 4]]}), "access",
+     "generator members must lie in 1..3"),
+    ("capacity", dict(_BASE, access={"minimal_sets": [[1], []]}), "access",
+     "generator sets must be nonempty"),
+    ("capacity", dict(_BASE, access={"minimal_sets": []}), "access",
+     "at least one generator set is required"),
+    ("region", dict(_BASE, rp={"grid": 7}), "grid", "rp grid must be an object"),
+    ("region", dict(_BASE, rp={"grid": {"min": 0.0, "max": 1.0}}), "grid",
+     "rp grid needs numeric min, max, points"),
+    ("capacity", dict(_BASE, rp={"values": [1.0]}), "rp",
+     "rp must be a value, a grid, or infinity"),
+    ("simulate", dict(_BASE, sim=dict(TestSimulateCommand.SIM, epsilon=1.5)), "sim",
+     "epsilon must lie in (0, 1)"),
+])
+def test_config_refusals_name_their_line(tmp_path, capsys, command, doc, key, message):
+    # a key the config lacks anchors the message to line 1
+    path = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, command, "--config", path)
+    line = 1 if key is None else line_of(path, key)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:{line}: {message}\n"
 
 
 class TestArgumentParsing:

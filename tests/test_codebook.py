@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gauss_share.errors import BudgetExceeded, DomainError, IndexOutOfRange
+from gauss_share.protocol import codebook
 from gauss_share.protocol.codebook import (
     Codebook,
     _decode_blocks,
@@ -115,7 +116,8 @@ def all_blocks(n_letters, n):
     return np.array(list(itertools.product(range(n_letters), repeat=n)), dtype=np.int64)
 
 
-# cell budgets of one block per bincount, a few blocks, and the whole batch
+# kernel budgets (codebook._KERNEL_CELLS) of one block per bincount, a few
+# blocks, and the whole batch
 BATCH_CELLS = (0, 500, 10**9)
 
 
@@ -216,7 +218,7 @@ class TestEncoder:
                     x = np.array(x)
                     assert wz_encode(book, x, eps) == scalar_encode(book, x, eps)
 
-    def test_batched_exhaustive_against_scalar_loop(self):
+    def test_batched_exhaustive_against_scalar_loop(self, monkeypatch):
         # the square, repeated-words and 3x2 books above, every x-block in
         # one batch, each block twice and the second copy in reverse order
         joint = np.array([[0.4, 0.1], [0.1, 0.4]])
@@ -233,9 +235,9 @@ class TestEncoder:
             for eps in (0.2, 0.6, 1.5, 2.5):
                 want = [scalar_encode(book, x, eps) for x in blocks]
                 for cells in BATCH_CELLS:
-                    flat = _encode_blocks(book, blocks, eps, cells)
-                    got = [(int(f) // book.m_nu + 1, int(f) % book.m_nu + 1) for f in flat]
-                    assert got == want
+                    monkeypatch.setattr(codebook, "_KERNEL_CELLS", cells)
+                    omegas, nus = _encode_blocks(book, blocks, eps)
+                    assert list(zip(omegas.tolist(), nus.tolist())) == want
                 fallbacks = sum(
                     not is_jointly_typical(x, book.word(*label), book.joint_xv, eps)
                     for x, label in zip(blocks, want)
@@ -319,7 +321,8 @@ class TestDecoder:
         ([[0.35, 0.15], [0.1, 0.4]], 1.0, 1.0, 3, 9),  # repeated words
         ([[0.25, 0.1, 0.1, 0.05], [0.05, 0.1, 0.1, 0.25]], 0.5, 0.75, 4, 21),  # composite y
     ])
-    def test_batched_exhaustive_against_scalar_loop(self, joint_vy, rv, rv_prime, n, seed):
+    def test_batched_exhaustive_against_scalar_loop(self, monkeypatch, joint_vy, rv,
+                                                    rv_prime, n, seed):
         # every (y-block, bin) pair in one batch, bins interleaved in a
         # fixed shuffled order
         joint_vy = np.array(joint_vy)
@@ -334,7 +337,8 @@ class TestDecoder:
             want = [scalar_decode(book, y, omega, eps, joint_vy)
                     for y, omega in zip(blocks, omegas)]
             for cells in BATCH_CELLS:
-                got = _decode_blocks(book, blocks, omegas, eps, joint_vy, cells)
+                monkeypatch.setattr(codebook, "_KERNEL_CELLS", cells)
+                got = _decode_blocks(book, blocks, omegas, eps, joint_vy)
                 assert got.tolist() == want
             typical = [is_jointly_typical(book.word(omega, nu), y, joint_vy, eps)
                        for y, omega, nu in zip(blocks, omegas, want)]
@@ -354,13 +358,13 @@ class TestDecoder:
             wz_decode(book, [0, 1, 0, 1], 1, 0.1, np.full((3, 2), 1.0 / 6.0))
 
 
-class TestLabelMemo:
+class TestCachedDistinctWords:
     JOINT = np.array([[0.4, 0.1], [0.1, 0.4]])
 
-    def test_memoized_labels_equal_a_fresh_codebook(self):
+    def test_cached_words_give_a_fresh_codebooks_labels(self):
         book = build_codebook(self.JOINT, 4, 0.5, 0.5, np.random.SeedSequence(9))
         blocks = list(itertools.product(range(2), repeat=4))
-        for _ in range(2):  # the second pass reads the memo
+        for _ in range(2):  # the second pass reads the cached distinct words
             for x in blocks:
                 for eps in (0.2, 1.5, 0.6):  # interleaved on one codebook
                     for form in (list(x), np.array(x, np.int8), np.array(x, np.int64)):

@@ -141,6 +141,17 @@ class TestAdditiveAuxiliary:
         with pytest.raises(DegenerateVariance):
             build_quantized_source(SPEC, STRUCT, 4, rp_target=1e-300)
 
+    def test_rate_target_past_the_float_range_rejected(self):
+        # on the README source the optimal conditional variance is exactly
+        # 0.0 from rp ~ 538, which would make V = X through a zero noise scale
+        spec = SourceSpec.from_gains(2.0, [0.5, 1.0, 0.8])
+        structure = monotone_closure(3, [[1, 2], [2, 3]])
+        with pytest.raises(DegenerateVariance, match="rp_target too large: the "
+                           "auxiliary would equal the source"):
+            build_quantized_source(spec, structure, 2, rp_target=600.0)
+        model = build_quantized_source(spec, structure, 2, rp_target=537.0)
+        assert model.aux_noise_var > 0.0  # the smallest subnormal still builds
+
     def test_rate_target_domain(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError):

@@ -14,7 +14,7 @@ from gauss_share.errors import BudgetExceeded, InvalidConfig, KTooLarge
 from gauss_share.protocol import info
 from gauss_share.protocol.codebook import build_codebook, wz_decode, wz_encode
 from gauss_share.protocol.model import build_quantized_source, discretize_source
-from gauss_share.protocol import simulate
+from gauss_share.protocol import codebook, simulate
 from gauss_share.protocol.simulate import (
     ProtocolConfig,
     _exact_leakage,
@@ -98,9 +98,9 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("per_chunk", [1, 3])
     def test_chunking_leaves_the_report_unchanged(self, monkeypatch, per_chunk):
-        # README source with secret errors; the budget fits per_chunk trials
-        # of 12 symbols of 4 values each, and also limits each count kernel
-        # call to one block
+        # README source with secret errors; the sample budget fits per_chunk
+        # trials of 12 symbols of 4 values each, and the same kernel budget
+        # limits each bincount to one block
         spec, structure = TestGoldenReports.README, TestGoldenReports.README_STRUCTURE
         cfg = ProtocolConfig(seed=0, **TestGoldenReports.README_KNOBS)
         whole = run_protocol(spec, structure, cfg)
@@ -114,6 +114,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(simulate, "discretize_source", discretize)
         monkeypatch.setattr(simulate, "_SAMPLE_BUDGET", 12 * 4 * per_chunk)
+        monkeypatch.setattr(codebook, "_KERNEL_CELLS", 12 * 4 * per_chunk)
         assert run_protocol(spec, structure, cfg) == whole
         chunks, last = divmod(cfg.trials, per_chunk)
         assert sizes == [12 * per_chunk] * chunks + [12 * last] * (last > 0)
