@@ -9,6 +9,12 @@ probability below (1 - epsilon)/n can never be matched at blocklength n, so
 typical sets of heavily skewed distributions are empty at small n and the
 encoder's (1, 1) fallback dominates.
 
+Codewords are drawn i.i.d. from p_V, bit for bit as Generator.choice with
+p=p_V draws them: the same uniforms, drawn _DRAW_CHUNK at a time into one
+reused buffer, each mapped to its count of choice's CDF entries <= it.  The
+draw holds the table plus one chunk, where choice held a second
+table-sized array of uniforms.
+
 The encoder returns the row-major first jointly typical codeword label
 (omega, nu), both 1-based; the decoder searches one omega row and returns the
 smallest typical nu, falling back to 1.
@@ -58,6 +64,7 @@ __all__ = [
 
 _MAX_TABLE_CELLS = 100_000_000
 _KERNEL_CELLS = 20_000_000  # index and count cells of one bincount
+_DRAW_CHUNK = 2**16  # uniforms drawn at a time for the codebook table
 
 
 def _typical_from_counts(
@@ -161,6 +168,42 @@ def _label_count(n: int, rate: float) -> int:
     return max(1, math.ceil(2.0 ** exponent - 1e-12))
 
 
+def _draw_letters(
+    rng: np.random.Generator, p_v: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
+    """rng.choice(p_v.size, size=shape, p=p_v / p_v.sum()), bit for bit.
+
+    choice draws one uniform u per symbol in row-major order and returns
+    the number of its CDF entries <= u (searchsorted, side="right").  Here
+    the uniforms come _DRAW_CHUNK at a time, which consumes the bit
+    generator's stream exactly as one draw of the whole shape does, and the
+    count is a binary search over the interior CDF padded with +inf to
+    2^height - 1 entries: height gather-and-compare steps, the first against
+    one entry for every uniform.  Comparisons are exact, so a zero-mass
+    letter is never drawn, as in choice; the last CDF entry is 1.0, above
+    every uniform, so it is left out (a one-letter pmf has only padding).
+    """
+    p = p_v / p_v.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    height = max(1, (p.size - 1).bit_length())
+    bounds = np.full(2**height - 1, np.inf)
+    bounds[: p.size - 1] = cdf[:-1]
+    words = np.empty(shape, dtype=np.int64)
+    flat = words.reshape(-1)
+    uniforms = np.empty(min(_DRAW_CHUNK, flat.size))
+    for lo in range(0, flat.size, _DRAW_CHUNK):
+        letters = flat[lo : lo + _DRAW_CHUNK]
+        u = uniforms[: letters.size]
+        rng.random(out=u)
+        step = 1 << (height - 1)
+        np.multiply(bounds[step - 1] <= u, step, out=letters)
+        while step > 1:
+            step >>= 1
+            letters += step * (bounds[letters + (step - 1)] <= u)
+    return words
+
+
 def build_codebook(
     joint_xv: np.ndarray,
     n: int,
@@ -168,8 +211,25 @@ def build_codebook(
     rv_prime: float,
     seed_seq: np.random.SeedSequence,
 ) -> Codebook:
-    """Draw ceil(2^(n rv)) x ceil(2^(n rv')) codewords i.i.d. from p_V."""
+    """Draw ceil(2^(n rv)) x ceil(2^(n rv')) codewords i.i.d. from p_V.
+
+    joint_xv must be a 2-D table of finite, nonnegative cells with a
+    positive finite sum; p_V is its column sum, normalized.  The words equal
+    np.random.default_rng(seed_seq).choice(n_v, size=(m_omega, m_nu, n),
+    p=p_V) bit for bit, but are drawn in chunks of _DRAW_CHUNK uniforms, so
+    the draw holds the int64 table plus one chunk.  The table may hold at
+    most _MAX_TABLE_CELLS cells, checked before anything is drawn.
+    """
     joint_xv = np.asarray(joint_xv, dtype=float)
+    if joint_xv.ndim != 2:
+        raise DomainError("joint_xv must be a 2-D table p(x, v)")
+    if not (np.isfinite(joint_xv).all() and (joint_xv >= 0).all()):
+        raise DomainError("joint_xv cells must be finite and nonnegative")
+    with np.errstate(over="ignore"):  # a sum that overflows is refused below
+        p_v = joint_xv.sum(axis=0)
+        total = p_v.sum()
+    if not 0 < total < np.inf:
+        raise DomainError("joint_xv must have a positive finite sum")
     n = int(n)
     if n < 1:
         raise DomainError("blocklength must be at least 1")
@@ -179,9 +239,7 @@ def build_codebook(
         raise BudgetExceeded(
             f"codebook table would hold {m_omega * m_nu * n} cells"
         )
-    p_v = joint_xv.sum(axis=0)
-    rng = np.random.default_rng(seed_seq)
-    words = rng.choice(p_v.size, size=(m_omega, m_nu, n), p=p_v / p_v.sum())
+    words = _draw_letters(np.random.default_rng(seed_seq), p_v, (m_omega, m_nu, n))
     return Codebook(words=words, joint_xv=joint_xv)
 
 

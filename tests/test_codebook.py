@@ -2,13 +2,17 @@
 
 The count-kernel encoder and decoder are checked exhaustively against plain
 Python loops over is_jointly_typical, and the typicality predicate itself
-against hand-counted cases.
+against hand-counted cases.  The chunked codeword draw is checked bit for
+bit against Generator.choice, the draw it replaced.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gauss_share.errors import BudgetExceeded, DomainError, IndexOutOfRange
 from gauss_share.protocol import codebook
@@ -168,6 +172,20 @@ class TestBuildCodebook:
         with pytest.raises(BudgetExceeded):
             build_codebook(self.JOINT, 50, 0.5, 0.2, np.random.SeedSequence(1))
 
+    @pytest.mark.parametrize("joint, why", [
+        ([0.25, 0.75], "2-D"),
+        (np.ones((2, 2, 2)) / 8, "2-D"),
+        ([[0.5, np.nan], [0.2, 0.3]], "finite and nonnegative"),
+        ([[0.5, np.inf], [0.2, 0.3]], "finite and nonnegative"),
+        ([[0.5, -0.1], [0.2, 0.4]], "finite and nonnegative"),
+        ([[0.0, 0.0], [0.0, 0.0]], "positive finite sum"),
+        (np.zeros((2, 0)), "positive finite sum"),
+        ([[1e308, 1e308], [1e308, 1e308]], "positive finite sum"),
+    ])
+    def test_invalid_joint_is_refused(self, joint, why):
+        with pytest.raises(DomainError, match=why):
+            build_codebook(joint, 4, 0.5, 0.5, np.random.SeedSequence(1))
+
     def test_word_lookup_is_one_based(self):
         book = build_codebook(self.JOINT, 4, 0.5, 0.25, np.random.SeedSequence(1))
         np.testing.assert_array_equal(book.word(1, 1), book.words[0, 0])
@@ -175,6 +193,103 @@ class TestBuildCodebook:
         for omega, nu in ((0, 1), (1, 0), (5, 1), (1, 3)):
             with pytest.raises(IndexOutOfRange):
                 book.word(omega, nu)
+
+
+def choice_words(joint_xv, n, rv, rv_prime, seed_seq):
+    """The codebook table as Generator.choice draws it, the reference the
+    chunked draw must equal bit for bit."""
+    p_v = np.asarray(joint_xv, dtype=float).sum(axis=0)
+    shape = (codebook._label_count(n, rv), codebook._label_count(n, rv_prime), n)
+    rng = np.random.default_rng(seed_seq)
+    return rng.choice(p_v.size, size=shape, p=p_v / p_v.sum())
+
+
+def assert_draws_like_choice(joint_xv, n, rv, rv_prime, seed):
+    got = build_codebook(joint_xv, n, rv, rv_prime, np.random.SeedSequence(seed)).words
+    want = choice_words(joint_xv, n, rv, rv_prime, np.random.SeedSequence(seed))
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    assert (got == want).all()
+
+
+@st.composite
+def letter_weights(draw):
+    """Unnormalized p_V over 1 to 300 letters (the model admits l_quant up
+    to 271 at one observer): random weights with zero-mass letters first,
+    in the middle or last, or a point mass."""
+    n_v = draw(st.integers(1, 300))
+    weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n_v)
+    if draw(st.booleans()):
+        weights = np.where(np.arange(n_v) == draw(st.integers(0, n_v - 1)), weights, 0.0)
+    else:
+        weights[sorted(draw(st.sets(st.sampled_from([0, n_v // 2, n_v - 1]))))] = 0.0
+    assume(weights.sum() > 0)
+    return weights
+
+
+class TestDrawMatchesChoice:
+    """build_codebook's words equal Generator.choice over p_V bit for bit."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        weights=letter_weights(),
+        split=st.floats(0.0, 1.0),
+        n=st.integers(1, 8),
+        rv=st.sampled_from([0.0, 0.25, 0.5]),
+        rv_prime=st.sampled_from([0.0, 0.25, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_alphabet_and_shape(self, weights, split, n, rv, rv_prime, seed):
+        # chunks of 7 uniforms: tables of 1..6 cells sit below a chunk,
+        # (1, 1, 7) fills exactly one, and larger ones cross several; p_V is
+        # the column sum of a two-row joint
+        joint_xv = np.stack([weights * split, weights * (1.0 - split)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codebook, "_DRAW_CHUNK", 7)
+            assert_draws_like_choice(joint_xv, n, rv, rv_prime, seed)
+
+    @pytest.mark.parametrize("n, rv, rv_prime", [
+        (8, 1.0, 0.5),  # 32,768 cells, half a chunk
+        (4, 1.75, 1.75),  # 65,536 cells, exactly one chunk
+        (8, 1.0, 1.0),  # 524,288 cells (the mc-long-block table), eight chunks
+        (5, 1.6, 1.2),  # 256 x 64 x 5 = 81,920 cells, a chunk and a quarter
+    ])
+    @pytest.mark.parametrize("weights", [
+        [0.25, 0.75],
+        [0.3, 0.0, 0.7],
+        np.arange(300.0) % 7,
+    ])
+    def test_tables_at_the_default_chunk(self, n, rv, rv_prime, weights):
+        for seed in (0, 1, 2**31 + 5):
+            assert_draws_like_choice(np.atleast_2d(weights), n, rv, rv_prime, seed)
+
+    @pytest.mark.parametrize("joint, n, rv, rv_prime, seed", [
+        # the TestBuildCodebook draws
+        (TestBuildCodebook.JOINT, 4, 0.5, 0.25, 1),
+        (TestBuildCodebook.JOINT, 3, 0.0, 0.0, 1),
+        (TestBuildCodebook.JOINT, 5, 1.0, 0.5, 42),
+        (TestBuildCodebook.JOINT, 10, 1.0, 0.5, 7),
+        # the TestEncoder draws
+        ([[0.4, 0.1], [0.1, 0.4]], 4, 0.5, 0.5, 9),
+        ([[0.4, 0.1], [0.1, 0.4]], 3, 1.0, 1.0, 9),
+        ([[0.30, 0.05], [0.10, 0.15], [0.05, 0.35]], 4, 0.5, 0.5, 9),
+        ([[0.20, 0.10, 0.05], [0.05, 0.20, 0.05], [0.00, 0.10, 0.25]], 4, 0.75, 0.5, 4),
+    ])
+    def test_fixture_codebooks(self, joint, n, rv, rv_prime, seed):
+        assert_draws_like_choice(joint, n, rv, rv_prime, seed)
+
+    def test_peak_memory_is_the_table_plus_one_chunk(self):
+        # Generator.choice held a float64 array of uniforms as large as the
+        # int64 table, so it peaked at twice the table
+        tracemalloc.start()
+        try:
+            book = build_codebook(TestBuildCodebook.JOINT, 8, 1.0, 1.0,
+                                  np.random.SeedSequence(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert book.words.nbytes == 4 * 2**20
+        assert peak < 1.5 * book.words.nbytes
 
 
 class TestEncoder:
