@@ -350,14 +350,19 @@ def saddle_check(
     analytic feasibility boundary; the boundary point dominates, so the grid
     verifies rather than finds the optimum.
 
+    The oracle evaluates (|A| + |U|) * live gaps on the grid, live being
+    the grid points at or above the smallest authorized edge (the only ones
+    either order reads), and |A| * |U| at the authorized edge points.
     Raises BudgetExceeded, before any work, when grid_size times the larger
     family or the authorized family times the unauthorized one passes
-    _ORACLE_CELL_BUDGET: the oracle evaluates about (|A| + |U|) * grid_size
-    gaps on the grid and |A| * |U| at the authorized edge points.  Every
-    family-by-points matrix is taken in row blocks of at most
-    _ORACLE_BLOCK_CELLS cells (1 MiB), or one row when the points alone are
-    more, so peak memory is a few such blocks and point-sized columns.  Max
-    and min are exact, so the result does not depend on the block size.
+    _ORACLE_CELL_BUDGET; the check counts the full grid, so whether a
+    request is refused does not depend on rp.  Every family-by-points
+    matrix is taken in row blocks of at most _ORACLE_BLOCK_CELLS cells
+    (1 MiB), or one row when the points alone are more, each computed in
+    place in one buffer that holds either, so peak memory is that buffer
+    and a few point-sized columns.  The buffer's ufuncs run in _rate_gap's
+    order, and max and min are exact, so the result does not depend on the
+    block size.
     """
     rp = _check_rate(rp)
     grid_size = int(grid_size)
@@ -378,49 +383,70 @@ def saddle_check(
     snr_a, snr_u = table[structure.authorized_masks], table[structure.unauthorized_masks]
     grid = np.geomspace(sx * 1e-8, sx, grid_size)
 
-    def gap(s, snr):
-        # _rate_gap, broadcast over the caller's arrays
-        return 0.5 * np.log2((sx * snr + 1.0) / (s * snr + 1.0))
-
-    def largest(points: np.ndarray, snr: np.ndarray) -> np.ndarray:
-        # the family's largest gap at each point, in blocks of the family's rows
-        out = np.full(points.size, -np.inf)
-        rows = max(1, _ORACLE_BLOCK_CELLS // points.size)
-        for lo in range(0, snr.size, rows):
-            np.maximum(out, np.max(gap(points, snr[lo : lo + rows, None]), axis=0), out=out)
-        return out
-
     def boundary(snr: float) -> float:
         if is_unlimited(rp):
             return float(grid[0])
         return optimal_conditional_variance(spec, snr, rp)
 
+    # Only the live columns, grid points at or above the smallest authorized
+    # edge, are evaluated.  An A reads no column below its own edge, where it
+    # is infeasible (masked to -inf), so no A reads a column below the
+    # smallest edge.  The max-min-min order reads the columns at or above the
+    # weakest A's edge, which is one of these edges (the largest, as
+    # optimal_conditional_variance is nonincreasing in the SNR even under
+    # rounding).  The last grid point, sigma2_x, is always live.
+    s_edges = np.array([boundary(float(oa)) for oa in snr_a])
+    live = grid[np.searchsorted(grid, s_edges.min()) :]
+    buffer = np.empty(max(_ORACLE_BLOCK_CELLS, live.size, snr_a.size))
+
+    def gap(s, snr, out: np.ndarray) -> np.ndarray:
+        # _rate_gap, broadcast over the caller's arrays into out, in its order
+        np.multiply(s, snr, out=out)
+        np.add(out, 1.0, out=out)
+        np.divide(sx * snr + 1.0, out, out=out)
+        np.log2(out, out=out)
+        return np.multiply(out, 0.5, out=out)
+
+    def blocks(points: np.ndarray, snr: np.ndarray):
+        # (rows, gaps of those rows of the family at every point): blocks of
+        # at most _ORACLE_BLOCK_CELLS cells, or one row when the points alone
+        # are more, each computed in the one buffer, which holds either
+        rows = max(1, _ORACLE_BLOCK_CELLS // points.size)
+        for lo in range(0, snr.size, rows):
+            col = snr[lo : lo + rows, None]
+            out = buffer[: col.size * points.size].reshape(col.size, points.size)
+            yield slice(lo, lo + rows), gap(points, col, out)
+
+    def largest(points: np.ndarray, snr: np.ndarray) -> np.ndarray:
+        # the family's largest gap at each point
+        out = np.full(points.size, -np.inf)
+        for _, block in blocks(points, snr):
+            np.maximum(out, np.max(block, axis=0), out=out)
+        return out
+
     # min over A of (max over feasible s of (min over U of secret rate)); the
     # min over U subtracts the largest unauthorized gap at each s, which does
     # not depend on A.  Each A's maximum is over its edge point and its
-    # feasible grid points, infeasible ones masked to -inf; the same pass
-    # lowers each column's least authorized gap.
-    max_u_grid = largest(grid, snr_u)
-    s_edges = np.array([boundary(float(oa)) for oa in snr_a])
-    per_a_max = gap(s_edges, snr_a) - largest(s_edges, snr_u)
-    min_a_grid = np.full(grid_size, np.inf)
-    rows = max(1, _ORACLE_BLOCK_CELLS // grid_size)
-    for lo in range(0, snr_a.size, rows):
-        block = slice(lo, lo + rows)
-        gap_a = gap(grid, snr_a[block, None])
-        np.minimum(min_a_grid, np.min(gap_a, axis=0), out=min_a_grid)
-        gap_a -= max_u_grid
-        gap_a[grid < s_edges[block, None]] = -np.inf
-        np.maximum(per_a_max[block], np.max(gap_a, axis=1), out=per_a_max[block])
+    # feasible live points, infeasible ones masked to -inf; the same pass
+    # lowers each live column's least authorized gap.
+    max_u_live = largest(live, snr_u)
+    per_a_max = gap(s_edges, snr_a, np.empty(snr_a.size)) - largest(s_edges, snr_u)
+    min_a_live = np.full(live.size, np.inf)
+    for rows, gap_a in blocks(live, snr_a):
+        np.minimum(min_a_live, np.min(gap_a, axis=0), out=min_a_live)
+        gap_a -= max_u_live
+        gap_a[live < s_edges[rows, None]] = -np.inf
+        np.maximum(per_a_max[rows], np.max(gap_a, axis=1), out=per_a_max[rows])
     min_min_max = float(np.min(per_a_max))
 
     # max over s feasible at the weakest authorized coalition of
     # (min over pairs of secret rate); separable into min_A - max_U, read
-    # from the grid columns above plus the edge point.
+    # from the live columns above plus the edge point.
     s_edge = boundary(float(ext.snr_authorized))
-    feasible = grid >= s_edge
-    edge_inner = np.min(gap(s_edge, snr_a)) - largest(np.array([s_edge]), snr_u)[0]
-    inner = np.append(min_a_grid[feasible] - max_u_grid[feasible], edge_inner)
+    feasible = live >= s_edge
+    edge_inner = np.min(gap(s_edge, snr_a, buffer[: snr_a.size]))
+    edge_inner -= largest(np.array([s_edge]), snr_u)[0]
+    inner = np.append(min_a_live[feasible] - max_u_live[feasible], edge_inner)
     max_min_min = float(np.max(inner))
 
     return SaddleCheck(

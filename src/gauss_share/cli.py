@@ -36,6 +36,7 @@ import numpy as np
 
 from .access_structure import (
     AccessStructure,
+    ExtremalSets,
     extremal_sets,
     monotone_closure,
     threshold_extremal_chain,
@@ -301,23 +302,20 @@ def parse_sim(cfg: _Config, seed_override: int | None) -> ProtocolConfig:
         raise cfg.fail("sim", str(exc)) from exc
 
 
-def _point_row(point: CapacityPoint) -> str:
+def _extremal_cells(ext: ExtremalSets) -> str:
+    """The a_star and u_star cells of a point row."""
+    return f'"{_fmt_subset(ext.min_authorized)}","{_fmt_subset(ext.max_unauthorized)}"'
+
+
+def _point_row(point: CapacityPoint, extremal_cells: str) -> str:
     sigma_txt = "" if point.sigma2_star is None else _fmt(point.sigma2_star)
-    return ",".join(
-        [
-            _fmt_rp(point.rp),
-            _fmt(point.cs),
-            sigma_txt,
-            f'"{_fmt_subset(point.extremal.min_authorized)}"',
-            f'"{_fmt_subset(point.extremal.max_unauthorized)}"',
-        ]
-    )
+    return ",".join([_fmt_rp(point.rp), _fmt(point.cs), sigma_txt, extremal_cells])
 
 
 def cmd_capacity(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | None) -> str:
     point = secret_capacity(spec, structure, _single_rp(cfg, "capacity"))
     if fmt == "csv":
-        return f"{_POINT_HEADER}\n{_point_row(point)}"
+        return f"{_POINT_HEADER}\n{_point_row(point, _extremal_cells(point.extremal))}"
     sigma_txt = "unattained" if point.sigma2_star is None else _fmt(point.sigma2_star)
     return "\n".join(
         [
@@ -335,9 +333,11 @@ def cmd_region(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | 
     if not isinstance(grid, np.ndarray):
         raise cfg.fail("rp", "region needs an rp grid")
     region = rate_region(spec, structure, grid)
-    saturation = CapacityPoint(UNLIMITED, region.cs_infinity, None, region.points[0].extremal)
+    ext = region.points[0].extremal  # one search serves every point
+    saturation = CapacityPoint(UNLIMITED, region.cs_infinity, None, ext)
+    cells = _extremal_cells(ext)
     # the sweep is tabular data either way, so text and csv coincide here
-    return "\n".join([_POINT_HEADER, *map(_point_row, (*region.points, saturation))])
+    return "\n".join([_POINT_HEADER, *(_point_row(p, cells) for p in (*region.points, saturation))])
 
 
 def cmd_threshold(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | None) -> str:

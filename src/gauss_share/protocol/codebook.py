@@ -160,11 +160,18 @@ class Codebook:
 
 
 def _label_count(n: int, rate: float) -> int:
+    """ceil(2^(n rate)) labels, at least one.  An n rate within a relative
+    1e-12 of a whole number e is e: n = 25, rate = 0.56 multiplies to
+    14.000000000000002, and 2.0 ** that passes 2^14 by more than the
+    absolute slack that absorbs rounding elsewhere."""
     if rate < 0:
         raise DomainError("codebook rates must be nonnegative")
     exponent = n * rate
     if exponent > 62.0:
         raise BudgetExceeded(f"2^{exponent:.4g} codebook labels cannot be enumerated")
+    whole = round(exponent)
+    if abs(exponent - whole) <= 1e-12 * whole:
+        return 2**whole
     return max(1, math.ceil(2.0 ** exponent - 1e-12))
 
 

@@ -432,6 +432,59 @@ class TestSaddleOracle:
             tracemalloc.stop()
         assert peak < structure.unauthorized_masks.size * grid_size * 8
 
+    def test_peak_memory_is_one_block_buffer(self):
+        # one 1 MiB buffer serves every block; the live columns and a few
+        # point-sized columns fit in the second MiB
+        spec = SourceSpec.from_gains(2.0, np.linspace(0.3, 1.2, 10))
+        structure = threshold_structure(10, 5)
+        saddle_check(spec, structure, 40.0, 100)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            saddle_check(spec, structure, 40.0, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @staticmethod
+    def rate_with_edge_at(spec, snr, target):
+        """A public rate at which optimal_conditional_variance(spec, snr, .)
+        is exactly target, or None: bisection, then the floats next to it."""
+        lo, hi = 0.0, 64.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if optimal_conditional_variance(spec, snr, mid) > target else (lo, mid)
+        rp = lo  # the edge at lo is above target; it falls as rp grows
+        for _ in range(40):
+            rp = math.nextafter(rp, math.inf)
+            if optimal_conditional_variance(spec, snr, rp) == target:
+                return rp
+        return None
+
+    @pytest.mark.parametrize("structure", [
+        threshold_structure(6, 3),
+        monotone_closure(6, [[1, 2], [3, 4, 5], [5, 6]]),
+    ], ids=["threshold", "closure"])
+    def test_smallest_edge_on_an_inner_grid_point(self, structure):
+        # the strongest authorized coalition has the smallest edge; place it
+        # exactly on a grid point, the first live one
+        spec = SourceSpec.from_gains(2.0, [1.0, 0.6, 0.8, 1.2, 0.9, 0.7])
+        grid_size = 1000
+        grid = np.geomspace(spec.sigma2_x * 1e-8, spec.sigma2_x, grid_size)
+        strongest = max(derive_gain_vector(spec, a).snr for a in structure.authorized)
+        for k in range(grid_size // 2, grid_size - 1):
+            rp = self.rate_with_edge_at(spec, strongest, float(grid[k]))
+            if rp is not None:
+                break
+        assert rp is not None
+        edges = [optimal_conditional_variance(spec, derive_gain_vector(spec, a).snr, rp)
+                 for a in structure.authorized]
+        assert min(edges) == grid[k]
+        chk = saddle_check(spec, structure, rp, grid_size)
+        assert (chk.min_min_max, chk.max_min_min) == self.per_pair_reference(
+            spec, structure, rp, grid_size
+        )
+
     def test_the_snr_table_is_built_once(self, monkeypatch):
         # covariance mode: each table entry is one subset_snr call
         spec, structure = SourceSpec.from_covariance(self.COV7), threshold_structure(7, 3)
@@ -637,3 +690,25 @@ def test_property_threshold_verdict_agrees_with_direct_capacities(case, sigma2_x
         assert cs_t >= cs_t_plus_i - 1e-9
     else:
         assert cs_t <= cs_t_plus_i + 1e-9
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    sources_and_structures(),
+    st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1e-9, exclude_min=True),
+        st.floats(0.0, 12.0),
+        st.just(40.0),
+        st.just(UNLIMITED),
+    ),
+    st.integers(100, 2000),
+)
+def test_property_oracle_equals_the_per_pair_loop(case, rp, grid_size):
+    # rp = 0 and a rate too small to move 2^(2 rp) off 1 put every edge on
+    # the last grid point, UNLIMITED on the first, and 40 below the grid
+    spec, structure = case
+    chk = saddle_check(spec, structure, rp, grid_size)
+    assert (chk.min_min_max, chk.max_min_min) == TestSaddleOracle.per_pair_reference(
+        spec, structure, rp, grid_size
+    )

@@ -7,6 +7,7 @@ bit against Generator.choice, the draw it replaced.
 """
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -135,6 +136,30 @@ class TestBuildCodebook:
         assert book.m_nu == 2
         assert book.n == 4
         assert book.n_v == 2
+
+    def test_whole_exponents_give_powers_of_two(self):
+        # every two-digit rate within the 2^62 budget at n <= 40: a whole
+        # n * rate = e gives 2^e labels, though the float product can miss e
+        # by a few ulps either way; every other count is
+        # ceil(2.0 ** (n * rate) - 1e-12), as before whole exponents were
+        # rounded
+        mended = []
+        for n in range(1, 41):
+            for hundredths in itertools.count():
+                rate = hundredths / 100
+                if n * rate > 62.0:
+                    break
+                count = codebook._label_count(n, rate)
+                before = max(1, math.ceil(2.0 ** (n * rate) - 1e-12))
+                if n * hundredths % 100:
+                    assert count == before
+                    continue
+                assert count == 2 ** (n * hundredths // 100)
+                if count != before:
+                    mended.append((n, rate))
+        assert mended == [(25, 0.56), (25, 1.12), (25, 2.2), (25, 2.24), (25, 2.28), (25, 2.32)]
+        book = build_codebook(self.JOINT, 25, 0.56, 0.0, np.random.SeedSequence(1))
+        assert book.m_omega == 2**14
 
     def test_zero_rate_gives_single_label(self):
         book = build_codebook(self.JOINT, 3, 0.0, 0.0, np.random.SeedSequence(1))
