@@ -231,22 +231,22 @@ def _extremal_from_table(structure: AccessStructure, table: np.ndarray) -> Extre
     return ExtremalSets(min_a, max_u, snr_a, snr_u)
 
 
-def threshold_extremal_chain(spec: SourceSpec, l: int) -> list[ExtremalSets]:
-    """Extremal sets of every threshold structure t = 1..l, as nested chains.
+def threshold_extremal_chain(spec: SourceSpec) -> list[ExtremalSets]:
+    """Extremal sets of every threshold structure t = 1..l, as nested chains,
+    for the source's l participants.
 
     Sorting participants by absolute gain makes the extremal sets explicit:
     for threshold t the weakest authorized coalition is the t participants of
     smallest absolute gain, and the strongest excluded coalition is the t-1
     participants of largest absolute gain.  Consecutive entries are nested,
     which is what makes threshold capacities comparable by a single ratio
-    test.  Requires gains mode (per-participant observations).
+    test.  No subset is enumerated, so the participant cap of the structure
+    builders does not apply.  Requires gains mode (per-participant
+    observations).
     """
     if spec.mode != "gains":
         raise DomainError("threshold chains require a gains-mode source")
-    l = _validate_l(l)
-    if spec.l != l:
-        raise IndexOutOfRange(f"source has {spec.l} participants, expected {l}")
-
+    l = spec.l
     order = sorted(range(1, l + 1), key=lambda p: (abs(float(spec.gains[p - 1])), p))
     chain = []
     for t in range(1, l + 1):

@@ -257,10 +257,9 @@ class ThresholdComparison:
     used_fallback: bool
 
 
-def threshold_compare(
-    spec: SourceSpec, l: int, t: int, i: int, rp
-) -> ThresholdComparison:
-    """Compare threshold-t capacity against threshold-(t+i) via the ratio test.
+def threshold_compare(spec: SourceSpec, t: int, i: int, rp) -> ThresholdComparison:
+    """Compare threshold-t capacity against threshold-(t+i) via the ratio test,
+    over the source's l participants.
 
     The verdict holds for every public rate; the supplied rp is used for the
     internal cross-check against direct capacity evaluation.  When raising
@@ -268,10 +267,10 @@ def threshold_compare(
     denominator) the verdict falls back to that direct comparison.
     """
     rp = _check_rate(rp)
-    t, i = int(t), int(i)
-    if t < 1 or i < 1 or t + i > int(l):
+    t, i, l = int(t), int(i), spec.l
+    if t < 1 or i < 1 or t + i > l:
         raise IndexOutOfRange(f"need 1 <= t, 1 <= i, t+i <= l; got t={t}, i={i}, l={l}")
-    return _compare_on_chain(spec, threshold_extremal_chain(spec, l), t, i, rp)
+    return _compare_on_chain(spec, threshold_extremal_chain(spec), t, i, rp)
 
 
 def _compare_on_chain(

@@ -53,16 +53,7 @@ from .capacity import (
     saddle_check,
     secret_capacity,
 )
-from .errors import (
-    BudgetExceeded,
-    DegenerateVariance,
-    DomainError,
-    GaussShareError,
-    InvalidConfig,
-    KTooLarge,
-    NumericError,
-    ValidationError,
-)
+from .errors import GaussShareError, InvalidConfig, NumericError, ValidationError
 from .protocol import ProtocolConfig, run_protocol
 from .protocol.simulate import _fmt_subset
 from .source_model import SourceSpec
@@ -237,7 +228,7 @@ def parse_access(cfg: _Config, spec: SourceSpec, command: str) -> AccessStructur
 def parse_rp(cfg: _Config):
     """UNLIMITED, a finite rate as a float, or an rp grid as an array."""
     block = cfg.data.get("rp")
-    if block == "infinity" or block == {"infinity": True}:
+    if block == "infinity":
         return UNLIMITED
     if not isinstance(block, dict):
         raise cfg.fail("rp", "missing or malformed rp block")
@@ -356,7 +347,7 @@ def cmd_threshold(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int
             rows.append(f"{t},{_fmt_rp(rp)},{_fmt(_capacity_value(spec, ext, rp))}")
     rows.append("")
     rows.append("t,i,lhs,rhs,verdict")
-    chain = threshold_extremal_chain(spec, l)
+    chain = threshold_extremal_chain(spec)
     for t in range(1, l):
         for i in range(1, l - t + 1):
             comp = _compare_on_chain(spec, chain, t, i, rp_values[-1])
@@ -369,7 +360,7 @@ def cmd_simulate(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int 
     sim = parse_sim(cfg, seed)
     try:
         report = run_protocol(spec, structure, sim)
-    except (BudgetExceeded, DegenerateVariance, KTooLarge, InvalidConfig) as exc:
+    except ValidationError as exc:
         raise cfg.fail("sim", str(exc)) from exc  # refusals of the sim knobs
     if fmt == "csv":
         rows = [
@@ -399,6 +390,7 @@ def cmd_simulate(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int 
             for subset, value in report.leakage:
                 rows.append(f'"leakage{_fmt_subset(subset)}",{_fmt(value)}')
             rows.append(f"message_leakage,{_fmt(report.message_leakage)}")
+            rows.append(f"secret_entropy,{_fmt(report.secret_entropy)}")
             rows.append(f"uniformity_gap,{_fmt(report.uniformity_gap)}")
         rows.append(f"message_bits_per_symbol,{_fmt(report.message_bits_per_symbol)}")
         rows.append(f"seed_bits_per_symbol,{_fmt(report.seed_bits_per_symbol)}")
@@ -418,7 +410,7 @@ def cmd_oracle(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | 
     grid_size = _number(cfg, "grid_size", block.get("grid_size", 10_000), integer=True)
     try:
         check = saddle_check(spec, structure, rp, grid_size)
-    except (BudgetExceeded, DomainError) as exc:  # the grid_size floor or cell budget
+    except ValidationError as exc:  # the grid_size floor or cell budget
         raise cfg.fail("grid_size", str(exc)) from exc
     _check_saddle_orders(check)
     pairs = [

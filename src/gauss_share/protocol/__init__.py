@@ -25,7 +25,6 @@ from .hashing import (
     privacy_amplify,
     seed_length,
     symbols_to_bits,
-    toeplitz_hash,
 )
 from .model import (
     DiscreteSourceModel,
@@ -71,7 +70,6 @@ __all__ = [
     "sample_source",
     "seed_length",
     "symbols_to_bits",
-    "toeplitz_hash",
     "wilson_interval",
     "wz_decode",
     "wz_encode",

@@ -137,10 +137,15 @@ class Codebook:
     def p_v(self) -> np.ndarray:
         return self.joint_xv.sum(axis=0)
 
-    def word(self, omega: int, nu: int) -> np.ndarray:
-        """Codeword for 1-based labels."""
-        if not (1 <= omega <= self.m_omega and 1 <= nu <= self.m_nu):
-            raise IndexOutOfRange(f"label ({omega}, {nu}) outside the codebook")
+    def word(self, omega, nu) -> np.ndarray:
+        """Codeword for 1-based labels: (n,) for scalar labels, (..., n) for
+        label arrays, which broadcast against each other."""
+        omega, nu = np.asarray(omega), np.asarray(nu)
+        inside = (1 <= omega) & (omega <= self.m_omega) & (1 <= nu) & (nu <= self.m_nu)
+        if not inside.all():
+            raise IndexOutOfRange(
+                f"a label lies outside the {self.m_omega} x {self.m_nu} codebook"
+            )
         return self.words[omega - 1, nu - 1]
 
     @functools.cached_property

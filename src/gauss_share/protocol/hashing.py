@@ -1,20 +1,23 @@
 """Two-universal privacy amplification via Toeplitz matrices over GF(2).
 
-The hash of an N-symbol block is a k-bit vector T(seed) @ bits(v) mod 2,
-where T(seed) is the k x (N b) Toeplitz matrix whose diagonals are the seed
-bits and b = log2(alphabet size).  The seed therefore has d = N b + k - 1
-bits; it is public and is charged to the public channel by the protocol
-report.  Output bit i is the window seed[i : i + N b] against the reversed
-input bits, so one integer product of a sliding window view of the seeds
-with the bit rows hashes a batch of inputs, each under its own seed; a
-single hash is the one-row case.  Because the map is linear in the seed for
-fixed input, the output distribution over a uniform seed is uniform on the
-column space of an input-dependent matrix (`hash_matrix_for_input`: row i,
-column t holds bit v[N b - 1 + i - t]).  That matrix has full rank k for
-every nonzero input: if j is its highest set bit, columns
-t = N b - 1 - j + i (i < k) are triangular with a unit diagonal.  So the
-exact leakage evaluator takes the output as uniform on all 2^k values for a
-nonzero input and as 0 for the zero input.
+`privacy_amplify` is the one hash entry point.  The hash of an N-symbol
+block is a k-bit vector T(seed) @ bits(v) mod 2, where bits(v) is the
+big-endian expansion of each symbol into b = log2(alphabet size) bits (an
+alphabet of 2 hashes raw bits) and T(seed) is the k x (N b) Toeplitz matrix
+whose diagonals are the seed bits.  The seed therefore has d = N b + k - 1
+bits (`seed_length`, which also refuses k > N b); it is public and is
+charged to the public channel by the protocol report.  Output bit i is the
+window seed[i : i + N b] against the reversed input bits, so one integer
+product of a sliding window view of the seeds with the bit rows hashes a
+batch of rows, each under its own seed; a single block is the one-row case.
+Because the map is linear in the seed for fixed input, the output
+distribution over a uniform seed is uniform on the column space of an
+input-dependent matrix (`hash_matrix_for_input`: row i, column t holds bit
+v[N b - 1 + i - t]).  That matrix has full rank k for every nonzero input:
+if j is its highest set bit, columns t = N b - 1 - j + i (i < k) are
+triangular with a unit diagonal.  So the exact leakage evaluator takes the
+output as uniform on all 2^k values for a nonzero input and as 0 for the
+zero input.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "privacy_amplify",
     "seed_length",
     "symbols_to_bits",
-    "toeplitz_hash",
 ]
 
 
@@ -46,66 +48,58 @@ def _bits_per_symbol(alphabet_size: int) -> int:
 
 
 def seed_length(n_symbols: int, alphabet_size: int, k: int) -> int:
-    """Toeplitz seed length d = N log2|V| + k - 1; zero when k = 0."""
+    """Toeplitz seed length d = N log2|V| + k - 1; zero when k = 0.
+
+    Raises DomainError for k < 0 or, when k > 0, an alphabet size that is
+    not a power of two, and KTooLarge when k exceeds the N log2|V| input bits.
+    """
     k = int(k)
     if k < 0:
         raise DomainError("secret length must be nonnegative")
     if k == 0:
         return 0
-    return int(n_symbols) * _bits_per_symbol(alphabet_size) + k - 1
+    n_bits = int(n_symbols) * _bits_per_symbol(alphabet_size)
+    if k > n_bits:
+        raise KTooLarge(f"cannot extract {k} bits from {n_bits} input bits")
+    return n_bits + k - 1
 
 
 def symbols_to_bits(v_seq: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """Big-endian bit expansion of each symbol, concatenated."""
+    """Big-endian bit expansion of each symbol, concatenated along the last
+    axis: (..., N) symbols give (..., N b) bits."""
     b = _bits_per_symbol(alphabet_size)
     v = np.asarray(v_seq, dtype=np.int64)
     if v.size and (v.min() < 0 or v.max() >= alphabet_size):
         raise DomainError("symbol outside the declared alphabet")
     shifts = np.arange(b - 1, -1, -1)
-    return ((v[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
-
-
-def _hash_rows(seeds: np.ndarray, v_bits: np.ndarray, k: int) -> np.ndarray:
-    """(F, k) Toeplitz hashes of the (F, N b) bit rows, row f under seeds[f].
-
-    seeds is (F, N b + k - 1) and k >= 1.  Both operands are uint8, so the
-    product's sums wrap modulo 256, an even modulus: their parity is exact.
-    """
-    seeds = np.asarray(seeds).astype(np.uint8, copy=False)
-    v_bits = np.asarray(v_bits).astype(np.uint8, copy=False)
-    windows = sliding_window_view(seeds, v_bits.shape[1], axis=1)  # (F, k, N b)
-    return (windows @ v_bits[:, ::-1, None])[:, :, 0] & 1
-
-
-def toeplitz_hash(seed_bits: np.ndarray, v_bits: np.ndarray, k: int) -> np.ndarray:
-    """k output bits of the Toeplitz product of one seed and one bit string."""
-    k = int(k)
-    if k == 0:
-        return np.zeros(0, dtype=np.uint8)
-    seed = np.asarray(seed_bits, dtype=np.int64)
-    v = np.asarray(v_bits, dtype=np.int64)
-    n_bits = v.size
-    if seed.size != n_bits + k - 1:
-        raise DomainError(
-            f"seed must have {n_bits + k - 1} bits, got {seed.size}"
-        )
-    return _hash_rows(seed[None], v[None], k)[0]
+    bits = ((v[..., None] >> shifts) & 1).astype(np.uint8)
+    return bits.reshape(*v.shape[:-1], v.shape[-1] * b)
 
 
 def privacy_amplify(
     v_seq: np.ndarray, seed_bits: np.ndarray, k: int, alphabet_size: int
 ) -> np.ndarray:
-    """Hash an N-symbol block down to k secret bits (empty when k = 0)."""
-    k = int(k)
-    if k < 0:
-        raise DomainError("secret length must be nonnegative")
-    if k == 0:
-        return np.zeros(0, dtype=np.uint8)
+    """Hash N-symbol rows down to k secret bits each (empty when k = 0).
+
+    v_seq is one row (N,) or a batch (..., N); seed_bits holds one seed of
+    seed_length(N, alphabet_size, k) bits per row, (d,) or (..., d), and
+    row f is hashed under seed f.  Returns (k,) or (..., k) uint8 bits.
+    Raises what seed_length raises, and DomainError for seeds of another
+    shape or a symbol outside the alphabet.  The integer product's uint8
+    sums wrap modulo 256, an even modulus, so their parity is exact.
+    """
     v = np.asarray(v_seq, dtype=np.int64)
-    b = _bits_per_symbol(alphabet_size)
-    if k > v.size * b:
-        raise KTooLarge(f"cannot extract {k} bits from {v.size * b} input bits")
-    return toeplitz_hash(seed_bits, symbols_to_bits(v, alphabet_size), k)
+    seeds = np.asarray(seed_bits)
+    d = seed_length(v.shape[-1], alphabet_size, k)
+    if k == 0:
+        return np.zeros((*v.shape[:-1], 0), dtype=np.uint8)
+    if seeds.shape != (*v.shape[:-1], d):
+        raise DomainError(
+            f"seeds must have shape {(*v.shape[:-1], d)}, got {seeds.shape}"
+        )
+    bits = symbols_to_bits(v, alphabet_size)
+    windows = sliding_window_view(seeds.astype(np.uint8, copy=False), bits.shape[-1], axis=-1)
+    return (windows @ bits[..., ::-1, None])[..., 0] & 1
 
 
 @dataclass(frozen=True)
@@ -142,10 +136,10 @@ class InputHashMatrix:
 
 
 def hash_matrix_for_input(v_bits: np.ndarray, k: int) -> InputHashMatrix:
-    """Matrix of the seed-linear map seed -> toeplitz_hash(seed, v_bits, k).
+    """Matrix of the seed-linear map seed -> privacy_amplify(v_bits, seed, k, 2).
 
     Row i, column t holds v_bits[n_bits - 1 + i - t] when that index is in
-    range, matching the convolution slice used by toeplitz_hash.
+    range, matching the window that privacy_amplify reads for output bit i.
     """
     k = int(k)
     v = np.asarray(v_bits, dtype=np.uint8)

@@ -8,11 +8,12 @@ dealer keeps the selected codewords as its secret material) and, per
 authorized coalition, one batched decoder call.  A secret is a symbol string
 hashed down to k bits with the trial's seed.  The error pattern, a
 coalition's string XOR the dealer's, is what gets hashed, and only in the
-trials where one of its blocks failed, all in one batched hash: symbol XOR
-is bit XOR for a power-of-two alphabet and the hash is linear over GF(2), so
-the two secrets differ exactly when the pattern hashes to nonzero.  Reported
-per coalition: how often the secrets disagree and how often individual
-blocks fail reconciliation.  The report does not depend on the chunk size.
+trials where one of its blocks failed, all in one batched call of the
+package's one hash, `hashing.privacy_amplify`: symbol XOR is bit XOR for a
+power-of-two alphabet and the hash is linear over GF(2), so the two secrets
+differ exactly when the pattern hashes to nonzero.  Reported per coalition:
+how often the secrets disagree and how often individual blocks fail
+reconciliation.  The report does not depend on the chunk size.
 
 Security accounting is exact or absent, never sampled: for small instances
 the full joint distribution of (secret, public messages, unauthorized
@@ -32,14 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..access_structure import AccessStructure
-from ..errors import (
-    BudgetExceeded,
-    InvalidConfig,
-    KTooLarge,
-    NumericError,
-)
+from ..errors import BudgetExceeded, InvalidConfig, NumericError
 from ..source_model import SourceSpec
-from . import info
+from . import hashing, info
 from .bounds import (
     AchievableRateBound,
     ReconciliationErrorBound,
@@ -48,7 +44,6 @@ from .bounds import (
     error_bound,
 )
 from .codebook import Codebook, _decode_blocks, _encode_blocks, build_codebook
-from .hashing import _hash_rows, seed_length, symbols_to_bits
 from .model import (
     DiscreteSourceModel,
     build_quantized_source,
@@ -252,8 +247,10 @@ def run_protocol(
     then one batched decode per authorized coalition, whose errors add to
     that coalition's tally.  Raises BudgetExceeded, before any trial, when
     exact_leakage=True on an instance too large to enumerate, or, before any
-    work, when a trial would sample more than _SAMPLE_BUDGET values; and
-    InvalidConfig for inconsistent knobs.
+    work, when a trial would sample more than _SAMPLE_BUDGET values; and,
+    from hashing.seed_length before the codebook is drawn, DomainError for a
+    k > 0 secret over a non-power-of-two auxiliary alphabet and KTooLarge
+    for k above the N log2|V| input bits.
     """
     if config.total_symbols * (1 + spec.l) > _SAMPLE_BUDGET:
         raise BudgetExceeded(f"n*q = {config.total_symbols} symbols of {1 + spec.l} values "
@@ -262,17 +259,8 @@ def run_protocol(
     n, q, k = config.n, config.q, config.k
     big_n = config.total_symbols
     n_v = model.n_v
-
-    if k > 0 and (n_v & (n_v - 1)) != 0:
-        raise InvalidConfig(
-            f"hashing a {n_v}-letter auxiliary needs a power-of-two alphabet"
-        )
-    bits_per_symbol = n_v.bit_length() - 1 if k > 0 else 0
-    if k > 0 and k > big_n * bits_per_symbol:
-        raise KTooLarge(
-            f"cannot extract {k} bits from {big_n * bits_per_symbol} input bits"
-        )
-    d = seed_length(big_n, n_v, k)
+    # refuses a non-power-of-two alphabet and k > N log2|V| before any draw
+    d = hashing.seed_length(big_n, n_v, k)
 
     # child i of SeedSequence(seed).spawn(), made only when it is used:
     # child 0 draws the codebook, child 1 + t drives trial t
@@ -302,19 +290,19 @@ def run_protocol(
         )
         seeds = np.stack(seeds)
         omegas, nus = _encode_blocks(codebook, x_bins.reshape(-1, n), config.epsilon)
-        v = codebook.words[omegas - 1, nus - 1]  # (trials * q, n)
+        v = codebook.word(omegas, nus)  # (trials * q, n)
 
         for row, a in zip(tally, authorized):
             y_a = model.observations(y_bins, a).reshape(-1, n)
             nus_a = _decode_blocks(codebook, y_a, omegas, config.epsilon, joint_vy[a])
-            v_hat = codebook.words[omegas - 1, nus_a - 1]
+            v_hat = codebook.word(omegas, nus_a)
             mismatches = (v_hat != v).any(axis=1).reshape(len(trials), q).sum(axis=1)
             failed = mismatches > 0
             secret_errors = 0
             if k > 0 and failed.any():
                 patterns = (v_hat ^ v).reshape(len(trials), big_n)[failed]
-                bits = symbols_to_bits(patterns.ravel(), n_v).reshape(len(patterns), -1)
-                secret_errors = _hash_rows(seeds[failed], bits, k).any(axis=1).sum()
+                hashes = hashing.privacy_amplify(patterns, seeds[failed], k, n_v)
+                secret_errors = hashes.any(axis=1).sum()
             row += (secret_errors, mismatches.sum(), failed.sum())
 
     per_authorized = tuple(
@@ -467,7 +455,7 @@ def _exact_leakage(
     x_blocks = np.indices((model.n_x,) * n).reshape(n, -1).T
     omegas, nus = _encode_blocks(codebook, x_blocks, config.epsilon)
     outcomes = list(zip(
-        omegas.tolist(), map(tuple, codebook.words[omegas - 1, nus - 1].tolist())
+        omegas.tolist(), map(tuple, codebook.word(omegas, nus).tolist())
     ))
     distinct = sorted(set(outcomes))
     out_id = {o: i for i, o in enumerate(distinct)}

@@ -85,13 +85,13 @@ ONE_OF_ONE = threshold_structure(1, 1)
 
 def test_criterion_1_threshold_chain_values_and_dominance():
     with verdict(1, "threshold chain regression", budget=1.0):
-        chain = threshold_extremal_chain(FIVE, 5)
+        chain = threshold_extremal_chain(FIVE)
         assert round(chain[3].snr_authorized, 4) == 2.9975
         assert round(chain[3].snr_unauthorized, 4) == 2.7125
         assert round(chain[4].snr_authorized, 4) == 3.9975
         assert round(chain[4].snr_unauthorized, 4) == 3.4350
 
-        cmp45 = threshold_compare(FIVE, 5, t=4, i=1, rp=1.0)
+        cmp45 = threshold_compare(FIVE, t=4, i=1, rp=1.0)
         assert cmp45.verdict == "at_most"
         assert not cmp45.used_fallback
         assert cmp45.cs_t <= cmp45.cs_t_plus_i + 1e-12

@@ -290,7 +290,7 @@ def test_extremal_requires_matching_sizes():
 
 def test_threshold_chain_nesting_and_sizes():
     spec = SourceSpec.from_gains(2.0, [1.0, 0.85, 0.9, 0.95, 0.75])
-    chain = threshold_extremal_chain(spec, 5)
+    chain = threshold_extremal_chain(spec)
     assert len(chain) == 5
     for t, ext in enumerate(chain, start=1):
         assert len(ext.min_authorized) == t
@@ -307,7 +307,7 @@ def test_threshold_chain_agrees_with_extremal_sets():
         spec = SourceSpec.from_gains(
             float(rng.uniform(0.5, 3.0)), rng.uniform(0.05, 2.0, l)
         )
-        chain = threshold_extremal_chain(spec, l)
+        chain = threshold_extremal_chain(spec)
         for t in range(1, l + 1):
             ext = extremal_sets(threshold_structure(l, t), spec)
             assert chain[t - 1].snr_authorized == ext.snr_authorized
@@ -318,7 +318,7 @@ def test_threshold_chain_requires_gains_mode():
     cov = [[1.0, 0.5], [0.5, 2.0]]
     spec = SourceSpec.from_covariance(cov)
     with pytest.raises(DomainError):
-        threshold_extremal_chain(spec, 1)
+        threshold_extremal_chain(spec)
 
 
 def test_masks_are_read_only():

@@ -221,7 +221,7 @@ class TestThresholdCompare:
     SPEC5 = SourceSpec.from_gains(2.0, [1.0, 0.85, 0.9, 0.95, 0.75])
 
     def test_known_instance_verdict(self):
-        comp = threshold_compare(self.SPEC5, 5, 4, 1, 1.0)
+        comp = threshold_compare(self.SPEC5, 4, 1, 1.0)
         assert comp.verdict == "at_most"
         assert comp.lhs == pytest.approx(0.7225, abs=1e-12)
         assert comp.rhs == pytest.approx(6.425 / 6.995, rel=1e-12)
@@ -230,7 +230,7 @@ class TestThresholdCompare:
 
     def test_first_threshold_dominates(self):
         for i in range(1, 5):
-            comp = threshold_compare(self.SPEC5, 5, 1, i, 2.0)
+            comp = threshold_compare(self.SPEC5, 1, i, 2.0)
             assert comp.verdict == "at_least"
             assert comp.cs_t >= comp.cs_t_plus_i - 1e-12
 
@@ -244,7 +244,7 @@ class TestThresholdCompare:
             t = int(rng.integers(1, l))
             i = int(rng.integers(1, l - t + 1))
             rp = float(rng.uniform(0.05, 6.0))
-            comp = threshold_compare(spec, l, t, i, rp)
+            comp = threshold_compare(spec, t, i, rp)
             if comp.verdict == "at_least":
                 assert comp.cs_t >= comp.cs_t_plus_i - 1e-9
             else:
@@ -252,14 +252,14 @@ class TestThresholdCompare:
 
     def test_zero_gain_participants_trigger_fallback(self):
         spec = SourceSpec.from_gains(1.0, [0.0, 0.0, 1.0])
-        comp = threshold_compare(spec, 3, 1, 1, 0.7)
+        comp = threshold_compare(spec, 1, 1, 0.7)
         assert comp.used_fallback
         assert comp.lhs is None
 
     def test_index_validation(self):
         for t, i in ((0, 1), (1, 0), (5, 1), (3, 3)):
             with pytest.raises(IndexOutOfRange):
-                threshold_compare(self.SPEC5, 5, t, i, 1.0)
+                threshold_compare(self.SPEC5, t, i, 1.0)
 
 
 class TestSaddleOracle:
@@ -683,7 +683,7 @@ def test_property_threshold_verdict_agrees_with_direct_capacities(case, sigma2_x
     gains, (t, i) = case
     l = len(gains)
     spec = SourceSpec.from_gains(sigma2_x, gains)
-    comp = threshold_compare(spec, l, t, i, rp)
+    comp = threshold_compare(spec, t, i, rp)
     cs_t = secret_capacity(spec, threshold_structure(l, t), rp).cs
     cs_t_plus_i = secret_capacity(spec, threshold_structure(l, t + i), rp).cs
     if comp.verdict == "at_least":

@@ -329,7 +329,7 @@ class TestSimulateCommand:
         (dict(l_quant=4096), "l_quant 4096 with 1 observers needs 68719476736 "
                              "cells, above the model budget of 20000000"),
         (dict(k=3), "cannot extract 3 bits from 2 input bits"),
-        (dict(l_quant=3), "hashing a 3-letter auxiliary needs a power-of-two alphabet"),
+        (dict(l_quant=3), "hashing needs a power-of-two alphabet, got size 3"),
         (dict(n=4, q=4, k=12, exact_leakage=True),
          "exact leakage enumeration exceeds the state budget for this instance"),
         (dict(rp_target=1e-17),
@@ -504,7 +504,8 @@ class TestGoldenOutput:
     """stdout of output forms the capacity goldens above leave out (CSV,
     "infinity", and simulate on the README source with exact leakage),
     pinned byte for byte to output recorded before the command-line front
-    end was rewritten."""
+    end was rewritten; the simulate CSV was recorded again when it gained
+    its secret_entropy row, every other row unchanged."""
 
     @pytest.mark.parametrize("golden, argv, block", [
         ("capacity_cli_l10_capacity_csv", ["capacity", "--format", "csv"],
@@ -864,6 +865,8 @@ def _without(doc, key):
     ("region", dict(_BASE, rp={"grid": {"min": 0.0, "max": 1.0}}), "grid",
      "rp grid needs numeric min, max, points"),
     ("capacity", dict(_BASE, rp={"values": [1.0]}), "rp",
+     "rp must be a value, a grid, or infinity"),
+    ("capacity", dict(_BASE, rp={"infinity": True}), "rp",
      "rp must be a value, a grid, or infinity"),
     ("simulate", dict(_BASE, sim=dict(TestSimulateCommand.SIM, epsilon=1.5)), "sim",
      "epsilon must lie in (0, 1)"),

@@ -219,6 +219,22 @@ class TestBuildCodebook:
             with pytest.raises(IndexOutOfRange):
                 book.word(omega, nu)
 
+    def test_word_lookup_takes_label_arrays(self):
+        book = build_codebook(self.JOINT, 4, 0.5, 0.25, np.random.SeedSequence(1))
+        omegas = np.array([[1, 4, 2], [3, 3, 1]])
+        nus = np.array([[1, 2, 2], [1, 2, 1]])
+        got = book.word(omegas, nus)
+        assert got.shape == (2, 3, book.n)
+        for index in np.ndindex(omegas.shape):
+            np.testing.assert_array_equal(got[index], book.word(omegas[index], nus[index]))
+        # a column of omegas against a row of nus: every pairing
+        np.testing.assert_array_equal(book.word(np.arange(1, 5)[:, None], [1, 2]), book.words)
+        for omega, nu in ((0, 1), (1, 0), (5, 1), (1, 3)):
+            bad_omegas, bad_nus = omegas.copy(), nus.copy()
+            bad_omegas[1, 2], bad_nus[1, 2] = omega, nu
+            with pytest.raises(IndexOutOfRange):
+                book.word(bad_omegas, bad_nus)
+
 
 def choice_words(joint_xv, n, rv, rv_prime, seed_seq):
     """The codebook table as Generator.choice draws it, the reference the

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from gauss_share.errors import DomainError, KTooLarge
 from gauss_share.protocol.hashing import (
     InputHashMatrix,
-    _hash_rows,
     hash_matrix_for_input,
     privacy_amplify,
     seed_length,
     symbols_to_bits,
-    toeplitz_hash,
 )
 
 
@@ -53,6 +51,13 @@ class TestSeedLength:
         with pytest.raises(DomainError):
             seed_length(4, 1, 2)
 
+    def test_secret_longer_than_the_input_is_refused(self):
+        assert seed_length(4, 4, 8) == 15
+        with pytest.raises(KTooLarge, match="cannot extract 9 bits from 8 input bits"):
+            seed_length(4, 4, 9)
+        with pytest.raises(KTooLarge, match="cannot extract 1 bits from 0 input bits"):
+            seed_length(0, 2, 1)
+
 
 class TestSymbolBits:
     def test_big_endian_expansion(self):
@@ -71,6 +76,13 @@ class TestSymbolBits:
     def test_empty(self):
         assert symbols_to_bits([], 4).size == 0
 
+    def test_leading_axes_are_kept(self):
+        v = np.array([[[2, 1], [3, 0]], [[0, 1], [1, 1]]])
+        bits = symbols_to_bits(v, 4)
+        assert bits.shape == (2, 2, 4)
+        for index in np.ndindex(v.shape[:-1]):
+            np.testing.assert_array_equal(bits[index], symbols_to_bits(v[index], 4))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             symbols_to_bits([0, 3], 3)
@@ -81,27 +93,29 @@ class TestSymbolBits:
 
 
 class TestToeplitzHash:
+    """The Toeplitz product itself: privacy_amplify on raw bits (alphabet 2)."""
+
     def test_zero_secret_is_empty(self):
-        assert toeplitz_hash(np.zeros(0), np.array([1, 0, 1]), 0).size == 0
+        assert privacy_amplify(np.array([1, 0, 1]), np.zeros(0), 0, 2).size == 0
 
     def test_zero_input_hashes_to_zero(self):
         rng = np.random.default_rng(1)
         seed = rng.integers(0, 2, 8 + 1 - 1)
-        np.testing.assert_array_equal(toeplitz_hash(seed, np.zeros(8), 1), [0])
+        np.testing.assert_array_equal(privacy_amplify(np.zeros(8), seed, 1, 2), [0])
 
     def test_seed_size_enforced(self):
         with pytest.raises(DomainError):
-            toeplitz_hash(np.zeros(5), np.zeros(8), 2)  # needs 9 bits
+            privacy_amplify(np.zeros(8), np.zeros(5), 2, 2)  # needs 9 bits
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(1, 12))
-            k = int(rng.integers(1, 6))
+            k = int(rng.integers(1, min(n, 5) + 1))  # privacy_amplify refuses k > n
             v = rng.integers(0, 2, n)
             seed = rng.integers(0, 2, n + k - 1)
             np.testing.assert_array_equal(
-                toeplitz_hash(seed, v, k), brute_hash(seed, v, k)
+                privacy_amplify(v, seed, k, 2), brute_hash(seed, v, k)
             )
 
     def test_linear_in_the_seed(self):
@@ -110,8 +124,8 @@ class TestToeplitzHash:
         for _ in range(20):
             s1 = rng.integers(0, 2, 12)
             s2 = rng.integers(0, 2, 12)
-            lhs = toeplitz_hash(s1 ^ s2, v, 3)
-            rhs = toeplitz_hash(s1, v, 3) ^ toeplitz_hash(s2, v, 3)
+            lhs = privacy_amplify(v, s1 ^ s2, 3, 2)
+            rhs = privacy_amplify(v, s1, 3, 2) ^ privacy_amplify(v, s2, 3, 2)
             np.testing.assert_array_equal(lhs, rhs)
 
     def test_linear_in_the_input(self):
@@ -120,8 +134,8 @@ class TestToeplitzHash:
         for _ in range(20):
             v1 = rng.integers(0, 2, 10)
             v2 = rng.integers(0, 2, 10)
-            lhs = toeplitz_hash(seed, v1 ^ v2, 3)
-            rhs = toeplitz_hash(seed, v1, 3) ^ toeplitz_hash(seed, v2, 3)
+            lhs = privacy_amplify(v1 ^ v2, seed, 3, 2)
+            rhs = privacy_amplify(v1, seed, 3, 2) ^ privacy_amplify(v2, seed, 3, 2)
             np.testing.assert_array_equal(lhs, rhs)
 
     def test_symbol_error_pattern_decides_agreement(self):
@@ -141,40 +155,48 @@ class TestToeplitzHash:
                 assert privacy_amplify(a ^ b, seed, k, size).any() == differ
 
     def test_batched_rows_equal_privacy_amplify(self):
-        # each row hashed under its own seed, every k up to the full length
+        # each row of an (F, N) or (2, 3, N) batch hashed under its own seed,
+        # every k up to the full length, equals the one-row call
         rng = np.random.default_rng(9)
         for size in (2, 4, 8):
             n = 5
             bits = n * (size.bit_length() - 1)
-            v = rng.integers(0, size, (6, n))
-            v[2] = 0
-            v_bits = symbols_to_bits(v.ravel(), size).reshape(len(v), bits)
-            for k in range(1, bits + 1):
-                seeds = rng.integers(0, 2, (len(v), bits + k - 1), dtype=np.uint8)
-                got = _hash_rows(seeds, v_bits, k)
-                assert got.shape == (len(v), k)
-                for row, vf, seed in zip(got, v, seeds):
-                    np.testing.assert_array_equal(row, privacy_amplify(vf, seed, k, size))
-                    np.testing.assert_array_equal(
-                        row, brute_hash(seed, symbols_to_bits(vf, size), k))
+            for batch in ((6,), (2, 3)):
+                v = rng.integers(0, size, (*batch, n))
+                v.reshape(-1, n)[2] = 0
+                for k in range(0, bits + 1):
+                    seeds = rng.integers(0, 2, (*batch, seed_length(n, size, k)), dtype=np.uint8)
+                    got = privacy_amplify(v, seeds, k, size)
+                    assert got.shape == (*batch, k)
+                    for index in np.ndindex(batch):
+                        row, vf, seed = got[index], v[index], seeds[index]
+                        np.testing.assert_array_equal(row, privacy_amplify(vf, seed, k, size))
+                        np.testing.assert_array_equal(
+                            row, brute_hash(seed, symbols_to_bits(vf, size), k))
+
+    def test_batch_needs_one_seed_per_row(self):
+        v = np.zeros((3, 4), dtype=np.int64)
+        for seeds in (np.zeros((2, 5)), np.zeros(5), np.zeros((3, 4))):
+            with pytest.raises(DomainError):
+                privacy_amplify(v, seeds, 2, 2)
 
     def test_long_rows_keep_their_parity(self):
         # more than 255 ones meet in one output bit, past the uint8 range
         for n_bits in (255, 256, 257, 600):
             seed = np.ones(n_bits + 2, dtype=np.uint8)
             v = np.ones(n_bits, dtype=np.uint8)
-            np.testing.assert_array_equal(toeplitz_hash(seed, v, 3), brute_hash(seed, v, 3))
-            assert toeplitz_hash(seed, v, 3).tolist() == [n_bits % 2] * 3
+            np.testing.assert_array_equal(privacy_amplify(v, seed, 3, 2), brute_hash(seed, v, 3))
+            assert privacy_amplify(v, seed, 3, 2).tolist() == [n_bits % 2] * 3
 
     def test_matrix_form_agrees(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             n = int(rng.integers(1, 10))
-            k = int(rng.integers(1, 5))
+            k = int(rng.integers(1, min(n, 4) + 1))
             v = rng.integers(0, 2, n)
             seed = rng.integers(0, 2, n + k - 1)
             mat = hash_matrix_for_input(v, k).matrix
-            np.testing.assert_array_equal(mat @ seed % 2, toeplitz_hash(seed, v, k))
+            np.testing.assert_array_equal(mat @ seed % 2, privacy_amplify(v, seed, k, 2))
 
 
 class TestPrivacyAmplify:
@@ -182,7 +204,7 @@ class TestPrivacyAmplify:
         rng = np.random.default_rng(8)
         v = rng.integers(0, 4, 5)
         seed = rng.integers(0, 2, seed_length(5, 4, 3))
-        direct = toeplitz_hash(seed, symbols_to_bits(v, 4), 3)
+        direct = privacy_amplify(symbols_to_bits(v, 4), seed, 3, 2)
         np.testing.assert_array_equal(privacy_amplify(v, seed, 3, 4), direct)
 
     def test_zero_secret(self):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gauss_share.access_structure import monotone_closure, threshold_structure
-from gauss_share.errors import BudgetExceeded, InvalidConfig, KTooLarge
+from gauss_share.errors import BudgetExceeded, DomainError, InvalidConfig, KTooLarge
 from gauss_share.protocol import info
 from gauss_share.protocol.codebook import build_codebook, wz_decode, wz_encode
 from gauss_share.protocol.model import build_quantized_source, discretize_source
@@ -671,12 +671,19 @@ class TestPublicRateAccounting:
 
 
 class TestConfigInteractions:
-    def test_hashing_needs_power_of_two_bins(self):
-        with pytest.raises(InvalidConfig):
+    @pytest.fixture
+    def no_codebook(self, monkeypatch):
+        # the hash refusals come from hashing.seed_length, before any draw
+        def refuse(*args):
+            raise AssertionError("build_codebook ran before the hash refusal")
+        monkeypatch.setattr(simulate, "build_codebook", refuse)
+
+    def test_hashing_needs_power_of_two_bins(self, no_codebook):
+        with pytest.raises(DomainError, match="power-of-two alphabet, got size 3"):
             run_protocol(PAIR, BOTH_NEEDED, config(l_quant=3, k=1, trials=1))
 
-    def test_secret_cannot_outgrow_the_block(self):
-        with pytest.raises(KTooLarge):
+    def test_secret_cannot_outgrow_the_block(self, no_codebook):
+        with pytest.raises(KTooLarge, match="cannot extract 5 bits from 4 input bits"):
             run_protocol(PAIR, BOTH_NEEDED, config(k=5, trials=1))
 
     def test_aux_mode_runs_end_to_end(self):
