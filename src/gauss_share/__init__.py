@@ -27,7 +27,6 @@ from .capacity import (
     ThresholdComparison,
     UnlimitedRate,
     is_unlimited,
-    minimax_oracle,
     optimal_conditional_variance,
     public_rate,
     rate_region,
@@ -93,7 +92,6 @@ __all__ = [
     "derive_gain_vector",
     "extremal_sets",
     "is_unlimited",
-    "minimax_oracle",
     "monotone_closure",
     "mutual_information",
     "optimal_conditional_variance",

@@ -9,7 +9,7 @@ s = sigma2_{X|V} of the dealer's variable given the Gaussian auxiliary:
 with o_a, o_u the effective SNR coefficients of the weakest authorized and
 strongest unauthorized coalitions.  The capacity at public rate rp is the
 closed form obtained by substituting the optimal s (optimal_conditional_variance);
-minimax_oracle re-derives it by brute force over a s-grid, in both min-min-max
+saddle_check re-derives it by brute force over a s-grid, in both min-min-max
 and max-min-min order, to verify the saddle-point structure numerically.
 All rates are bits per source symbol, all logs base 2.
 """
@@ -34,7 +34,6 @@ from .errors import (
     BudgetExceeded,
     DomainError,
     EmptyGrid,
-    IndexOutOfRange,
     NegativeRate,
     NumericError,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "SaddleCheck",
     "ThresholdComparison",
     "is_unlimited",
-    "minimax_oracle",
     "optimal_conditional_variance",
     "public_rate",
     "rate_region",
@@ -257,66 +255,56 @@ class ThresholdComparison:
     used_fallback: bool
 
 
-def threshold_compare(spec: SourceSpec, t: int, i: int, rp) -> ThresholdComparison:
+def threshold_compare(spec: SourceSpec, rp) -> tuple[ThresholdComparison, ...]:
     """Compare threshold-t capacity against threshold-(t+i) via the ratio test,
-    over the source's l participants.
+    for every pair 1 <= t < t+i <= l of the source's l participants, in
+    (t, i) order; () when l = 1.
 
-    The verdict holds for every public rate; the supplied rp is used for the
-    internal cross-check against direct capacity evaluation.  When raising
-    the threshold leaves the weakest authorized SNR unchanged (zero ratio
-    denominator) the verdict falls back to that direct comparison.
+    All pairs read one threshold_extremal_chain.  Each verdict holds for
+    every public rate; the supplied rp is used for the internal cross-check
+    against the capacities the chain gives at that rate, and NumericError
+    is raised when the two disagree.  When raising the threshold leaves the
+    weakest authorized SNR unchanged (zero ratio denominator) the verdict
+    falls back to that direct comparison.
     """
     rp = _check_rate(rp)
-    t, i, l = int(t), int(i), spec.l
-    if t < 1 or i < 1 or t + i > l:
-        raise IndexOutOfRange(f"need 1 <= t, 1 <= i, t+i <= l; got t={t}, i={i}, l={l}")
-    return _compare_on_chain(spec, threshold_extremal_chain(spec), t, i, rp)
-
-
-def _compare_on_chain(
-    spec: SourceSpec, chain: Sequence[ExtremalSets], t: int, i: int, rp
-) -> ThresholdComparison:
-    """threshold_compare's ratio test and cross-check on a prebuilt
-    threshold_extremal_chain; t, i and rp are already validated."""
-    lo, hi = chain[t - 1], chain[t + i - 1]
+    chain = threshold_extremal_chain(spec)
     sx = spec.sigma2_x
+    comparisons = []
+    for t, lo in enumerate(chain[:-1], start=1):
+        cs_t = _capacity_value(spec, lo, rp)
+        rhs = (1.0 + sx * lo.snr_unauthorized) / (1.0 + sx * lo.snr_authorized)
+        for i, hi in enumerate(chain[t:], start=1):
+            cs_ti = _capacity_value(spec, hi, rp)
+            lhs_den = hi.snr_authorized - lo.snr_authorized
+            if lhs_den == 0.0:
+                lhs = None
+                verdict = Dominance.AT_LEAST if cs_t >= cs_ti else Dominance.AT_MOST
+            else:
+                lhs = (hi.snr_unauthorized - lo.snr_unauthorized) / lhs_den
+                verdict = Dominance.AT_LEAST if lhs >= rhs else Dominance.AT_MOST
 
-    cs_t = _capacity_value(spec, lo, rp)
-    cs_ti = _capacity_value(spec, hi, rp)
+            # The ratio test and direct evaluation must never disagree beyond noise.
+            if verdict == Dominance.AT_LEAST and cs_t < cs_ti - 1e-9:
+                raise NumericError("ratio test says at_least but capacities disagree")
+            if verdict == Dominance.AT_MOST and cs_t > cs_ti + 1e-9:
+                raise NumericError("ratio test says at_most but capacities disagree")
 
-    rhs = (1.0 + sx * lo.snr_unauthorized) / (1.0 + sx * lo.snr_authorized)
-    lhs_den = hi.snr_authorized - lo.snr_authorized
-    if lhs_den == 0.0:
-        lhs = None
-        used_fallback = True
-        verdict = Dominance.AT_LEAST if cs_t >= cs_ti else Dominance.AT_MOST
-    else:
-        lhs = (hi.snr_unauthorized - lo.snr_unauthorized) / lhs_den
-        used_fallback = False
-        verdict = Dominance.AT_LEAST if lhs >= rhs else Dominance.AT_MOST
-
-    # The ratio test and direct evaluation must never disagree beyond noise.
-    if verdict == Dominance.AT_LEAST and cs_t < cs_ti - 1e-9:
-        raise NumericError("ratio test says at_least but capacities disagree")
-    if verdict == Dominance.AT_MOST and cs_t > cs_ti + 1e-9:
-        raise NumericError("ratio test says at_most but capacities disagree")
-
-    return ThresholdComparison(
-        t=t,
-        i=i,
-        rp=rp,
-        lhs=lhs,
-        rhs=rhs,
-        verdict=verdict,
-        cs_t=cs_t,
-        cs_t_plus_i=cs_ti,
-        used_fallback=used_fallback,
-    )
+            comparisons.append(ThresholdComparison(
+                t=t, i=i, rp=rp, lhs=lhs, rhs=rhs, verdict=verdict,
+                cs_t=cs_t, cs_t_plus_i=cs_ti, used_fallback=lhs is None,
+            ))
+    return tuple(comparisons)
 
 
 @dataclass(frozen=True)
 class SaddleCheck:
-    """Brute-force minimax evaluation next to the closed form."""
+    """Brute-force minimax evaluation next to the closed form.
+
+    Construction raises NumericError when the two orders differ by more than
+    1e-9 relative to min_min_max (absolute below 1), or when either is NaN,
+    so a SaddleCheck whose orders disagree cannot exist.
+    """
 
     rp: "float | UnlimitedRate"
     grid_size: int
@@ -324,6 +312,13 @@ class SaddleCheck:
     max_min_min: float
     closed_form: float
     extremal: ExtremalSets
+
+    def __post_init__(self) -> None:
+        # a NaN order fails the "<=" test, so it is refused too
+        if not self.saddle_gap <= 1e-9 * max(1.0, abs(self.min_min_max)):
+            raise NumericError(
+                f"saddle orders disagree: {self.min_min_max!r} vs {self.max_min_min!r}"
+            )
 
     @property
     def saddle_gap(self) -> float:
@@ -347,7 +342,8 @@ def saddle_check(
     log-spaced on [sigma2_x * 1e-8, sigma2_x] and always contains sigma2_x
     (feasible at every rp, where the objective is exactly zero) plus the
     analytic feasibility boundary; the boundary point dominates, so the grid
-    verifies rather than finds the optimum.
+    verifies rather than finds the optimum.  Orders that disagree raise
+    NumericError (see SaddleCheck), so min_min_max is a checked value.
 
     The oracle evaluates (|A| + |U|) * live gaps on the grid, live being
     the grid points at or above the smallest authorized edge (the only ones
@@ -456,25 +452,6 @@ def saddle_check(
         closed_form=_capacity_value(spec, ext, rp),
         extremal=ext,
     )
-
-
-def minimax_oracle(
-    spec: SourceSpec, structure: AccessStructure, rp, grid_size: int = 10_000
-) -> float:
-    """Brute-force capacity value; raises if the saddle orders disagree."""
-    check = saddle_check(spec, structure, rp, grid_size)
-    _check_saddle_orders(check)
-    return check.min_min_max
-
-
-def _check_saddle_orders(check: SaddleCheck) -> None:
-    """NumericError when the two optimization orders differ by more than
-    1e-9 relative to the min-min-max value (absolute below 1), or when
-    either order is NaN."""
-    if not check.saddle_gap <= 1e-9 * max(1.0, abs(check.min_min_max)):
-        raise NumericError(
-            f"saddle orders disagree: {check.min_min_max!r} vs {check.max_min_min!r}"
-        )
 
 
 @dataclass(frozen=True)

@@ -39,19 +39,17 @@ from .access_structure import (
     ExtremalSets,
     extremal_sets,
     monotone_closure,
-    threshold_extremal_chain,
     threshold_structure,
 )
 from .capacity import (
     UNLIMITED,
     CapacityPoint,
     _capacity_value,
-    _check_saddle_orders,
-    _compare_on_chain,
     is_unlimited,
     rate_region,
     saddle_check,
     secret_capacity,
+    threshold_compare,
 )
 from .errors import GaussShareError, InvalidConfig, NumericError, ValidationError
 from .protocol import ProtocolConfig, run_protocol
@@ -334,9 +332,10 @@ def cmd_region(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | 
 def cmd_threshold(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | None) -> str:
     """The capacity of every threshold t at every rp, then the ratio-test
     verdict of every (t, i) pair at the last rp.  The table searches each
-    threshold structure with extremal_sets, once per t; the verdicts read the
-    sorted-gain chain, built once.  The two routes share no search, and each
-    verdict is checked against the capacities its own route gives."""
+    threshold structure with extremal_sets, once per t; the verdicts come
+    from one threshold_compare call, which reads the sorted-gain chain.  The
+    two routes share no search, and threshold_compare checks each verdict
+    against the capacities its own chain gives."""
     rp = parse_rp(cfg)
     rp_values = rp.tolist() if isinstance(rp, np.ndarray) else [rp]
     l = spec.l
@@ -347,12 +346,9 @@ def cmd_threshold(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int
             rows.append(f"{t},{_fmt_rp(rp)},{_fmt(_capacity_value(spec, ext, rp))}")
     rows.append("")
     rows.append("t,i,lhs,rhs,verdict")
-    chain = threshold_extremal_chain(spec)
-    for t in range(1, l):
-        for i in range(1, l - t + 1):
-            comp = _compare_on_chain(spec, chain, t, i, rp_values[-1])
-            lhs_txt = "" if comp.lhs is None else _fmt(comp.lhs)
-            rows.append(f"{t},{i},{lhs_txt},{_fmt(comp.rhs)},{comp.verdict}")
+    for comp in threshold_compare(spec, rp_values[-1]):
+        lhs_txt = "" if comp.lhs is None else _fmt(comp.lhs)
+        rows.append(f"{comp.t},{comp.i},{lhs_txt},{_fmt(comp.rhs)},{comp.verdict}")
     return "\n".join(rows)
 
 
@@ -412,7 +408,6 @@ def cmd_oracle(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | 
         check = saddle_check(spec, structure, rp, grid_size)
     except ValidationError as exc:  # the grid_size floor or cell budget
         raise cfg.fail("grid_size", str(exc)) from exc
-    _check_saddle_orders(check)
     pairs = [
         ("rp", _fmt_rp(check.rp)),
         ("grid_size", str(check.grid_size)),
@@ -448,13 +443,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=None, help="write output to this path")
-    parser.add_argument("--seed", type=int, default=None, help="override the sim seed")
+    parser.add_argument("--seed", type=int, default=None, help="simulate: override the sim seed")
     parser.add_argument("--format", choices=["csv", "text"], default=None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.seed is not None and args.command != "simulate":
+        parser.error(f"--seed applies to the simulate command only, not {args.command}")
     handler, default_fmt = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)

@@ -22,8 +22,8 @@ from gauss_share.access_structure import (
 )
 from gauss_share.capacity import (
     UNLIMITED,
+    SaddleCheck,
     is_unlimited,
-    minimax_oracle,
     optimal_conditional_variance,
     public_rate,
     rate_region,
@@ -37,7 +37,6 @@ from gauss_share.errors import (
     BudgetExceeded,
     DomainError,
     EmptyGrid,
-    IndexOutOfRange,
     NegativeRate,
     NumericError,
 )
@@ -220,8 +219,14 @@ def test_unlimited_is_a_singleton():
 class TestThresholdCompare:
     SPEC5 = SourceSpec.from_gains(2.0, [1.0, 0.85, 0.9, 0.95, 0.75])
 
+    @staticmethod
+    def pair(spec, t, i, rp):
+        """threshold_compare's comparison of thresholds t and t + i."""
+        (comp,) = [c for c in threshold_compare(spec, rp) if (c.t, c.i) == (t, i)]
+        return comp
+
     def test_known_instance_verdict(self):
-        comp = threshold_compare(self.SPEC5, 4, 1, 1.0)
+        comp = self.pair(self.SPEC5, 4, 1, 1.0)
         assert comp.verdict == "at_most"
         assert comp.lhs == pytest.approx(0.7225, abs=1e-12)
         assert comp.rhs == pytest.approx(6.425 / 6.995, rel=1e-12)
@@ -229,10 +234,10 @@ class TestThresholdCompare:
         assert comp.cs_t <= comp.cs_t_plus_i + 1e-12
 
     def test_first_threshold_dominates(self):
-        for i in range(1, 5):
-            comp = threshold_compare(self.SPEC5, 1, i, 2.0)
-            assert comp.verdict == "at_least"
-            assert comp.cs_t >= comp.cs_t_plus_i - 1e-12
+        for comp in threshold_compare(self.SPEC5, 2.0):
+            if comp.t == 1:
+                assert comp.verdict == "at_least"
+                assert comp.cs_t >= comp.cs_t_plus_i - 1e-12
 
     def test_verdict_consistent_with_direct_capacities(self):
         rng = np.random.default_rng(11)
@@ -241,31 +246,40 @@ class TestThresholdCompare:
             spec = SourceSpec.from_gains(
                 float(rng.uniform(0.5, 3.0)), rng.uniform(0.05, 2.0, l)
             )
-            t = int(rng.integers(1, l))
-            i = int(rng.integers(1, l - t + 1))
             rp = float(rng.uniform(0.05, 6.0))
-            comp = threshold_compare(spec, t, i, rp)
-            if comp.verdict == "at_least":
-                assert comp.cs_t >= comp.cs_t_plus_i - 1e-9
-            else:
-                assert comp.cs_t <= comp.cs_t_plus_i + 1e-9
+            for comp in threshold_compare(spec, rp):
+                if comp.verdict == "at_least":
+                    assert comp.cs_t >= comp.cs_t_plus_i - 1e-9
+                else:
+                    assert comp.cs_t <= comp.cs_t_plus_i + 1e-9
 
     def test_zero_gain_participants_trigger_fallback(self):
         spec = SourceSpec.from_gains(1.0, [0.0, 0.0, 1.0])
-        comp = threshold_compare(spec, 1, 1, 0.7)
+        comp = self.pair(spec, 1, 1, 0.7)
         assert comp.used_fallback
         assert comp.lhs is None
 
-    def test_index_validation(self):
-        for t, i in ((0, 1), (1, 0), (5, 1), (3, 3)):
-            with pytest.raises(IndexOutOfRange):
-                threshold_compare(self.SPEC5, t, i, 1.0)
+    @pytest.mark.parametrize("l", [1, 2, 3, 5, 8])
+    def test_every_pair_once_in_t_i_order(self, l):
+        spec = SourceSpec.from_gains(2.0, np.linspace(0.3, 1.2, l))
+        comps = threshold_compare(spec, 1.0)
+        assert type(comps) is tuple  # () when l = 1
+        assert [(c.t, c.i) for c in comps] == [
+            (t, i) for t in range(1, l) for i in range(1, l - t + 1)
+        ]
+        assert all(c.rp == 1.0 for c in comps)
+
+    def test_rate_is_checked_once_even_without_pairs(self):
+        with pytest.raises(NegativeRate):
+            threshold_compare(SourceSpec.from_gains(2.0, [1.0]), -1.0)
+        with pytest.raises(DomainError):
+            threshold_compare(self.SPEC5, math.nan)
 
 
 class TestSaddleOracle:
     def test_oracle_matches_closed_form_example(self):
         for rp in (0.25, 1.0, 4.0):
-            value = minimax_oracle(SPEC3, STRUCT3, rp, 4000)
+            value = saddle_check(SPEC3, STRUCT3, rp, 4000).min_min_max
             pt = secret_capacity(SPEC3, STRUCT3, rp)
             assert value == pytest.approx(pt.cs, abs=1e-5)
 
@@ -274,10 +288,31 @@ class TestSaddleOracle:
         assert chk.saddle_gap <= 1e-12
         assert chk.oracle_gap <= 1e-6
 
+    @staticmethod
+    def constructed(min_min_max, max_min_min):
+        ext = extremal_sets(STRUCT3, SPEC3)
+        return SaddleCheck(rp=1.0, grid_size=100, min_min_max=min_min_max,
+                           max_min_min=max_min_min, closed_form=0.0, extremal=ext)
+
+    @pytest.mark.parametrize("min_min_max, max_min_min", [
+        (0.1, 0.5), (0.1, math.nan), (math.nan, 0.1), (math.nan, math.nan),
+        (2.0, 2.0 + 5e-9),  # 1e-9 relative to the larger-than-1 order is 2e-9
+    ])
+    def test_disagreeing_orders_cannot_be_constructed(self, min_min_max, max_min_min):
+        with pytest.raises(NumericError, match="saddle orders disagree"):
+            self.constructed(min_min_max, max_min_min)
+
+    @pytest.mark.parametrize("min_min_max, max_min_min", [
+        (0.1, 0.1 + 5e-10), (2.0, 2.0 + 1.5e-9), (0.0, 0.0),
+    ])
+    def test_orders_within_tolerance_are_kept(self, min_min_max, max_min_min):
+        chk = self.constructed(min_min_max, max_min_min)
+        assert (chk.min_min_max, chk.max_min_min) == (min_min_max, max_min_min)
+
     def test_degraded_instance_oracle_is_zero(self):
         spec = SourceSpec.from_gains(2.0, [0.1, 2.0])
         structure = monotone_closure(2, [[1]])
-        assert minimax_oracle(spec, structure, 1.0, 1000) == 0.0
+        assert saddle_check(spec, structure, 1.0, 1000).min_min_max == 0.0
 
     def test_unlimited_rate_supported(self):
         chk = saddle_check(SPEC3, STRUCT3, UNLIMITED, 4000)
@@ -644,9 +679,8 @@ PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, d
 @given(sources_and_structures(), rates)
 def test_property_oracle_matches_closed_form(case, rp):
     spec, structure = case
-    value = minimax_oracle(spec, structure, rp, 200)
-    assert value == pytest.approx(secret_capacity(spec, structure, rp).cs, abs=1e-6)
     chk = saddle_check(spec, structure, rp, 200)
+    assert chk.min_min_max == pytest.approx(secret_capacity(spec, structure, rp).cs, abs=1e-6)
     assert (chk.min_min_max, chk.max_min_min) == TestSaddleOracle.per_pair_reference(
         spec, structure, rp, 200
     )
@@ -668,28 +702,22 @@ def test_property_region_nondecreasing_and_bounded(case, grid):
 
 @PROPERTY_SETTINGS
 @given(
-    st.integers(min_value=2, max_value=6).flatmap(
-        lambda l: st.tuples(
-            st.lists(st.floats(-1.5, 1.5), min_size=l, max_size=l),
-            st.integers(1, l - 1).flatmap(
-                lambda t: st.tuples(st.just(t), st.integers(1, l - t))
-            ),
-        )
-    ),
+    st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=6),
     st.floats(0.2, 3.0),
     rates,
 )
-def test_property_threshold_verdict_agrees_with_direct_capacities(case, sigma2_x, rp):
-    gains, (t, i) = case
+def test_property_threshold_verdict_agrees_with_direct_capacities(gains, sigma2_x, rp):
     l = len(gains)
     spec = SourceSpec.from_gains(sigma2_x, gains)
-    comp = threshold_compare(spec, t, i, rp)
-    cs_t = secret_capacity(spec, threshold_structure(l, t), rp).cs
-    cs_t_plus_i = secret_capacity(spec, threshold_structure(l, t + i), rp).cs
-    if comp.verdict == "at_least":
-        assert cs_t >= cs_t_plus_i - 1e-9
-    else:
-        assert cs_t <= cs_t_plus_i + 1e-9
+    comps = threshold_compare(spec, rp)
+    assert len(comps) == l * (l - 1) // 2
+    for comp in comps:
+        cs_t = secret_capacity(spec, threshold_structure(l, comp.t), rp).cs
+        cs_t_plus_i = secret_capacity(spec, threshold_structure(l, comp.t + comp.i), rp).cs
+        if comp.verdict == "at_least":
+            assert cs_t >= cs_t_plus_i - 1e-9
+        else:
+            assert cs_t <= cs_t_plus_i + 1e-9
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)

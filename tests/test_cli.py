@@ -169,8 +169,8 @@ class TestThresholdCommand:
         {"value": 1.0}, "infinity", {"grid": {"min": 0.0, "max": 3.0, "points": 7}},
     ])
     def test_one_chain_and_one_search_per_threshold(self, tmp_path, capsys, monkeypatch, rp):
-        # neither count may grow with the 45 (t, i) pairs or the rp points
-        calls = {"extremal_sets": 0, "threshold_extremal_chain": 0}
+        # no count may grow with the 45 (t, i) pairs or the rp points
+        calls = {"extremal_sets": 0, "threshold_extremal_chain": 0, "threshold_compare": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -179,14 +179,15 @@ class TestThresholdCommand:
             return wrapper
 
         for name in calls:
-            real = getattr(access_structure, name)
+            real = getattr(capacity, name)
             for module in (access_structure, capacity, cli):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, real))
         path = self.config(tmp_path, GOLDEN_SOURCE["gains"], rp)
         code, _, err = run_cli(capsys, "threshold", "--config", path)
         assert (code, err) == (0, "")
-        assert calls == {"extremal_sets": 10, "threshold_extremal_chain": 1}
+        assert calls == {"extremal_sets": 10, "threshold_extremal_chain": 1,
+                         "threshold_compare": 1}
 
     def test_single_participant_has_no_comparisons(self, tmp_path, capsys):
         path = self.config(tmp_path, [1.0], {"value": 1.0})
@@ -890,6 +891,26 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             cli.main(["capacity"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, access, rp", [
+        ("capacity", EXAMPLE_ACCESS, {"value": 1.0}),
+        ("region", EXAMPLE_ACCESS, {"grid": {"min": 0.0, "max": 2.0, "points": 3}}),
+        ("threshold", {"threshold_sweep": True}, {"value": 1.0}),
+        ("oracle", EXAMPLE_ACCESS, {"value": 1.0}),
+    ])
+    def test_seed_is_refused_outside_simulate(self, tmp_path, capsys, command, access, rp):
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": access, "rp": rp,
+            "oracle": {"grid_size": 100},
+        })
+        assert run_cli(capsys, command, "--config", path)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", path, "--seed", "5"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.startswith("usage: ")
+        assert captured.err.endswith(f"error: --seed applies to the simulate command only, "
+                            f"not {command}\n")
 
     def test_console_script_is_installed(self, tmp_path):
         path = write_config(tmp_path, {
