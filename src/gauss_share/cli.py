@@ -15,7 +15,10 @@ coerced.  That includes participant ids in minimal_sets.  Grid min and max
 must be finite (json.loads accepts NaN and Infinity, and an integer too
 large for a float counts as infinite, as it does for an rp value), grid
 points may not pass 100,000, sim trials may not pass 100,000, and an
-oracle block, when present, must be an object.
+oracle block, when present, must be an object.  The source, access, rp, rp
+grid, oracle and sim blocks refuse any key they do not read, and no object
+may repeat a key; top-level blocks a command does not read are allowed, so
+one file can serve several commands.
 
 Commands: capacity, region, threshold, simulate, oracle.  Exit codes: 0 on
 success, 2 on validation problems (anchored to a config line when one is
@@ -84,15 +87,38 @@ class _Config:
         self.data = data
         self.raw = raw
 
-    def line_of(self, key: str) -> int:
+    def line_of(self, key: str, occurrence: int = 1) -> int:
+        """Line of the occurrence-th "key" in the text, or 1 when there is none."""
         needle = f'"{key}"'
         for lineno, line in enumerate(self.raw.splitlines(), start=1):
-            if needle in line:
+            occurrence -= line.count(needle)
+            if occurrence <= 0:
                 return lineno
         return 1
 
-    def fail(self, key: str, message: str) -> "InvalidConfig":
-        return InvalidConfig(f"{self.path}:{self.line_of(key)}: {message}")
+    def fail(self, key: str, message: str, occurrence: int = 1) -> "InvalidConfig":
+        return InvalidConfig(f"{self.path}:{self.line_of(key, occurrence)}: {message}")
+
+
+class _DuplicateKey(Exception):
+    """A JSON object repeats a key; json.loads would keep only the last value."""
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """object_pairs_hook for json.loads: the object, or _DuplicateKey."""
+    seen: set[str] = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise _DuplicateKey(key)
+        seen.add(key)
+    return dict(pairs)
+
+
+def _refuse_extra_keys(cfg: _Config, block: dict, name: str, reads: tuple[str, ...]) -> None:
+    """A failure on the line of block's first key that is not in reads."""
+    for key in block:
+        if key not in reads:
+            raise cfg.fail(key, f'unexpected key "{key}" in {name} (it reads {", ".join(reads)})')
 
 
 def _is_number(value: Any, integer: bool = False) -> bool:
@@ -132,9 +158,14 @@ def load_config(path: str) -> _Config:
     except OSError as exc:
         raise InvalidConfig(f"{path}:1: cannot read config ({exc})") from exc
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except _DuplicateKey as exc:
+        # the key's second occurrence is the repeat, unless another object
+        # uses the same key earlier in the file
+        key = exc.args[0]
+        raise _Config(path, {}, raw).fail(key, f'duplicate key "{key}"', occurrence=2) from None
     cfg = _Config(path, data, raw)
     if not isinstance(data, dict):
         raise cfg.fail("version", "config must be a JSON object")
@@ -154,10 +185,12 @@ def parse_source(cfg: _Config) -> SourceSpec:
     if has_gains:
         if "sigma2_x" not in block:
             raise cfg.fail("source", "gains form needs sigma2_x")
+        _refuse_extra_keys(cfg, block, "source", ("sigma2_x", "gains"))
         _number(cfg, "sigma2_x", block["sigma2_x"])
         if not isinstance(block["gains"], list) or not all(map(_is_number, block["gains"])):
             raise cfg.fail("gains", "gains must be a list of numbers")
     else:
+        _refuse_extra_keys(cfg, block, "source", ("covariance",))
         rows = block["covariance"]
         if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(map(_is_number, row)) for row in rows
@@ -203,6 +236,7 @@ def parse_access(cfg: _Config, spec: SourceSpec, command: str) -> AccessStructur
             "access needs exactly one of minimal_sets, threshold, threshold_sweep",
         )
     form = forms[0]
+    _refuse_extra_keys(cfg, block, "access", (form,))
     if form == "threshold_sweep":
         if block[form] is not True:
             raise cfg.fail(form, "threshold_sweep must be true when present")
@@ -230,28 +264,33 @@ def parse_rp(cfg: _Config):
         return UNLIMITED
     if not isinstance(block, dict):
         raise cfg.fail("rp", "missing or malformed rp block")
-    if "value" in block:
+    forms = [k for k in ("value", "grid") if k in block]
+    if not forms:
+        raise cfg.fail("rp", "rp must be a value, a grid, or infinity")
+    if len(forms) > 1:
+        raise cfg.fail("rp", "rp needs exactly one of value, grid")
+    _refuse_extra_keys(cfg, block, "rp", (forms[0],))
+    if forms[0] == "value":
         value = _as_float(_number(cfg, "value", block["value"]))
         if value < 0 or not math.isfinite(value):
             raise cfg.fail("value", "rp value must be a finite nonnegative number")
         return value
-    if "grid" in block:
-        grid = block["grid"]
-        if not isinstance(grid, dict):
-            raise cfg.fail("grid", "rp grid must be an object")
-        if not {"min", "max", "points"} <= set(grid):
-            raise cfg.fail("grid", "rp grid needs numeric min, max, points")
-        lo = _as_float(_number(cfg, "min", grid["min"]))
-        hi = _as_float(_number(cfg, "max", grid["max"]))
-        points = _number(cfg, "points", grid["points"], integer=True)
-        if lo < 0 or points < 1 or (points > 1 and hi <= lo):
-            raise cfg.fail("grid", "need min >= 0, points >= 1, max > min")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise cfg.fail("grid", "rp grid min and max must be finite")
-        if points > _MAX_RP_POINTS:
-            raise cfg.fail("points", f"rp grid points must be at most {_MAX_RP_POINTS}")
-        return np.linspace(lo, hi, points)
-    raise cfg.fail("rp", "rp must be a value, a grid, or infinity")
+    grid = block["grid"]
+    if not isinstance(grid, dict):
+        raise cfg.fail("grid", "rp grid must be an object")
+    if not {"min", "max", "points"} <= set(grid):
+        raise cfg.fail("grid", "rp grid needs numeric min, max, points")
+    _refuse_extra_keys(cfg, grid, "rp grid", ("min", "max", "points"))
+    lo = _as_float(_number(cfg, "min", grid["min"]))
+    hi = _as_float(_number(cfg, "max", grid["max"]))
+    points = _number(cfg, "points", grid["points"], integer=True)
+    if lo < 0 or points < 1 or (points > 1 and hi <= lo):
+        raise cfg.fail("grid", "need min >= 0, points >= 1, max > min")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise cfg.fail("grid", "rp grid min and max must be finite")
+    if points > _MAX_RP_POINTS:
+        raise cfg.fail("points", f"rp grid points must be at most {_MAX_RP_POINTS}")
+    return np.linspace(lo, hi, points)
 
 
 def _single_rp(cfg: _Config, command: str):
@@ -403,6 +442,7 @@ def cmd_oracle(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | 
     block = cfg.data.get("oracle", {})
     if not isinstance(block, dict):
         raise cfg.fail("oracle", "oracle must be an object")
+    _refuse_extra_keys(cfg, block, "oracle", ("grid_size",))
     grid_size = _number(cfg, "grid_size", block.get("grid_size", 10_000), integer=True)
     try:
         check = saddle_check(spec, structure, rp, grid_size)

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 from numpy.polynomial.legendre import leggauss
 
 from ..access_structure import AccessStructure
@@ -242,6 +241,9 @@ def build_quantized_source(
     if cells > _MODEL_CELL_BUDGET:
         raise BudgetExceeded(f"l_quant {l_quant} with {spec.l} observers needs {cells} "
                              f"cells, above the model budget of {_MODEL_CELL_BUDGET}")
+    # here, not at module load: keeps scipy off the capacity layer's import path
+    from scipy.special import ndtr, ndtri
+
     sx = spec.sigma2_x
 
     x_quant = build_quantizer(sx, l_quant)

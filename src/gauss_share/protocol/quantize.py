@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..errors import DegenerateVariance, DomainError
 
@@ -43,6 +42,9 @@ def build_quantizer(variance: float, n_bins: int) -> Quantizer:
     n_bins = int(n_bins)
     if n_bins < 2:
         raise DomainError("need at least two quantization bins")
+    # here, not at module load: keeps scipy off the capacity layer's import path
+    from scipy.special import ndtri
+
     grid = np.arange(1, n_bins) / n_bins
     boundaries = np.sqrt(variance) * ndtri(grid)
     return Quantizer(variance=variance, n_bins=n_bins, boundaries=boundaries)

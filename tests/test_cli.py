@@ -840,6 +840,7 @@ class TestConfigErrors:
 
 _BASE = {"version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,
          "rp": {"value": 1.0}}
+_GRID = {"min": 0.0, "max": 2.0, "points": 3}
 
 
 def _without(doc, key):
@@ -871,6 +872,27 @@ def _without(doc, key):
      "rp must be a value, a grid, or infinity"),
     ("simulate", dict(_BASE, sim=dict(TestSimulateCommand.SIM, epsilon=1.5)), "sim",
      "epsilon must lie in (0, 1)"),
+    ("capacity", dict(_BASE, rp={"value": 1.0, "grid": _GRID}), "rp",
+     "rp needs exactly one of value, grid"),
+    ("region", dict(_BASE, rp={"value": 1.0, "grid": _GRID}), "rp",
+     "rp needs exactly one of value, grid"),
+    ("capacity", dict(_BASE, rp={"value": 1.0, "unit": "bits"}), "unit",
+     'unexpected key "unit" in rp (it reads value)'),
+    ("region", dict(_BASE, rp={"grid": dict(_GRID, spacing="log")}), "spacing",
+     'unexpected key "spacing" in rp grid (it reads min, max, points)'),
+    ("oracle", dict(_BASE, oracle={"gridsize": 100}), "gridsize",
+     'unexpected key "gridsize" in oracle (it reads grid_size)'),
+    ("oracle", dict(_BASE, oracle={"grid_size": 100, "seed": 1}), "seed",
+     'unexpected key "seed" in oracle (it reads grid_size)'),
+    ("capacity", dict(_BASE, source={"sigma2_x": 5.0, "covariance": [[2, 1], [1, 2]]},
+                      access={"threshold": 1}), "sigma2_x",
+     'unexpected key "sigma2_x" in source (it reads covariance)'),
+    ("capacity", dict(_BASE, source=dict(EXAMPLE_SOURCE, noise=1.0)), "noise",
+     'unexpected key "noise" in source (it reads sigma2_x, gains)'),
+    ("capacity", dict(_BASE, access={"threshold": 2, "minimal_set": [[1]]}), "minimal_set",
+     'unexpected key "minimal_set" in access (it reads threshold)'),
+    ("threshold", dict(_BASE, access={"threshold_sweep": True, "t": 2}), "t",
+     'unexpected key "t" in access (it reads threshold_sweep)'),
 ])
 def test_config_refusals_name_their_line(tmp_path, capsys, command, doc, key, message):
     # a key the config lacks anchors the message to line 1
@@ -879,6 +901,29 @@ def test_config_refusals_name_their_line(tmp_path, capsys, command, doc, key, me
     line = 1 if key is None else line_of(path, key)
     assert (code, out) == (2, "")
     assert err == f"error: {path}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ('{\n "version": 1,\n "rp": {"value": 1.0},\n "rp": {"value": 2.0}\n}\n', "rp", 4),
+    ('{\n "version": 1,\n "rp": {\n  "value": 1.0,\n  "value": 2.0\n }\n}\n', "value", 5),
+    ('{\n "version": 1,\n "version": 1\n}\n', "version", 3),
+], ids=["block", "block-key", "top-level-key"])
+def test_duplicate_keys_are_refused(tmp_path, capsys, text, key, line):
+    # json.loads alone would keep the last value without a word
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "capacity", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == f'error: {path}:{line}: duplicate key "{key}"\n'
+
+
+# the capacity-layer commands, each with access and rp blocks it accepts
+CAPACITY_COMMANDS = [
+    ("capacity", EXAMPLE_ACCESS, {"value": 1.0}),
+    ("region", EXAMPLE_ACCESS, {"grid": _GRID}),
+    ("threshold", {"threshold_sweep": True}, {"value": 1.0}),
+    ("oracle", EXAMPLE_ACCESS, {"value": 1.0}),
+]
 
 
 class TestArgumentParsing:
@@ -892,12 +937,7 @@ class TestArgumentParsing:
             cli.main(["capacity"])
         capsys.readouterr()
 
-    @pytest.mark.parametrize("command, access, rp", [
-        ("capacity", EXAMPLE_ACCESS, {"value": 1.0}),
-        ("region", EXAMPLE_ACCESS, {"grid": {"min": 0.0, "max": 2.0, "points": 3}}),
-        ("threshold", {"threshold_sweep": True}, {"value": 1.0}),
-        ("oracle", EXAMPLE_ACCESS, {"value": 1.0}),
-    ])
+    @pytest.mark.parametrize("command, access, rp", CAPACITY_COMMANDS)
     def test_seed_is_refused_outside_simulate(self, tmp_path, capsys, command, access, rp):
         path = write_config(tmp_path, {
             "version": 1, "source": EXAMPLE_SOURCE, "access": access, "rp": rp,
@@ -959,3 +999,32 @@ class TestArgumentParsing:
         assert result.returncode == code == 0, result.stderr
         assert result.stdout == out
         assert "secret capacity: 0.111196210668" in out
+
+    def test_capacity_commands_run_without_scipy(self, tmp_path):
+        # scipy.special is imported by the protocol model's builders only, so
+        # a fresh process that imports the package and runs the four
+        # capacity-layer commands never loads scipy; building a quantizer
+        # afterwards does, which shows the import was deferred, not dropped.
+        configs = [
+            (command, write_config(tmp_path, {
+                "version": 1, "source": EXAMPLE_SOURCE, "access": access, "rp": rp,
+                "oracle": {"grid_size": 100},
+            }, name=f"{command}.json"))
+            for command, access, rp in CAPACITY_COMMANDS
+        ]
+        script = (
+            "import sys\n"
+            "import gauss_share\n"
+            "from gauss_share import cli, protocol\n"
+            f"for command, path in {configs!r}:\n"
+            "    assert cli.main([command, '--config', path]) == 0, command\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
+            "protocol.build_quantizer(1.0, 4)\n"
+            "assert 'scipy.special' in sys.modules\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=suite_env(), cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
