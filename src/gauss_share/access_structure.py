@@ -21,6 +21,7 @@ from .errors import (
     IndexOutOfRange,
     ThresholdOutOfRange,
     TooManyParticipants,
+    _check_count,
 )
 from .source_model import SourceSpec, subset_snr
 
@@ -116,7 +117,7 @@ class AccessStructure:
 
 
 def _validate_l(l: int) -> int:
-    l = int(l)
+    l = _check_count(l, "l", DomainError)
     if l < 1:
         raise DomainError("need at least one participant")
     if l > MAX_PARTICIPANTS:
@@ -166,7 +167,7 @@ def monotone_closure(l: int, generator_sets: Iterable[Iterable[int]]) -> AccessS
 def threshold_structure(l: int, t: int) -> AccessStructure:
     """All subsets of size >= t are authorized."""
     l = _validate_l(l)
-    t = int(t)
+    t = _check_count(t, "t", ThresholdOutOfRange)
     if t < 1 or t > l:
         raise ThresholdOutOfRange(f"t={t} outside 1..{l}")
     # popcount of every mask: setting bit b adds one to every lower mask

@@ -36,6 +36,7 @@ from .errors import (
     EmptyGrid,
     NegativeRate,
     NumericError,
+    _check_count,
 )
 from .source_model import SourceSpec, derive_gain_vector
 
@@ -85,6 +86,8 @@ def is_unlimited(rp) -> bool:
 def _check_finite_rate(rp) -> float:
     if is_unlimited(rp):
         raise DomainError("this operation needs a finite public rate")
+    if isinstance(rp, (bool, np.bool_)):
+        raise DomainError(f"public rate must be a number, got {rp!r}")
     rp = float(rp)
     if math.isnan(rp) or math.isinf(rp):
         raise DomainError("non-finite public rate; use UNLIMITED for an unbounded channel")
@@ -360,7 +363,7 @@ def saddle_check(
     block size.
     """
     rp = _check_rate(rp)
-    grid_size = int(grid_size)
+    grid_size = _check_count(grid_size, "grid_size", DomainError)
     if grid_size < 100:
         raise DomainError("grid_size must be at least 100")
     n_a, n_u = structure.authorized_masks.size, structure.unauthorized_masks.size

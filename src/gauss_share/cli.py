@@ -155,12 +155,14 @@ def load_config(path: str) -> _Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"{path}:1: cannot read config ({exc})") from exc
     try:
         data = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise InvalidConfig(f"{path}:1: invalid JSON: nested too deeply") from None
     except _DuplicateKey as exc:
         # the key's second occurrence is the repeat, unless another object
         # uses the same key earlier in the file
@@ -509,8 +511,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is None:
         print(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            print(text, file=fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                print(text, file=fh)
+        except OSError as exc:
+            print(f"error: cannot write output to {args.out} ({exc.strerror or exc})",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
     return EXIT_OK
 
 

@@ -5,6 +5,10 @@ code 2) and numeric failures (internal cross-checks that disagree, exit code 3).
 Everything derives from GaussShareError so library users can catch one type.
 """
 
+import operator
+
+import numpy as np
+
 
 class GaussShareError(Exception):
     """Base class for all errors raised by this package."""
@@ -64,3 +68,14 @@ class InvalidConfig(ValidationError):
 
 class NumericError(GaussShareError):
     """Cross-checked computation paths disagree beyond tolerance."""
+
+
+def _check_count(value, name: str, error: type[ValidationError]) -> int:
+    """value as an int under operator.index's rules (int, np.int64, ...);
+    bool, float, str and the rest raise error, never coerced."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")

@@ -16,24 +16,23 @@ how often the secrets disagree and how often individual blocks fail
 reconciliation.  The report does not depend on the chunk size.
 
 Security accounting is exact or absent, never sampled: for small instances
-the full joint distribution of (secret, public messages, unauthorized
-observations) is enumerated in closed form, with the seed averaged out by
-the full-rank rule of the Toeplitz hash; larger instances report leakage as
-unavailable rather than estimate it optimistically.  That rule leaves two
-distinct secret rows in the joint law, so the enumeration holds those two
-and forms its entropies from them, never the 2^k-row table.
+the joint law of (secret, public messages, unauthorized observations) is
+enumerated in closed form, as q independent repetitions of the one
+per-block law at the drawn codebook, with the seed averaged out by the
+full-rank rule of the Toeplitz hash; larger instances report leakage as
+unavailable, never estimated.  That rule leaves two distinct secret rows in
+the joint law, so the enumeration forms its entropies from those two alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..access_structure import AccessStructure
-from ..errors import BudgetExceeded, InvalidConfig, NumericError
+from ..errors import BudgetExceeded, InvalidConfig, NumericError, _check_count
 from ..source_model import SourceSpec
 from . import hashing, info
 from .bounds import (
@@ -86,6 +85,10 @@ class ProtocolConfig:
     exact_leakage: bool | None = None
 
     def __post_init__(self):
+        for name in ("l_quant", "n", "q", "k", "seed", "trials"):
+            _check_count(getattr(self, name), name, InvalidConfig)
+        if not isinstance(self.exact_leakage, (bool, type(None))):
+            raise InvalidConfig("exact_leakage must be None, True or False")
         checks = [
             (self.l_quant >= 2, "l_quant must be at least 2"),
             (self.n >= 1, "n must be at least 1"),
@@ -426,6 +429,27 @@ def _stacked_sum(first: np.ndarray, uniform: np.ndarray, copies: int) -> np.ndar
     return acc
 
 
+def _block_law(model: DiscreteSourceModel, codebook: Codebook, n: int, epsilon: float):
+    """The law of one block at a fixed codebook: the distinct encoder outcomes,
+    rows [omega, word...] ascending, from one encode of every x-block, and a
+    function giving p(outcome, y_S-block) of one coalition S per call."""
+    x_blocks = np.indices((model.n_x,) * n).reshape(n, -1).T
+    omegas, nus = _encode_blocks(codebook, x_blocks, epsilon)
+    rows = np.column_stack([omegas, codebook.word(omegas, nus)])
+    outcomes, x_out = np.unique(rows, axis=0, return_inverse=True)
+    x_out = x_out.reshape(-1)  # numpy 2.0 changed the inverse's shape
+
+    def law(coalition: tuple[int, ...]) -> np.ndarray:
+        p_block = p_xy = model.joint_xy(coalition)
+        for _ in range(n - 1):
+            p_block = np.kron(p_block, p_xy)
+        p_oy = np.zeros((len(outcomes), p_block.shape[1]))
+        np.add.at(p_oy, x_out, p_block)  # x-block rows in x-block order
+        return p_oy
+
+    return outcomes, law
+
+
 def _exact_leakage(
     model: DiscreteSourceModel,
     structure: AccessStructure,
@@ -434,12 +458,12 @@ def _exact_leakage(
 ):
     """Exact I(S; M, Y_U^N) per unauthorized set, seed marginalized.
 
-    Enumerates every x block, maps it through the deterministic encoder, and
-    propagates the block joint p(x^n, y^n) through q independent repetitions.
-    The seed is averaged out by the full-rank rule of the Toeplitz hash (see
-    `hashing`): the secret is uniform on all 2^k values for every nonzero
-    dealer string and is 0 for the all-zero string, so neither GF(2)
-    elimination nor a seed sweep is needed.
+    The q blocks are independent repetitions of the one per-block law
+    (`_block_law`), so the law of a combo of q block outcomes is the q-fold
+    product of that law.  The seed is averaged out by the full-rank rule of
+    the Toeplitz hash (see `hashing`): the secret is uniform on all 2^k
+    values for every nonzero dealer string and is 0 for the all-zero string,
+    so neither GF(2) elimination nor a seed sweep is needed.
 
     The (secret, message, observation) law is two grouped sums over the
     combos of q block outcomes, each taken in combo order: every secret
@@ -449,30 +473,16 @@ def _exact_leakage(
     marginals come from the two rows, with the additions numpy would make
     over the table, so the results are the table's bit for bit.
     """
-    n, q, k = config.n, config.q, config.k
+    q, k = config.q, config.k
+    outcomes, law = _block_law(model, codebook, config.n, config.epsilon)
 
-    # every x block, in itertools.product order
-    x_blocks = np.indices((model.n_x,) * n).reshape(n, -1).T
-    omegas, nus = _encode_blocks(codebook, x_blocks, config.epsilon)
-    outcomes = list(zip(
-        omegas.tolist(), map(tuple, codebook.word(omegas, nus).tolist())
-    ))
-    distinct = sorted(set(outcomes))
-    out_id = {o: i for i, o in enumerate(distinct)}
-    xb_out = np.array([out_id[o] for o in outcomes])
-    n_out = len(distinct)
-
-    # per composite outcome combo: message id, and whether the dealer string
-    # is all zero (the only string whose secret is not uniform on 2^k values)
-    m_ids: dict[tuple[int, ...], int] = {}
-    combo_m = []
-    combo_zero = []
-    for combo in itertools.product(range(n_out), repeat=q):
-        blocks = [distinct[c] for c in combo]
-        combo_m.append(m_ids.setdefault(tuple(b[0] for b in blocks), len(m_ids)))
-        combo_zero.append(not any(any(b[1]) for b in blocks))
-    combo_m = np.array(combo_m, dtype=np.intp)
-    combo_zero = np.array(combo_zero, dtype=bool)
+    # combos of q outcomes, block 0 most significant; their message ids
+    # (outcomes ascend by omega, so messages first appear in sorted order);
+    # all-zero dealer strings, the only ones whose secret is not uniform
+    combos = np.indices((len(outcomes),) * q).reshape(q, -1).T
+    messages, combo_m = np.unique(outcomes[combos, 0], axis=0, return_inverse=True)
+    combo_m = combo_m.reshape(-1)
+    combo_zero = ~outcomes[:, 1:].any(axis=1)[combos].any(axis=1)
     nonzero_m = combo_m[~combo_zero]
     copies = 2**k - 1  # secrets s >= 1, which all share the row `uniform`
 
@@ -480,22 +490,16 @@ def _exact_leakage(
     # cell, so its row gives I(S; M) and H(S)
     per_u = []
     for u in structure.unauthorized:
-        p_xy = model.joint_xy(u)
-        p_block = p_xy
-        for _ in range(n - 1):
-            p_block = np.kron(p_block, p_xy)
-        p_block_oy = np.zeros((n_out, p_block.shape[1]))
-        np.add.at(p_block_oy, xb_out, p_block)
-        p_full = p_block_oy
+        p_full = p_block_oy = law(u)
         for _ in range(q - 1):
             p_full = np.kron(p_full, p_block_oy)
 
-        # combo index in the kron product is the base-n_out number whose most
-        # significant digit is block 0, matching the combo ordering above.
+        # combo index in the kron product is the base-len(outcomes) number
+        # whose most significant digit is block 0, as in `combos`.
         # np.add.at applies rows in index order, so every cell sums the same
         # terms in the same (row) order as a per-combo fill would
         spread = 2.0**-k * p_full
-        uniform = np.zeros((len(m_ids), p_full.shape[1]))
+        uniform = np.zeros((len(messages), p_full.shape[1]))
         np.add.at(uniform, nonzero_m, spread[~combo_zero])
         first = np.zeros_like(uniform)
         np.add.at(first, combo_m, np.where(combo_zero[:, None], p_full, spread))

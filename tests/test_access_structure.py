@@ -159,6 +159,29 @@ def test_participant_cap():
         threshold_structure(21, 1)
 
 
+@pytest.mark.parametrize("l, t, error", [
+    (3, 2.5, ThresholdOutOfRange),
+    (3, True, ThresholdOutOfRange),
+    (3, "2", ThresholdOutOfRange),
+    (3.9, 2, DomainError),
+    (True, 1, DomainError),
+    (np.float64(3.0), 2, DomainError),
+])
+def test_threshold_structure_refuses_non_integer_counts(l, t, error):
+    with pytest.raises(error, match="must be an integer"):
+        threshold_structure(l, t)
+
+
+def test_monotone_closure_refuses_a_non_integer_l():
+    with pytest.raises(DomainError, match="must be an integer"):
+        monotone_closure(2.5, [[1]])
+
+
+def test_numpy_integer_counts_are_accepted():
+    structure = threshold_structure(np.int64(3), np.int32(2))
+    assert structure == threshold_structure(3, 2)
+
+
 def test_threshold_structure_counts():
     l = 5
     for t in range(1, l + 1):

@@ -199,6 +199,14 @@ def test_rate_region_points_match_secret_capacity():
         assert point == secret_capacity(SPEC3, STRUCT3, float(rp))
 
 
+@pytest.mark.parametrize("rp", [True, False, np.True_])
+def test_rate_rejects_booleans(rp):
+    with pytest.raises(DomainError, match="public rate must be a number"):
+        secret_capacity(SPEC3, STRUCT3, rp)
+    with pytest.raises(DomainError, match="public rate must be a number"):
+        optimal_conditional_variance(SPEC3, 1.0, rp)
+
+
 def test_rate_rejects_nan_and_bare_inf():
     with pytest.raises(DomainError):
         secret_capacity(SPEC3, STRUCT3, math.nan)
@@ -322,6 +330,15 @@ class TestSaddleOracle:
     def test_grid_size_floor(self):
         with pytest.raises(DomainError):
             saddle_check(SPEC3, STRUCT3, 1.0, 50)
+
+    @pytest.mark.parametrize("grid_size", [150.7, 200.0, "200", np.float64(300.0)])
+    def test_grid_size_must_be_an_integer(self, grid_size):
+        with pytest.raises(DomainError, match="grid_size must be an integer"):
+            saddle_check(SPEC3, STRUCT3, 1.0, grid_size)
+
+    def test_numpy_integer_grid_size(self):
+        got = saddle_check(SPEC3, STRUCT3, 1.0, np.int64(300))
+        assert got == saddle_check(SPEC3, STRUCT3, 1.0, 300)
 
     def test_cell_budget_is_checked_before_allocating(self):
         # 5 unauthorized sets x 10^12 cells would need 40 TB

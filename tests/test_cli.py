@@ -313,6 +313,18 @@ class TestSimulateCommand:
         assert content.startswith("protocol metrics")
         assert content.endswith("\n")
 
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/dir/report.txt", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, where, reason):
+        path = self.config(tmp_path, self.SIM)
+        target = str(tmp_path / where)
+        code, out, err = run_cli(capsys, "simulate", "--config", path, "--out", target)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write output to {target} ({reason})\n"
+
     @pytest.mark.parametrize("knob, value, message", [
         ("l_quant", 4096, "above the model budget of 20000000"),
         ("q", 10**12, "exceed the sample budget of 20000000"),
@@ -561,6 +573,22 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, "capacity", "--config", missing)
         assert code == 2
         assert f"{missing}:1:" in err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"version": 1, "note": "d\u00e9j\u00e0"}'.encode("latin-1"))
+        code, _, err = run_cli(capsys, "capacity", "--config", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}:1: cannot read config (")
+        assert "can't decode byte 0xe9" in err
+
+    def test_json_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        depth = 10 * sys.getrecursionlimit()
+        path.write_text('{"version": 1, "source": ' + "[" * depth + "]" * depth + "}")
+        code, _, err = run_cli(capsys, "capacity", "--config", str(path))
+        assert code == 2
+        assert err == f"error: {path}:1: invalid JSON: nested too deeply\n"
 
     def test_source_validation_is_wrapped(self, tmp_path, capsys):
         path = write_config(tmp_path, {

@@ -49,6 +49,18 @@ class TestProtocolConfig:
             with pytest.raises(InvalidConfig):
                 config(**fields)
 
+    @pytest.mark.parametrize("fields", [
+        dict(l_quant=2.7), dict(n=2.5), dict(q=2.0), dict(k=True), dict(seed=1.0),
+        dict(trials=True), dict(n="2"), dict(l_quant=np.float64(2.0)), dict(q=np.True_),
+        dict(exact_leakage="no"), dict(exact_leakage=0), dict(exact_leakage=1),
+    ])
+    def test_refuses_counts_that_are_not_integers(self, fields):
+        with pytest.raises(InvalidConfig, match="must be"):
+            config(**fields)
+
+    def test_accepts_numpy_integers(self):
+        assert config(n=np.int64(3), q=np.uint8(2)).total_symbols == 6
+
     def test_total_symbols(self):
         assert config(n=3, q=5).total_symbols == 15
 
@@ -449,6 +461,49 @@ class TestExactLeakageValues:
             assert abs(fine.max_leakage - coarse.max_leakage) <= 0.2
             saw_positive = saw_positive or coarse.max_leakage > 0.0
         assert saw_positive  # at least one pinned instance actually leaks
+
+
+class TestBlockLawAgainstBruteForce:
+    """_block_law equals the law summed over every (x^n, y^n) pair, each
+    x-block encoded on its own by wz_encode."""
+
+    @pytest.mark.parametrize("rp_target", [None, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("l_quant", [2, 4])
+    @pytest.mark.parametrize("source", ["2-of-2", "readme"])
+    def test_every_coalition_of_small_instances(self, source, l_quant, n, rp_target):
+        spec, structure = {
+            "2-of-2": (PAIR, BOTH_NEEDED),
+            "readme": (TestExactLeakageMatchesPerComboFill.README,
+                       TestExactLeakageMatchesPerComboFill.README_STRUCTURE),
+        }[source]
+        model = build_quantized_source(spec, structure, l_quant, rp_target)
+        book = build_codebook(model.joint_xv(), n, 1.0, 0.5,
+                              np.random.SeedSequence(3, spawn_key=(0,)))
+        outcomes, law = simulate._block_law(model, book, n, 0.2)
+
+        x_blocks = list(itertools.product(range(model.n_x), repeat=n))
+        encoded = []
+        for xb in x_blocks:
+            omega, nu = wz_encode(book, np.array(xb), 0.2)
+            encoded.append((omega, *(int(s) for s in book.word(omega, nu))))
+        distinct = sorted(set(encoded))
+        assert outcomes.tolist() == [list(o) for o in distinct]
+
+        coalitions = [u for u in itertools.chain(structure.unauthorized, structure.authorized)
+                      if (model.n_x * model.n_y(u)) ** n <= 2**18]
+        assert () in coalitions
+        for u in coalitions:
+            p_xy = model.joint_xy(u)
+            y_blocks = np.array(list(itertools.product(range(model.n_y(u)), repeat=n)))
+            want = np.zeros((len(distinct), len(y_blocks)))
+            for xb, outcome in zip(x_blocks, encoded):
+                # p(x^n, y^n) = prod_i p(x_i, y_i), for every y-block at once
+                want[distinct.index(outcome)] += p_xy[np.array(xb), y_blocks].prod(axis=1)
+            got = law(u)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            assert math.isclose(got.sum(), 1.0, rel_tol=1e-12)
 
 
 def _per_combo_leakage(model, structure, codebook, cfg):
