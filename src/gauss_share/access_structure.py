@@ -22,6 +22,7 @@ from .errors import (
     ThresholdOutOfRange,
     TooManyParticipants,
     _check_count,
+    _check_members,
 )
 from .source_model import SourceSpec, subset_snr
 
@@ -105,15 +106,9 @@ class AccessStructure:
         return tuple(_subset_of(int(m)) for m in self.unauthorized_masks)
 
     def is_authorized(self, subset: Iterable[int]) -> bool:
-        mask = _mask_of(self._check_subset(subset))
+        mask = _mask_of(_check_members(subset, self.l, "participants"))
         i = int(np.searchsorted(self.authorized_masks, mask))
         return i < self.authorized_masks.size and int(self.authorized_masks[i]) == mask
-
-    def _check_subset(self, subset: Iterable[int]) -> tuple[int, ...]:
-        members = tuple(sorted(set(int(p) for p in subset)))
-        if any(p < 1 or p > self.l for p in members):
-            raise IndexOutOfRange(f"participants must lie in 1..{self.l}")
-        return members
 
 
 def _validate_l(l: int) -> int:
@@ -148,11 +143,9 @@ def monotone_closure(l: int, generator_sets: Iterable[Iterable[int]]) -> AccessS
     l = _validate_l(l)
     gen_masks: set[int] = set()
     for gen in generator_sets:
-        members = tuple(sorted(set(int(p) for p in gen)))
+        members = _check_members(gen, l, "generator members")
         if not members:
             raise EmptyGenerator("generator sets must be nonempty")
-        if any(p < 1 or p > l for p in members):
-            raise IndexOutOfRange(f"generator members must lie in 1..{l}")
         gen_masks.add(_mask_of(members))
     if not gen_masks:
         raise EmptyGenerator("at least one generator set is required")

@@ -37,6 +37,8 @@ from .errors import (
     NegativeRate,
     NumericError,
     _check_count,
+    _check_real,
+    _check_reals,
 )
 from .source_model import SourceSpec, derive_gain_vector
 
@@ -86,9 +88,7 @@ def is_unlimited(rp) -> bool:
 def _check_finite_rate(rp) -> float:
     if is_unlimited(rp):
         raise DomainError("this operation needs a finite public rate")
-    if isinstance(rp, (bool, np.bool_)):
-        raise DomainError(f"public rate must be a number, got {rp!r}")
-    rp = float(rp)
+    rp = _check_real(rp, "public rate", DomainError)
     if math.isnan(rp) or math.isinf(rp):
         raise DomainError("non-finite public rate; use UNLIMITED for an unbounded channel")
     if rp < 0:
@@ -103,7 +103,7 @@ def _check_rate(rp):
 
 
 def _check_sigma(sigma2_cond: float, spec: SourceSpec) -> float:
-    s = float(sigma2_cond)
+    s = _check_real(sigma2_cond, "conditional variance", DomainError)
     if not (0.0 < s <= spec.sigma2_x):
         raise DomainError(
             f"conditional variance must lie in (0, {spec.sigma2_x}], got {s}"
@@ -113,6 +113,7 @@ def _check_sigma(sigma2_cond: float, spec: SourceSpec) -> float:
 
 def _rate_gap(sigma2_cond: float, snr: float, spec: SourceSpec) -> float:
     """(1/2) log2((sigma2_x*snr + 1) / (sigma2_cond*snr + 1)); 0 at snr=0."""
+    snr = _check_real(snr, "snr", DomainError)
     sx = spec.sigma2_x
     return 0.5 * math.log2((sx * snr + 1.0) / (sigma2_cond * snr + 1.0))
 
@@ -150,14 +151,15 @@ def optimal_conditional_variance(spec: SourceSpec, snr_authorized: float, rp) ->
     that, a denominator that overflows is divided through by sigma2_x.
     """
     rp = _check_finite_rate(rp)
+    snr_a = _check_real(snr_authorized, "snr_authorized", DomainError)
     sx = spec.sigma2_x
     if rp >= 512.0:
         shrink = 2.0 ** (-2.0 * rp)
-        return sx * shrink / (sx * float(snr_authorized) * (1.0 - shrink) + 1.0)
+        return sx * shrink / (sx * snr_a * (1.0 - shrink) + 1.0)
     growth = 2.0 ** (2.0 * rp)
-    denominator = sx * float(snr_authorized) * (growth - 1.0) + growth
+    denominator = sx * snr_a * (growth - 1.0) + growth
     if not math.isfinite(denominator):
-        return 1.0 / (float(snr_authorized) * (growth - 1.0) + growth / sx)
+        return 1.0 / (snr_a * (growth - 1.0) + growth / sx)
     return sx / denominator
 
 
@@ -217,12 +219,14 @@ def rate_region(
     spec: SourceSpec, structure: AccessStructure, rp_grid: Sequence[float]
 ) -> RateRegion:
     """Capacity sweep over a strictly increasing nonnegative rp grid."""
-    grid = [float(r) for r in rp_grid]
-    if not grid:
+    grid = _check_reals(rp_grid, "rp grid", DomainError)
+    if grid.ndim != 1:
+        raise DomainError("rp grid must be a sequence of rates")
+    if not grid.size:
         raise EmptyGrid("rp grid must contain at least one point")
-    if any(r < 0 or math.isnan(r) or math.isinf(r) for r in grid):
+    if not (np.isfinite(grid) & (grid >= 0)).all():
         raise DomainError("rp grid values must be finite and nonnegative")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if (np.diff(grid) <= 0).any():
         raise DomainError("rp grid must be strictly increasing")
 
     ext = extremal_sets(structure, spec)
@@ -233,7 +237,7 @@ def rate_region(
             sigma2_star=optimal_conditional_variance(spec, ext.snr_authorized, rp),
             extremal=ext,
         )
-        for rp in grid
+        for rp in grid.tolist()
     )
     return RateRegion(points=points, cs_infinity=_capacity_value(spec, ext, UNLIMITED))
 

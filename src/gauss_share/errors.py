@@ -3,6 +3,12 @@
 Two families matter to callers: validation errors (bad user input, CLI exit
 code 2) and numeric failures (internal cross-checks that disagree, exit code 3).
 Everything derives from GaussShareError so library users can catch one type.
+
+Each kind of library input has one reader here, and every public entry point
+reads its caller's values through it: `_check_count` for counts and
+indices, `_check_real` for real numbers (`_check_reals` for arrays of them)
+and `_check_members` for participant sets.  A value of the wrong type is
+refused with the caller's error class, never coerced.
 """
 
 import operator
@@ -79,3 +85,40 @@ def _check_count(value, name: str, error: type[ValidationError]) -> int:
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _check_real(value, name: str, error: type[ValidationError]) -> float:
+    """value as a float when it is an int, float or numpy integer or
+    floating scalar; bool, numpy bool, str, the rest and an int too large
+    for a float raise error, never coerced."""
+    if isinstance(value, _REAL_TYPES) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise error(f"{name} must be a number, got {value!r}")
+
+
+def _check_reals(values, name: str, error: type[ValidationError]) -> np.ndarray:
+    """values as a float array when numpy reads them as integers or floats;
+    bools, strings and objects raise error (one dtype check, no loop)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise error(f"{name} must be numbers, got {array.dtype} values")
+    return array.astype(float, copy=False)
+
+
+def _check_members(subset, l: int, name: str) -> tuple[int, ...]:
+    """The distinct participant ids of subset in ascending order, each read
+    by _check_count; an id outside 1..l raises IndexOutOfRange."""
+    try:
+        ids = iter(subset)
+    except TypeError:
+        raise IndexOutOfRange(f"{name} must be a set of ids, got {subset!r}") from None
+    members = sorted({_check_count(p, name, IndexOutOfRange) for p in ids})
+    if members and (members[0] < 1 or members[-1] > l):
+        raise IndexOutOfRange(f"{name} must lie in 1..{l}")
+    return tuple(members)

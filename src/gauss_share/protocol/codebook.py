@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BudgetExceeded, DomainError, IndexOutOfRange
+from ..errors import _check_count, _check_real, _check_reals
 
 __all__ = [
     "Codebook",
@@ -141,6 +142,8 @@ class Codebook:
         """Codeword for 1-based labels: (n,) for scalar labels, (..., n) for
         label arrays, which broadcast against each other."""
         omega, nu = np.asarray(omega), np.asarray(nu)
+        if omega.dtype.kind not in "iu" or nu.dtype.kind not in "iu":
+            raise IndexOutOfRange(f"labels must be integers, got {omega.dtype} and {nu.dtype}")
         inside = (1 <= omega) & (omega <= self.m_omega) & (1 <= nu) & (nu <= self.m_nu)
         if not inside.all():
             raise IndexOutOfRange(
@@ -232,7 +235,7 @@ def build_codebook(
     the draw holds the int64 table plus one chunk.  The table may hold at
     most _MAX_TABLE_CELLS cells, checked before anything is drawn.
     """
-    joint_xv = np.asarray(joint_xv, dtype=float)
+    joint_xv = _check_reals(joint_xv, "joint_xv", DomainError)
     if joint_xv.ndim != 2:
         raise DomainError("joint_xv must be a 2-D table p(x, v)")
     if not (np.isfinite(joint_xv).all() and (joint_xv >= 0).all()):
@@ -242,11 +245,11 @@ def build_codebook(
         total = p_v.sum()
     if not 0 < total < np.inf:
         raise DomainError("joint_xv must have a positive finite sum")
-    n = int(n)
+    n = _check_count(n, "blocklength", DomainError)
     if n < 1:
         raise DomainError("blocklength must be at least 1")
-    m_omega = _label_count(n, float(rv))
-    m_nu = _label_count(n, float(rv_prime))
+    m_omega = _label_count(n, _check_real(rv, "rv", DomainError))
+    m_nu = _label_count(n, _check_real(rv_prime, "rv_prime", DomainError))
     if m_omega * m_nu * n > _MAX_TABLE_CELLS:
         raise BudgetExceeded(
             f"codebook table would hold {m_omega * m_nu * n} cells"
@@ -344,10 +347,10 @@ def wz_decode(
     joint_vy is the single-letter pmf p(v, y) for the decoding coalition's
     flattened observation alphabet; y_seq holds flattened composite symbols.
     """
-    omega = int(omega)
+    omega = _check_count(omega, "omega", IndexOutOfRange)
     if not 1 <= omega <= codebook.m_omega:
         raise IndexOutOfRange(f"omega {omega} outside 1..{codebook.m_omega}")
-    joint_vy = np.asarray(joint_vy, dtype=float)
+    joint_vy = _check_reals(joint_vy, "joint_vy", DomainError)
     n_v, n_y = joint_vy.shape
     if n_v != codebook.n_v:
         raise DomainError(f"joint_vy needs one row per codeword letter ({codebook.n_v})")

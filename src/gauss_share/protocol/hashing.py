@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import DomainError, KTooLarge
+from ..errors import DomainError, KTooLarge, _check_count
 
 __all__ = [
     "hash_matrix_for_input",
@@ -38,7 +38,7 @@ __all__ = [
 
 
 def _bits_per_symbol(alphabet_size: int) -> int:
-    size = int(alphabet_size)
+    size = _check_count(alphabet_size, "alphabet size", DomainError)
     b = size.bit_length() - 1
     if size <= 1 or (1 << b) != size:
         raise DomainError(
@@ -50,15 +50,15 @@ def _bits_per_symbol(alphabet_size: int) -> int:
 def seed_length(n_symbols: int, alphabet_size: int, k: int) -> int:
     """Toeplitz seed length d = N log2|V| + k - 1; zero when k = 0.
 
-    Raises DomainError for k < 0 or, when k > 0, an alphabet size that is
-    not a power of two, and KTooLarge when k exceeds the N log2|V| input bits.
+    Raises DomainError for a count that is not an integer, k < 0 or, when
+    k > 0, an alphabet size that is not a power of two, and KTooLarge when k exceeds the N log2|V| input bits.
     """
-    k = int(k)
+    k = _check_count(k, "secret length", DomainError)
     if k < 0:
         raise DomainError("secret length must be nonnegative")
     if k == 0:
         return 0
-    n_bits = int(n_symbols) * _bits_per_symbol(alphabet_size)
+    n_bits = _check_count(n_symbols, "n_symbols", DomainError) * _bits_per_symbol(alphabet_size)
     if k > n_bits:
         raise KTooLarge(f"cannot extract {k} bits from {n_bits} input bits")
     return n_bits + k - 1

@@ -36,6 +36,7 @@ from numpy.polynomial.legendre import leggauss
 from ..access_structure import AccessStructure
 from ..capacity import extremal_sets, optimal_conditional_variance
 from ..errors import BudgetExceeded, DegenerateVariance, DomainError
+from ..errors import _check_count, _check_real
 from ..source_model import SourceSpec
 from . import info
 from .quantize import Quantizer, build_quantizer
@@ -114,7 +115,7 @@ class DiscreteSourceModel:
         before are dropped first when they and it would pass
         _MODEL_CELL_BUDGET cells.
         """
-        key = tuple(subset)
+        key = tuple(_check_count(p, "participants", DomainError) for p in subset)
         law = self._laws.get(key)
         if law is not None:
             return law
@@ -234,7 +235,7 @@ def build_quantized_source(
     gains = _require_gains(spec)
     if structure.l != spec.l:
         raise DomainError("structure and source disagree on participant count")
-    l_quant = int(l_quant)
+    l_quant = _check_count(l_quant, "l_quant", DomainError)
     if l_quant < 2:
         raise DomainError("need at least two quantization bins")
     cells = max(l_quant ** (spec.l + 2), _QUAD_NODES * l_quant ** (spec.l + 1))
@@ -256,7 +257,7 @@ def build_quantized_source(
         aux_noise_var = None
         v_quant = x_quant
     else:
-        rp_target = float(rp_target)
+        rp_target = _check_real(rp_target, "rp_target", DomainError)
         if not (rp_target > 0.0) or math.isinf(rp_target):
             raise DomainError("rp_target must be a positive finite rate or None")
         ext = extremal_sets(structure, spec)

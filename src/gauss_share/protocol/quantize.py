@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateVariance, DomainError
+from ..errors import DegenerateVariance, DomainError, _check_count, _check_real
 
 __all__ = ["Quantizer", "build_quantizer"]
 
@@ -36,10 +36,10 @@ class Quantizer:
 
 def build_quantizer(variance: float, n_bins: int) -> Quantizer:
     """Equiprobable quantizer for a centered Gaussian of the given variance."""
-    variance = float(variance)
+    variance = _check_real(variance, "variance", DegenerateVariance)
     if not np.isfinite(variance) or variance <= 0.0:
         raise DegenerateVariance(f"variance must be positive and finite, got {variance}")
-    n_bins = int(n_bins)
+    n_bins = _check_count(n_bins, "n_bins", DomainError)
     if n_bins < 2:
         raise DomainError("need at least two quantization bins")
     # here, not at module load: keeps scipy off the capacity layer's import path

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..access_structure import AccessStructure
-from ..errors import BudgetExceeded, InvalidConfig, NumericError, _check_count
+from ..errors import BudgetExceeded, DomainError, InvalidConfig, NumericError
+from ..errors import _check_count, _check_real
 from ..source_model import SourceSpec
 from . import hashing, info
 from .bounds import (
@@ -87,6 +88,8 @@ class ProtocolConfig:
     def __post_init__(self):
         for name in ("l_quant", "n", "q", "k", "seed", "trials"):
             _check_count(getattr(self, name), name, InvalidConfig)
+        for name in ("epsilon", "rv", "rv_prime"):
+            _check_real(getattr(self, name), name, InvalidConfig)
         if not isinstance(self.exact_leakage, (bool, type(None))):
             raise InvalidConfig("exact_leakage must be None, True or False")
         checks = [
@@ -104,7 +107,8 @@ class ProtocolConfig:
             if not ok:
                 raise InvalidConfig(msg)
         if self.rp_target is not None:
-            if not (self.rp_target > 0.0) or math.isinf(self.rp_target):
+            rp_target = _check_real(self.rp_target, "rp_target", InvalidConfig)
+            if not (rp_target > 0.0) or math.isinf(rp_target):
                 raise InvalidConfig("rp_target must be a positive finite rate or None")
 
     @property
@@ -113,7 +117,12 @@ class ProtocolConfig:
 
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion; DomainError
+    unless 0 <= successes <= total."""
+    successes = _check_count(successes, "successes", DomainError)
+    total = _check_count(total, "total", DomainError)
+    if not 0 <= successes <= total:
+        raise DomainError(f"successes {successes} outside 0..{total}")
     if total == 0:
         return 0.0, 1.0
     p = successes / total

@@ -23,7 +23,8 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange, NonPositiveDefinite, NumericError
+from .errors import DomainError, NonPositiveDefinite, NumericError
+from .errors import _check_members, _check_real, _check_reals
 
 __all__ = [
     "SourceSpec",
@@ -70,7 +71,7 @@ class SourceSpec:
     @staticmethod
     def from_covariance(matrix) -> "SourceSpec":
         try:
-            cov = np.asarray(matrix, dtype=float)
+            cov = _check_reals(matrix, "covariance", NonPositiveDefinite)
         except ValueError as exc:  # rows of different lengths
             raise NonPositiveDefinite("covariance must be a square matrix") from exc
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -89,12 +90,13 @@ class SourceSpec:
 
     @staticmethod
     def from_gains(sigma2_x: float, gains) -> "SourceSpec":
+        sigma2_x = _check_real(sigma2_x, "sigma2_x", DomainError)
         if not sigma2_x > 0:
             raise DomainError("sigma2_x must be positive")
         if not math.isfinite(sigma2_x):
             raise DomainError("sigma2_x must be finite")
         _normal_sigma2_x(sigma2_x)
-        g = np.asarray(gains, dtype=float)
+        g = _check_reals(gains, "gains", DomainError)
         if g.ndim != 1 or g.size < 1:
             raise DomainError("gains must be a nonempty vector")
         if not np.all(np.isfinite(g)):
@@ -106,7 +108,7 @@ class SourceSpec:
         if not np.isfinite(grand):
             raise DomainError("sigma2_x times the sum of squared gains must be finite")
         return SourceSpec(
-            mode="gains", covariance=None, sigma2_x=float(sigma2_x), gains=_frozen_array(g)
+            mode="gains", covariance=None, sigma2_x=sigma2_x, gains=_frozen_array(g)
         )
 
     @property
@@ -160,13 +162,6 @@ def _checked_cholesky(matrix: np.ndarray) -> np.ndarray:
     return b
 
 
-def _canonical_subset(spec: SourceSpec, subset: Iterable[int]) -> tuple[int, ...]:
-    members = sorted(set(int(s) for s in subset))
-    if any(s < 1 or s > spec.l for s in members):
-        raise IndexOutOfRange(f"subset members must lie in 1..{spec.l}")
-    return tuple(members)
-
-
 def derive_gain_vector(spec: SourceSpec, subset: Iterable[int]) -> SubsetGain:
     """Whiten a subset's observations into the unit-noise gain form.
 
@@ -176,7 +171,7 @@ def derive_gain_vector(spec: SourceSpec, subset: Iterable[int]) -> SubsetGain:
 
     The empty subset is legal and yields snr = 0.
     """
-    members = _canonical_subset(spec, subset)
+    members = _check_members(subset, spec.l, "subset members")
     if spec.mode == "gains":
         h = spec.gains[[m - 1 for m in members]]
     elif not members:
@@ -216,7 +211,7 @@ def mutual_information(spec: SourceSpec, subset: Iterable[int]) -> float:
     whitening is broken, and raises NumericError rather than returning a
     silently wrong value.
     """
-    members = _canonical_subset(spec, subset)
+    members = _check_members(subset, spec.l, "subset members")
     scalar = 0.5 * math.log2(spec.sigma2_x * subset_snr(spec, members) + 1.0)
     if spec.mode == "covariance" and members:
         cov = spec.covariance
