@@ -93,7 +93,7 @@ def _check_finite_rate(rp) -> float:
         raise DomainError("non-finite public rate; use UNLIMITED for an unbounded channel")
     if rp < 0:
         raise NegativeRate("public rate must be nonnegative")
-    return rp
+    return rp + 0.0  # -0.0 reads as 0.0
 
 
 def _check_rate(rp):
@@ -219,7 +219,7 @@ def rate_region(
     spec: SourceSpec, structure: AccessStructure, rp_grid: Sequence[float]
 ) -> RateRegion:
     """Capacity sweep over a strictly increasing nonnegative rp grid."""
-    grid = _check_reals(rp_grid, "rp grid", DomainError)
+    grid = _check_reals(rp_grid, "rp grid", DomainError) + 0.0  # -0.0 reads as 0.0
     if grid.ndim != 1:
         raise DomainError("rp grid must be a sequence of rates")
     if not grid.size:

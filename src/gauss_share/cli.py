@@ -273,7 +273,7 @@ def parse_rp(cfg: _Config):
         raise cfg.fail("rp", "rp needs exactly one of value, grid")
     _refuse_extra_keys(cfg, block, "rp", (forms[0],))
     if forms[0] == "value":
-        value = _as_float(_number(cfg, "value", block["value"]))
+        value = _as_float(_number(cfg, "value", block["value"])) + 0.0  # -0.0 reads as 0.0
         if value < 0 or not math.isfinite(value):
             raise cfg.fail("value", "rp value must be a finite nonnegative number")
         return value

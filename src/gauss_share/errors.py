@@ -6,9 +6,11 @@ Everything derives from GaussShareError so library users can catch one type.
 
 Each kind of library input has one reader here, and every public entry point
 reads its caller's values through it: `_check_count` for counts and
-indices, `_check_real` for real numbers (`_check_reals` for arrays of them)
-and `_check_members` for participant sets.  A value of the wrong type is
-refused with the caller's error class, never coerced.
+indices, `_check_real` for real numbers (`_check_reals` for arrays of them,
+such as Gaussian samples), `_check_symbols` for arrays of symbols over a
+finite alphabet (bits are the alphabet of two) and `_check_members` for
+participant sets.  A value of the wrong type is refused with the caller's
+error class, never coerced.
 """
 
 import operator
@@ -104,11 +106,35 @@ def _check_real(value, name: str, error: type[ValidationError]) -> float:
 
 def _check_reals(values, name: str, error: type[ValidationError]) -> np.ndarray:
     """values as a float array when numpy reads them as integers or floats;
-    bools, strings and objects raise error (one dtype check, no loop)."""
+    bools, strings and objects raise error.  An ndarray is read by one dtype
+    check; anything else is also scanned once as an object array, since
+    numpy promotes a bool among numbers to 1 or 1.0."""
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":
         raise error(f"{name} must be numbers, got {array.dtype} values")
+    if not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
+    ):
+        raise error(f"{name} must be numbers, got a bool among them")
     return array.astype(float, copy=False)
+
+
+def _check_symbols(
+    values, n_letters: int, name: str, error: type[ValidationError]
+) -> np.ndarray:
+    """values as an int64 array of symbols in 0..n_letters-1 when numpy
+    reads them as integers (an empty input of any dtype reads as empty);
+    bools, floats, strings and objects raise error (one dtype check, no
+    loop).  Narrower integers are widened, so that arithmetic on the symbols
+    cannot wrap in their own dtype."""
+    array = np.asarray(values)
+    if not array.size:
+        return np.zeros(array.shape, dtype=np.int64)
+    if array.dtype.kind not in "iu":
+        raise error(f"{name} symbols must be integers, got {array.dtype} values")
+    if array.min() < 0 or array.max() >= n_letters:
+        raise error(f"{name} symbols must lie in 0..{n_letters - 1}")
+    return array.astype(np.int64, copy=False)
 
 
 def _check_members(subset, l: int, name: str) -> tuple[int, ...]:

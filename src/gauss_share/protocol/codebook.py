@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BudgetExceeded, DomainError, IndexOutOfRange
-from ..errors import _check_count, _check_real, _check_reals
+from ..errors import _check_count, _check_real, _check_reals, _check_symbols
 
 __all__ = [
     "Codebook",
@@ -76,18 +76,10 @@ def _typical_from_counts(
     return (np.abs(counts - target) <= epsilon * target).all(axis=-1)
 
 
-def _symbols(seq, n_letters: int, name: str) -> np.ndarray:
-    """int64 copy of seq, every symbol checked to lie in 0..n_letters-1."""
-    seq = np.asarray(seq, dtype=np.int64)
-    if seq.size and (seq.min() < 0 or seq.max() >= n_letters):
-        raise DomainError(f"{name} symbols must lie in 0..{n_letters - 1}")
-    return seq
-
-
 def is_letter_typical(seq: np.ndarray, pmf: np.ndarray, epsilon: float) -> bool:
     """Relative letter typicality of one sequence against a 1-D pmf."""
     pmf = np.asarray(pmf, dtype=float)
-    seq = _symbols(seq, pmf.size, "sequence")
+    seq = _check_symbols(seq, pmf.size, "sequence", DomainError)
     counts = np.bincount(seq, minlength=pmf.size)
     return bool(_typical_from_counts(counts, pmf, seq.size, float(epsilon)))
 
@@ -97,8 +89,8 @@ def is_jointly_typical(
 ) -> bool:
     """Pair typicality of aligned sequences against joint[a, b]."""
     joint = np.asarray(joint, dtype=float)
-    a = _symbols(seq_a, joint.shape[0], "first sequence")
-    b = _symbols(seq_b, joint.shape[1], "second sequence")
+    a = _check_symbols(seq_a, joint.shape[0], "first sequence", DomainError)
+    b = _check_symbols(seq_b, joint.shape[1], "second sequence", DomainError)
     if a.shape != b.shape:
         raise DomainError("paired sequences must share a length")
     pair = a * joint.shape[1] + b
@@ -259,11 +251,11 @@ def build_codebook(
 
 
 def _block(seq, n: int, n_letters: int, name: str) -> np.ndarray:
-    """Validated int64 copy of a length-n block over 0..n_letters-1."""
-    block = np.asarray(seq, dtype=np.int64)
+    """seq read as one length-n block of symbols over 0..n_letters-1."""
+    block = _check_symbols(seq, n_letters, f"{name} block", DomainError)
     if block.shape != (n,):
         raise DomainError(f"{name} block must have length {n}")
-    return _symbols(block, n_letters, f"{name} block")
+    return block
 
 
 def _first_typical(

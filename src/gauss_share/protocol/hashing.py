@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import DomainError, KTooLarge, _check_count
+from ..errors import DomainError, KTooLarge, _check_count, _check_symbols
 
 __all__ = [
     "hash_matrix_for_input",
@@ -68,9 +68,7 @@ def symbols_to_bits(v_seq: np.ndarray, alphabet_size: int) -> np.ndarray:
     """Big-endian bit expansion of each symbol, concatenated along the last
     axis: (..., N) symbols give (..., N b) bits."""
     b = _bits_per_symbol(alphabet_size)
-    v = np.asarray(v_seq, dtype=np.int64)
-    if v.size and (v.min() < 0 or v.max() >= alphabet_size):
-        raise DomainError("symbol outside the declared alphabet")
+    v = _check_symbols(v_seq, 1 << b, "v", DomainError)
     shifts = np.arange(b - 1, -1, -1)
     bits = ((v[..., None] >> shifts) & 1).astype(np.uint8)
     return bits.reshape(*v.shape[:-1], v.shape[-1] * b)
@@ -84,21 +82,20 @@ def privacy_amplify(
     v_seq is one row (N,) or a batch (..., N); seed_bits holds one seed of
     seed_length(N, alphabet_size, k) bits per row, (d,) or (..., d), and
     row f is hashed under seed f.  Returns (k,) or (..., k) uint8 bits.
-    Raises what seed_length raises, and DomainError for seeds of another
-    shape or a symbol outside the alphabet.  The integer product's uint8
+    Raises what seed_length raises, what symbols_to_bits raises for the
+    rows, and DomainError for seeds that are not integer bits or have
+    another shape; when k = 0 neither is read.  The integer product's uint8
     sums wrap modulo 256, an even modulus, so their parity is exact.
     """
-    v = np.asarray(v_seq, dtype=np.int64)
-    seeds = np.asarray(seed_bits)
-    d = seed_length(v.shape[-1], alphabet_size, k)
+    *batch, n_symbols = np.shape(v_seq)
+    d = seed_length(n_symbols, alphabet_size, k)
     if k == 0:
-        return np.zeros((*v.shape[:-1], 0), dtype=np.uint8)
-    if seeds.shape != (*v.shape[:-1], d):
-        raise DomainError(
-            f"seeds must have shape {(*v.shape[:-1], d)}, got {seeds.shape}"
-        )
-    bits = symbols_to_bits(v, alphabet_size)
-    windows = sliding_window_view(seeds.astype(np.uint8, copy=False), bits.shape[-1], axis=-1)
+        return np.zeros((*batch, 0), dtype=np.uint8)
+    bits = symbols_to_bits(v_seq, alphabet_size)
+    seeds = _check_symbols(seed_bits, 2, "seed", DomainError)
+    if seeds.shape != (*batch, d):
+        raise DomainError(f"seeds must have shape {(*batch, d)}, got {seeds.shape}")
+    windows = sliding_window_view(seeds.astype(np.uint8), bits.shape[-1], axis=-1)
     return (windows @ bits[..., ::-1, None])[..., 0] & 1
 
 

@@ -36,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 from ..access_structure import AccessStructure
 from ..capacity import extremal_sets, optimal_conditional_variance
 from ..errors import BudgetExceeded, DegenerateVariance, DomainError
-from ..errors import _check_count, _check_real
+from ..errors import _check_count, _check_real, _check_reals, _check_symbols
 from ..source_model import SourceSpec
 from . import info
 from .quantize import Quantizer, build_quantizer
@@ -118,9 +118,8 @@ class DiscreteSourceModel:
         key = tuple(_check_count(p, "participants", DomainError) for p in subset)
         law = self._laws.get(key)
         if law is not None:
-            return law
-        if len(set(key)) != len(key) or not all(1 <= p <= self.l for p in key):
-            raise DomainError(f"{key} is not a set of participants 1..{self.l}")
+            return law  # only keys that passed _members are kept
+        key = self._members(key)
         shape = (self.n_v, self.n_x, self.n_y(key))
         if math.prod(shape) + sum(kept.size for kept in self._laws.values()) > _MODEL_CELL_BUDGET:
             self._laws.clear()
@@ -141,10 +140,23 @@ class DiscreteSourceModel:
     def observations(self, y_bins: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
         """Each symbol's observation by the coalition, numbered as joint(subset)'s
         last axis, from the (size, L) observation bins y_bins."""
+        members = self._members(subset)
+        l_quant = self.node_y.shape[3]
+        y_bins = _check_symbols(y_bins, l_quant, "observation bin", DomainError)
+        if y_bins.ndim != 2 or y_bins.shape[1] != self.l:
+            raise DomainError(f"y_bins must be (size, {self.l}) observation bins")
         flat = np.zeros(y_bins.shape[0], dtype=np.int64)
-        for member in subset:
-            flat = flat * self.node_y.shape[3] + y_bins[:, member - 1]
+        for member in members:
+            flat = flat * l_quant + y_bins[:, member - 1]
         return flat
+
+    def _members(self, subset) -> tuple[int, ...]:
+        """The ids of subset in their order, each read by _check_count;
+        DomainError unless they are distinct and lie in 1..l."""
+        key = tuple(_check_count(p, "participants", DomainError) for p in subset)
+        if len(set(key)) != len(key) or not all(1 <= p <= self.l for p in key):
+            raise DomainError(f"{key} is not a set of participants 1..{self.l}")
+        return key
 
     # -- single-letter marginals (flattened composite observation index) --
 
@@ -316,6 +328,9 @@ def sample_source(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw continuous (x, y) with x shape (size,) and y shape (size, L)."""
     gains = _require_gains(spec)
+    size = _check_count(size, "size", DomainError)
+    if size < 0:
+        raise DomainError("size must be nonnegative")
     x = rng.normal(0.0, math.sqrt(spec.sigma2_x), size=size)
     y = x[:, None] * gains[None, :] + rng.standard_normal((size, gains.size))
     return x, y
@@ -329,7 +344,7 @@ def discretize_source(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bin continuous samples: returns (x bins (size,), y bins (size, L))."""
     x_bins = x_quantizer.indices(x)
-    y = np.asarray(y, dtype=float)
+    y = _check_reals(y, "y samples", DomainError)
     if y.ndim != 2 or y.shape[1] != len(y_quantizers):
         raise DomainError("y must be (size, L) matching the quantizer list")
     y_bins = np.stack(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateVariance, DomainError, _check_count, _check_real
+from ..errors import DegenerateVariance, DomainError, _check_count, _check_real, _check_reals
 
 __all__ = ["Quantizer", "build_quantizer"]
 
@@ -31,7 +31,8 @@ class Quantizer:
 
     def indices(self, x: np.ndarray) -> np.ndarray:
         """Bin index of each sample (0 .. n_bins-1)."""
-        return np.searchsorted(self.boundaries, np.asarray(x, dtype=float), side="left")
+        x = _check_reals(x, "samples", DomainError)
+        return np.searchsorted(self.boundaries, x, side="left")
 
 
 def build_quantizer(variance: float, n_bins: int) -> Quantizer:

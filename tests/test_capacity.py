@@ -191,6 +191,14 @@ def test_rate_region_grid_validation():
         rate_region(SPEC3, STRUCT3, [0.0, math.inf])
 
 
+def test_negative_zero_rate_reads_as_zero():
+    """-0.0 is a valid rate and reads as +0.0, so no result prints "-0"."""
+    for rp in (secret_capacity(SPEC3, STRUCT3, -0.0).rp,
+               saddle_check(SPEC3, STRUCT3, -0.0, 100).rp,
+               rate_region(SPEC3, STRUCT3, [-0.0, 1.0]).points[0].rp):
+        assert rp == 0.0 and math.copysign(1.0, rp) == 1.0
+
+
 def test_rate_region_points_match_secret_capacity():
     grid = np.linspace(0.0, 5.0, 300)
     region = rate_region(SPEC3, STRUCT3, grid)

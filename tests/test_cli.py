@@ -48,6 +48,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("command, access, rp", [
+    ("capacity", EXAMPLE_ACCESS, {"value": -0.0}),
+    ("oracle", EXAMPLE_ACCESS, {"value": -0.0}),
+    ("threshold", {"threshold_sweep": True}, {"value": -0.0}),
+])
+def test_negative_zero_rate_prints_as_zero(tmp_path, capsys, command, access, rp):
+    path = write_config(tmp_path, {
+        "version": 1, "source": EXAMPLE_SOURCE, "access": access, "rp": rp,
+    })
+    for fmt in ("text", "csv"):
+        code, out, err = run_cli(capsys, command, "--config", path, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert "-0" not in out
+
+
 class TestCapacityCommand:
     def test_unlimited_rate_text_output(self, tmp_path, capsys):
         path = write_config(tmp_path, {

@@ -101,11 +101,11 @@ class TestToeplitzHash:
     def test_zero_input_hashes_to_zero(self):
         rng = np.random.default_rng(1)
         seed = rng.integers(0, 2, 8 + 1 - 1)
-        np.testing.assert_array_equal(privacy_amplify(np.zeros(8), seed, 1, 2), [0])
+        np.testing.assert_array_equal(privacy_amplify(np.zeros(8, int), seed, 1, 2), [0])
 
     def test_seed_size_enforced(self):
-        with pytest.raises(DomainError):
-            privacy_amplify(np.zeros(8), np.zeros(5), 2, 2)  # needs 9 bits
+        with pytest.raises(DomainError, match="seeds must have shape"):
+            privacy_amplify(np.zeros(8, int), np.zeros(5, int), 2, 2)  # needs 9 bits
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(3)
@@ -176,8 +176,8 @@ class TestToeplitzHash:
 
     def test_batch_needs_one_seed_per_row(self):
         v = np.zeros((3, 4), dtype=np.int64)
-        for seeds in (np.zeros((2, 5)), np.zeros(5), np.zeros((3, 4))):
-            with pytest.raises(DomainError):
+        for seeds in (np.zeros((2, 5), int), np.zeros(5, int), np.zeros((3, 4), int)):
+            with pytest.raises(DomainError, match="seeds must have shape"):
                 privacy_amplify(v, seeds, 2, 2)
 
     def test_long_rows_keep_their_parity(self):
@@ -218,8 +218,8 @@ class TestPrivacyAmplify:
             privacy_amplify([0, 1], np.zeros(3), -1, 2)
 
     def test_seed_size_enforced(self):
-        with pytest.raises(DomainError):
-            privacy_amplify([0, 1, 0, 1], np.zeros(3), 2, 2)
+        with pytest.raises(DomainError, match="seeds must have shape"):
+            privacy_amplify([0, 1, 0, 1], np.zeros(3, int), 2, 2)
 
 
 class TestTwoUniversality:
