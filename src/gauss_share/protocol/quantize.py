@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DegenerateVariance, DomainError, _check_count, _check_real, _check_reals
+from .normal import ndtri
 
 __all__ = ["Quantizer", "build_quantizer"]
 
@@ -30,8 +32,11 @@ class Quantizer:
         return np.full(self.n_bins, 1.0 / self.n_bins)
 
     def indices(self, x: np.ndarray) -> np.ndarray:
-        """Bin index of each sample (0 .. n_bins-1)."""
+        """Bin index of each sample (0 .. n_bins-1); DomainError for a NaN or
+        infinite sample, which no bin holds."""
         x = _check_reals(x, "samples", DomainError)
+        if not np.isfinite(x).all():
+            raise DomainError("samples must be finite")
         return np.searchsorted(self.boundaries, x, side="left")
 
 
@@ -43,9 +48,13 @@ def build_quantizer(variance: float, n_bins: int) -> Quantizer:
     n_bins = _check_count(n_bins, "n_bins", DomainError)
     if n_bins < 2:
         raise DomainError("need at least two quantization bins")
-    # here, not at module load: keeps scipy off the capacity layer's import path
-    from scipy.special import ndtri
-
-    grid = np.arange(1, n_bins) / n_bins
-    boundaries = np.sqrt(variance) * ndtri(grid)
+    boundaries = np.sqrt(variance) * _standard_boundaries(n_bins)
     return Quantizer(variance=variance, n_bins=n_bins, boundaries=boundaries)
+
+
+@functools.lru_cache(maxsize=64)
+def _standard_boundaries(n_bins: int) -> np.ndarray:
+    """Read-only N(0, 1) quantiles of i / n_bins, i = 1 .. n_bins - 1."""
+    boundaries = ndtri(np.arange(1, n_bins) / n_bins)
+    boundaries.flags.writeable = False
+    return boundaries

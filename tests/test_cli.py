@@ -1043,11 +1043,12 @@ class TestArgumentParsing:
         assert result.stdout == out
         assert "secret capacity: 0.111196210668" in out
 
-    def test_capacity_commands_run_without_scipy(self, tmp_path):
-        # scipy.special is imported by the protocol model's builders only, so
-        # a fresh process that imports the package and runs the four
-        # capacity-layer commands never loads scipy; building a quantizer
-        # afterwards does, which shows the import was deferred, not dropped.
+    def test_package_runs_without_scipy(self, tmp_path):
+        # A fresh interpreter in which importing scipy raises runs the four
+        # capacity-layer commands and the README simulate config; the
+        # simulate output must still match its golden byte for byte, so no
+        # command needs scipy, the protocol model's normal CDF and quantile
+        # included, and none loads it.
         configs = [
             (command, write_config(tmp_path, {
                 "version": 1, "source": EXAMPLE_SOURCE, "access": access, "rp": rp,
@@ -1055,19 +1056,26 @@ class TestArgumentParsing:
             }, name=f"{command}.json"))
             for command, access, rp in CAPACITY_COMMANDS
         ]
+        simulate = write_config(tmp_path, dict({"version": 1}, **README_SIM_CONFIG),
+                                name="simulate.json")
         script = (
-            "import sys\n"
-            "import gauss_share\n"
-            "from gauss_share import cli, protocol\n"
+            "import contextlib, io, sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "from gauss_share import cli\n"
             f"for command, path in {configs!r}:\n"
-            "    assert cli.main([command, '--config', path]) == 0, command\n"
-            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main([command, '--config', path]) == 0, command\n"
+            f"assert cli.main(['simulate', '--config', {simulate!r}]) == 0\n"
+            "loaded = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
             "assert not loaded, loaded\n"
-            "protocol.build_quantizer(1.0, 4)\n"
-            "assert 'scipy.special' in sys.modules\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script],
-            capture_output=True, text=True, env=suite_env(), cwd=tmp_path,
+            capture_output=True, env=suite_env(), cwd=tmp_path,
         )
-        assert result.returncode == 0, result.stderr
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout == (GOLDEN_DIR / "simulate_3party_text.txt").read_bytes()

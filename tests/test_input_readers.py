@@ -66,6 +66,7 @@ SYMBOLS = ((np.array([1.0, 0.0]), [1.7, 0.2], [True, False], ["1", "0"]),
            "symbols must be integers")
 OUTSIDE = (([0, 2], [-1, 1], [3, 5]), "symbols must lie in 0..1")
 SAMPLES = (([True, False], ["0.5", "-1"], [0.5, True]), "must be numbers")
+NONFINITE = (([np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.1]), "samples must be finite")
 BOOLS_AMONG = (([0.5, True], [0.25, np.True_]), "got a bool among them")
 NOT_MEMBERS = ((0, 3), "is not a set of participants 1..2")
 LABELS = ((*COUNTS[0], np.array([1.0])), "must be integers")
@@ -162,6 +163,13 @@ SLOTS = [
      lambda v: discretize_source(MODEL.x_quantizer, MODEL.y_quantizers, v, [[0.1, 0.2]] * 2),
      DomainError),
     ("discretize_source y", SAMPLES,
+     lambda v: discretize_source(MODEL.x_quantizer, MODEL.y_quantizers, [0.1], [v]),
+     DomainError),
+    ("Quantizer.indices x", NONFINITE, lambda v: MODEL.x_quantizer.indices(v), DomainError),
+    ("discretize_source x", NONFINITE,
+     lambda v: discretize_source(MODEL.x_quantizer, MODEL.y_quantizers, v, [[0.1, 0.2]] * 2),
+     DomainError),
+    ("discretize_source y", NONFINITE,
      lambda v: discretize_source(MODEL.x_quantizer, MODEL.y_quantizers, [0.1], [v]),
      DomainError),
     ("sample_source size", COUNTS,
