@@ -17,6 +17,24 @@ import operator
 
 import numpy as np
 
+__all__ = [
+    "GaussShareError",
+    "ValidationError",
+    "NonPositiveDefinite",
+    "TooManyParticipants",
+    "EmptyGenerator",
+    "ThresholdOutOfRange",
+    "IndexOutOfRange",
+    "DomainError",
+    "NegativeRate",
+    "EmptyGrid",
+    "DegenerateVariance",
+    "KTooLarge",
+    "BudgetExceeded",
+    "InvalidConfig",
+    "NumericError",
+]
+
 
 class GaussShareError(Exception):
     """Base class for all errors raised by this package."""
@@ -124,10 +142,12 @@ def _check_symbols(
 ) -> np.ndarray:
     """values as an int64 array of symbols in 0..n_letters-1 when numpy
     reads them as integers (an empty input of any dtype reads as empty);
-    bools, floats, strings and objects raise error (one dtype check, no
-    loop).  Narrower integers are widened, so that arithmetic on the symbols
-    cannot wrap in their own dtype."""
+    a scalar (a 0-d array), bools, floats, strings and objects raise error
+    (one dtype check, no loop).  Narrower integers are widened, so that
+    arithmetic on the symbols cannot wrap in their own dtype."""
     array = np.asarray(values)
+    if not array.ndim:
+        raise error(f"{name} symbols must be an array, got the scalar {values!r}")
     if not array.size:
         return np.zeros(array.shape, dtype=np.int64)
     if array.dtype.kind not in "iu":

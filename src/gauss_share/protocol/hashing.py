@@ -82,12 +82,16 @@ def privacy_amplify(
     v_seq is one row (N,) or a batch (..., N); seed_bits holds one seed of
     seed_length(N, alphabet_size, k) bits per row, (d,) or (..., d), and
     row f is hashed under seed f.  Returns (k,) or (..., k) uint8 bits.
-    Raises what seed_length raises, what symbols_to_bits raises for the
-    rows, and DomainError for seeds that are not integer bits or have
-    another shape; when k = 0 neither is read.  The integer product's uint8
-    sums wrap modulo 256, an even modulus, so their parity is exact.
+    Raises DomainError for a scalar v_seq, what seed_length raises, what
+    symbols_to_bits raises for the rows, and DomainError for seeds that are
+    not integer bits or have another shape; when k = 0 neither is read.
+    The integer product's uint8 sums wrap modulo 256, an even modulus, so
+    their parity is exact.
     """
-    *batch, n_symbols = np.shape(v_seq)
+    shape = np.shape(v_seq)
+    if not shape:
+        raise DomainError(f"v symbols must be an array, got the scalar {v_seq!r}")
+    *batch, n_symbols = shape
     d = seed_length(n_symbols, alphabet_size, k)
     if k == 0:
         return np.zeros((*batch, 0), dtype=np.uint8)

@@ -360,11 +360,16 @@ def discretize_source(
     x: np.ndarray,
     y: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bin continuous samples: returns (x bins (size,), y bins (size, L))."""
+    """Bin continuous samples: returns (x bins (size,), y bins (size, L)).
+    DomainError unless x is (size,) and y is (size, L), L matching the
+    quantizer list."""
     x_bins = x_quantizer.indices(x)
     y = _check_reals(y, "y samples", DomainError)
     if y.ndim != 2 or y.shape[1] != len(y_quantizers):
         raise DomainError("y must be (size, L) matching the quantizer list")
+    if x_bins.shape != y.shape[:1]:
+        raise DomainError(f"x must be ({y.shape[0]},), one sample per row of y, "
+                          f"got {x_bins.shape}")
     y_bins = np.stack(
         [q.indices(y[:, j]) for j, q in enumerate(y_quantizers)], axis=1
     )

@@ -1,19 +1,20 @@
 """Standard normal CDF and quantile: numpy ports of Cephes ndtr and ndtri.
 
-The routines are Moshier's Cephes `ndtr`, `ndtri`, `erf` and `erfc`
-("Methods and Programs for Mathematical Functions", 1989): the same
-coefficient tables, the same branch points and the same Horner evaluation
-(`polevl`/`p1evl`), written as numpy multiply-then-add over every lane of an
-array.  scipy.special's `ndtr` and `ndtri` still run this code, and on
-x86-64 the ports return its bits exactly: numpy's `+ - * / sqrt` are
-correctly rounded, and `exp` and `log` are taken lane by lane through
-Python's `math`, which is the C library's libm, as the compiled Cephes calls
-them.  numpy's own SIMD `exp` and `log` differ from libm by an ulp on some
-lanes, so they are not used.  A build that contracts `a * b + c` to a fused
-multiply-add (GCC's default on aarch64, for one) rounds Cephes differently,
-so its scipy may differ from these ports by an ulp.
+The routines are Moshier's Cephes `ndtr` and `ndtri`, with the `erf` and
+`erfc` that `ndtr` calls ("Methods and Programs for Mathematical
+Functions", 1989): the same coefficient tables, the same branch points and
+the same Horner evaluation (`polevl`/`p1evl`), written as numpy
+multiply-then-add over every lane of an array.  scipy.special's `ndtr` and
+`ndtri` still run this code, and on x86-64 the ports return its bits
+exactly: numpy's `+ - * / sqrt` are correctly rounded, and `exp` and `log`
+are taken lane by lane through Python's `math`, which is the C library's
+libm, as the compiled Cephes calls them.  numpy's own SIMD `exp` and `log`
+differ from libm by an ulp on some lanes, so they are not used.  A build
+that contracts `a * b + c` to a fused multiply-add (GCC's default on
+aarch64, for one) rounds Cephes differently, so its scipy may differ from
+these ports by an ulp.
 
-Every function takes and returns float64 arrays of any shape and raises no
+Both functions take and return float64 arrays of any shape and raise no
 floating-point warning: NaN lanes give NaN, as does an `ndtri` argument
 outside [0, 1].
 """
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-__all__ = ["erf", "erfc", "ndtr", "ndtri"]
+__all__ = ["ndtr", "ndtri"]
 
 _SQRT1_2 = 7.07106781186547524401e-1  # M_SQRT1_2
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
@@ -110,14 +111,13 @@ def _table(*branches: tuple[tuple[float, ...], tuple[float, ...]]) -> np.ndarray
     return np.ascontiguousarray(table.transpose(2, 1, 0))
 
 
-# branches of _erf_core: erf(a) for a <= 1, as x T(x^2) / U(x^2); erfc(a) as
+# branches of _erf_core: erf(a) for a < 1, as x T(x^2) / U(x^2); erfc(a) as
 # exp(-a^2) P(a) / Q(a) for 1 <= a < 8 and exp(-a^2) R(a) / S(a) for a >= 8
 _ERF_TABLE = _table((_ERF_T, _ERF_U), (_ERFC_P, _ERFC_Q), (_ERFC_R, _ERFC_S))
 # branches of _ndtri: |y - 0.5| <= 3/8 in y2 = (y - 0.5)^2, then the tail
 # in z = 1 / sqrt(-2 log y) for sqrt(-2 log y) in [2, 8) and in [8, 64)
 _NDTRI_TABLE = _table((_NDTRI_P0, _NDTRI_Q0), (_NDTRI_P1, _NDTRI_Q1), (_NDTRI_P2, _NDTRI_Q2))
-# _erf_core's first branch point: erf keeps its polynomial at 1, erfc does not
-_ERF_EDGES = np.array([np.nextafter(1.0, 2.0), 8.0])
+# _erf_core's branch points, Cephes erfc's: its polynomial branch stops below 1
 _ERFC_EDGES = np.array([1.0, 8.0])
 _CHUNK = 1 << 14  # lanes per pass, which bounds the gathered coefficients
 
@@ -151,15 +151,15 @@ def _lanes(f, x) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _erf_core(a: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cephes erf(a) on the lanes below edges[0] and erfc(a) on the others,
-    for a >= 0 or NaN; returns the values and the erf lanes.
+def _erf_core(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cephes erf(a) on the lanes below 1 and erfc(a) on the others, for
+    a >= 0 or NaN; returns the values and the erf lanes.
 
-    The three branches split at edges[0] (_ERF_EDGES or _ERFC_EDGES) and at 8.
+    The three branches split at 1 and at 8 (_ERFC_EDGES).
     erfc is 0 where a * a > MAXLOG.  Lanes at 27 and above all are, so a is
     clamped there first, which keeps the square and Horner's rule finite.
     """
-    branch = edges.searchsorted(a, side="right")  # NaN sorts last
+    branch = _ERFC_EDGES.searchsorted(a, side="right")  # NaN sorts last
     poly = branch == 0
     a = np.minimum(a, 27.0)
     sq = a * a
@@ -169,22 +169,12 @@ def _erf_core(a: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return _rational(_ERF_TABLE, branch, np.where(poly, sq, a), m), poly
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
-    r, poly = _erf_core(np.abs(x), _ERF_EDGES)
-    return np.copysign(np.where(poly, r, 1.0 - r), x)
-
-
-def _erfc(x: np.ndarray) -> np.ndarray:
-    r, poly = _erf_core(np.abs(x), _ERFC_EDGES)
-    return np.where(poly, 1.0 - np.copysign(r, x), np.where(x < 0.0, 2.0 - r, r))
-
-
 def _ndtr(a: np.ndarray) -> np.ndarray:
     x = a * _SQRT1_2
     z = np.abs(x)
     # Cephes ndtr takes 0.5 + 0.5 erf(x) for |x| < sqrt(1/2) and 0.5 erfc(|x|)
     # above, and erfc(z) itself is 1 - erf(z) for z < 1
-    r, poly = _erf_core(z, _ERFC_EDGES)
+    r, poly = _erf_core(z)
     y = 0.5 * np.where(poly, 1.0 - r, r)
     return np.where(z < _SQRT1_2, 0.5 + 0.5 * np.copysign(r, x), np.where(x > 0.0, 1.0 - y, y))
 
@@ -211,16 +201,6 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
     x = x - _libm(math.log, x) / x - s[tail]
     out[tail] = np.where(upper[tail], x, -x)
     return out
-
-
-def erf(x) -> np.ndarray:
-    """Error function, Cephes erf."""
-    return _lanes(_erf, x)
-
-
-def erfc(x) -> np.ndarray:
-    """Complementary error function, Cephes erfc."""
-    return _lanes(_erfc, x)
 
 
 def ndtr(a) -> np.ndarray:

@@ -65,6 +65,7 @@ REALS = ((True, np.True_, "1"), "must be a number")
 SYMBOLS = ((np.array([1.0, 0.0]), [1.7, 0.2], [True, False], ["1", "0"]),
            "symbols must be integers")
 OUTSIDE = (([0, 2], [-1, 1], [3, 5]), "symbols must lie in 0..1")
+SCALARS = ((1, np.int64(0), np.array(1)), "symbols must be an array")
 SAMPLES = (([True, False], ["0.5", "-1"], [0.5, True]), "must be numbers")
 NONFINITE = (([np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.1]), "samples must be finite")
 BOOLS_AMONG = (([0.5, True], [0.25, np.True_]), "got a bool among them")
@@ -150,6 +151,23 @@ SLOTS = [
      DomainError),
     ("privacy_amplify seed_bits", OUTSIDE, lambda v: privacy_amplify([0, 1], v, 1, 2),
      DomainError),
+    ("is_letter_typical seq", SCALARS, lambda v: is_letter_typical(v, [0.5, 0.5], 0.2),
+     DomainError),
+    ("is_jointly_typical seq_a", SCALARS,
+     lambda v: is_jointly_typical(v, [0, 1], UNIFORM, 0.2), DomainError),
+    ("is_jointly_typical seq_b", SCALARS,
+     lambda v: is_jointly_typical([0, 1], v, UNIFORM, 0.2), DomainError),
+    ("wz_encode x_seq", SCALARS, lambda v: wz_encode(BOOK, v, 0.2), DomainError),
+    ("wz_decode y_seq", SCALARS, lambda v: wz_decode(BOOK, v, 1, 0.2, UNIFORM), DomainError),
+    ("symbols_to_bits v_seq", SCALARS, lambda v: symbols_to_bits(v, 2), DomainError),
+    ("privacy_amplify v_seq", SCALARS,
+     lambda v: privacy_amplify(v, np.zeros(2, np.uint8), 1, 2), DomainError),
+    ("privacy_amplify v_seq at k=0", SCALARS, lambda v: privacy_amplify(v, [], 0, 2),
+     DomainError),
+    ("privacy_amplify seed_bits", SCALARS, lambda v: privacy_amplify([0, 1], v, 1, 2),
+     DomainError),
+    ("DiscreteSourceModel.observations y_bins", SCALARS,
+     lambda v: MODEL.observations(v, (1, 2)), DomainError),
     ("DiscreteSourceModel.observations y_bins", SYMBOLS,
      lambda v: MODEL.observations([v], (1, 2)), DomainError),
     ("DiscreteSourceModel.observations y_bins", OUTSIDE,
@@ -210,6 +228,11 @@ REFUSALS = [
                  "must be a set", id="is_authorized of a bare id"),
     pytest.param(lambda v: sample_source(SPEC, np.random.default_rng(0), v), -1, DomainError,
                  "size must be nonnegative", id="sample_source negative size"),
+    *[pytest.param(lambda v: discretize_source(MODEL.x_quantizer, MODEL.y_quantizers, *v),
+                   v, DomainError, "one sample per row of y",
+                   id=f"discretize_source x {np.shape(v[0])} against y {np.shape(v[1])}")
+      for v in [(np.zeros(5), np.zeros((3, 2))), (np.zeros((3, 2)), np.zeros((3, 2))),
+                (0.5, np.zeros((1, 2))), (np.zeros(1), np.zeros((0, 2)))]],
 ]
 
 

@@ -103,9 +103,6 @@ class TestNormal:
         ])
         assert a.size >= 1_000_000
         _assert_same_bits(normal.ndtr(a), special.ndtr(a))
-        x = a / math.sqrt(2.0)
-        _assert_same_bits(normal.erf(x), special.erf(x))
-        _assert_same_bits(normal.erfc(x), special.erfc(x))
 
         y = np.concatenate([
             _neighbours(np.concatenate([SPECIALS, NDTRI_EDGES])),
@@ -121,7 +118,7 @@ class TestNormal:
         extremes = _neighbours(np.concatenate([SPECIALS, [1e308, -1e308, 1e-320]]))
         with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
             warnings.simplefilter("error")
-            for f in (normal.ndtr, normal.ndtri, normal.erf, normal.erfc):
+            for f in (normal.ndtr, normal.ndtri):
                 f(extremes)
                 f(extremes.reshape(3, -1))
                 assert f(np.array([])).shape == (0,)
@@ -132,7 +129,7 @@ class TestNormal:
             "import sys\n"
             "import numpy as np\n"
             "from gauss_share.protocol import normal\n"
-            "for f in (normal.ndtr, normal.ndtri, normal.erf, normal.erfc):\n"
+            "for f in (normal.ndtr, normal.ndtri):\n"
             "    f(np.linspace(-40.0, 40.0, 101))\n"
             "loaded = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
             "assert not loaded, loaded\n"
