@@ -56,6 +56,11 @@ def _subset_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _fmt_subset(subset: tuple[int, ...]) -> str:
+    """A subset in the public sorted-tuple form, printed as {1,2}."""
+    return "{" + ",".join(str(p) for p in subset) + "}"
+
+
 @dataclass(frozen=True, eq=False)
 class AccessStructure:
     """Monotone family of authorized subsets, stored as its bitmasks.

@@ -40,14 +40,13 @@ import numpy as np
 from .access_structure import (
     AccessStructure,
     ExtremalSets,
-    extremal_sets,
+    _fmt_subset,
     monotone_closure,
     threshold_structure,
 )
 from .capacity import (
     UNLIMITED,
     CapacityPoint,
-    _capacity_value,
     is_unlimited,
     rate_region,
     saddle_check,
@@ -56,7 +55,6 @@ from .capacity import (
 )
 from .errors import GaussShareError, InvalidConfig, NumericError, ValidationError
 from .protocol import ProtocolConfig, run_protocol
-from .protocol.simulate import _fmt_subset
 from .source_model import SourceSpec
 
 __all__ = ["main"]
@@ -342,6 +340,16 @@ def _point_row(point: CapacityPoint, extremal_cells: str) -> str:
     return ",".join([_fmt_rp(point.rp), _fmt(point.cs), sigma_txt, extremal_cells])
 
 
+def _capacity_points(cfg: _Config, spec: SourceSpec, structure, rp) -> tuple[CapacityPoint, ...]:
+    """secret_capacity's point at one rate, or rate_region's at a grid (refused on its line)."""
+    if not isinstance(rp, np.ndarray):
+        return (secret_capacity(spec, structure, rp),)
+    try:
+        return rate_region(spec, structure, rp).points
+    except ValidationError as exc:
+        raise cfg.fail("grid", str(exc)) from exc
+
+
 def cmd_capacity(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | None) -> str:
     point = secret_capacity(spec, structure, _single_rp(cfg, "capacity"))
     if fmt == "csv":
@@ -362,32 +370,25 @@ def cmd_region(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | 
     grid = parse_rp(cfg)
     if not isinstance(grid, np.ndarray):
         raise cfg.fail("rp", "region needs an rp grid")
-    region = rate_region(spec, structure, grid)
-    ext = region.points[0].extremal  # one search serves every point
-    saturation = CapacityPoint(UNLIMITED, region.cs_infinity, None, ext)
-    cells = _extremal_cells(ext)
+    points = _capacity_points(cfg, spec, structure, grid)
+    points += (secret_capacity(spec, structure, UNLIMITED),)
+    cells = _extremal_cells(points[0].extremal)
     # the sweep is tabular data either way, so text and csv coincide here
-    return "\n".join([_POINT_HEADER, *(_point_row(p, cells) for p in (*region.points, saturation))])
+    return "\n".join([_POINT_HEADER, *(_point_row(p, cells) for p in points)])
 
 
 def cmd_threshold(cfg: _Config, spec: SourceSpec, structure, fmt: str, seed: int | None) -> str:
-    """The capacity of every threshold t at every rp, then the ratio-test
-    verdict of every (t, i) pair at the last rp.  The table searches each
-    threshold structure with extremal_sets, once per t; the verdicts come
-    from one threshold_compare call, which reads the sorted-gain chain.  The
-    two routes share no search, and threshold_compare checks each verdict
-    against the capacities its own chain gives."""
+    """Every threshold's capacity at every rp (_capacity_points, one
+    extremal_sets search per t), then every (t, i) pair's ratio-test verdict
+    at the last rp from one threshold_compare call, which shares no search
+    with the table: it checks each verdict against its sorted-gain chain."""
     rp = parse_rp(cfg)
-    rp_values = rp.tolist() if isinstance(rp, np.ndarray) else [rp]
-    l = spec.l
     rows = ["t,rp,cs"]
-    for t in range(1, l + 1):
-        ext = extremal_sets(threshold_structure(l, t), spec)
-        for rp in rp_values:
-            rows.append(f"{t},{_fmt_rp(rp)},{_fmt(_capacity_value(spec, ext, rp))}")
-    rows.append("")
-    rows.append("t,i,lhs,rhs,verdict")
-    for comp in threshold_compare(spec, rp_values[-1]):
+    for t in range(1, spec.l + 1):
+        points = _capacity_points(cfg, spec, threshold_structure(spec.l, t), rp)
+        rows.extend(f"{t},{_fmt_rp(p.rp)},{_fmt(p.cs)}" for p in points)
+    rows += ["", "t,i,lhs,rhs,verdict"]
+    for comp in threshold_compare(spec, points[-1].rp):
         lhs_txt = "" if comp.lhs is None else _fmt(comp.lhs)
         rows.append(f"{comp.t},{comp.i},{lhs_txt},{_fmt(comp.rhs)},{comp.verdict}")
     return "\n".join(rows)
@@ -477,24 +478,21 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gauss-share",
-        description="Secret-sharing capacity and protocol tools for Gaussian sources",
-    )
-    parser.add_argument("command", choices=list(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--out", default=None, help="write output to this path")
-    parser.add_argument("--seed", type=int, default=None, help="simulate: override the sim seed")
-    parser.add_argument("--format", choices=["csv", "text"], default=None)
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="gauss-share",
+    description="Secret-sharing capacity and protocol tools for Gaussian sources",
+)
+_PARSER.add_argument("command", choices=list(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to a JSON config")
+_PARSER.add_argument("--out", default=None, help="write output to this path")
+_PARSER.add_argument("--seed", type=int, default=None, help="simulate: override the sim seed")
+_PARSER.add_argument("--format", choices=["csv", "text"], default=None)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.seed is not None and args.command != "simulate":
-        parser.error(f"--seed applies to the simulate command only, not {args.command}")
+        _PARSER.error(f"--seed applies to the simulate command only, not {args.command}")
     handler, default_fmt = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)

@@ -110,6 +110,15 @@ def _check_count(value, name: str, error: type[ValidationError]) -> int:
 _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
+def _array(values, name: str, error: type[ValidationError]) -> np.ndarray:
+    """np.asarray(values); a ragged nesting, which numpy refuses with a bare
+    ValueError, raises error."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise error(f"{name} must be a regular array, got rows of different lengths") from None
+
+
 def _check_real(value, name: str, error: type[ValidationError]) -> float:
     """value as a float when it is an int, float or numpy integer or
     floating scalar; bool, numpy bool, str, the rest and an int too large
@@ -126,8 +135,9 @@ def _check_reals(values, name: str, error: type[ValidationError]) -> np.ndarray:
     """values as a float array when numpy reads them as integers or floats;
     bools, strings and objects raise error.  An ndarray is read by one dtype
     check; anything else is also scanned once as an object array, since
-    numpy promotes a bool among numbers to 1 or 1.0."""
-    array = np.asarray(values)
+    numpy promotes a bool among numbers to 1 or 1.0.  A ragged nesting
+    raises error too."""
+    array = _array(values, name, error)
     if array.dtype.kind not in "iuf":
         raise error(f"{name} must be numbers, got {array.dtype} values")
     if not isinstance(values, np.ndarray) and any(
@@ -142,10 +152,10 @@ def _check_symbols(
 ) -> np.ndarray:
     """values as an int64 array of symbols in 0..n_letters-1 when numpy
     reads them as integers (an empty input of any dtype reads as empty);
-    a scalar (a 0-d array), bools, floats, strings and objects raise error
-    (one dtype check, no loop).  Narrower integers are widened, so that
-    arithmetic on the symbols cannot wrap in their own dtype."""
-    array = np.asarray(values)
+    a scalar (a 0-d array), a ragged nesting, bools, floats, strings and
+    objects raise error (one dtype check, no loop).  Narrower integers are
+    widened, so that arithmetic on the symbols cannot wrap in their own dtype."""
+    array = _array(values, f"{name} symbols", error)
     if not array.ndim:
         raise error(f"{name} symbols must be an array, got the scalar {values!r}")
     if not array.size:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..access_structure import AccessStructure
+from ..access_structure import AccessStructure, _fmt_subset
 from ..errors import BudgetExceeded, DomainError, InvalidConfig, NumericError
 from ..errors import _check_count, _check_real
 from ..source_model import SourceSpec
@@ -59,9 +59,10 @@ __all__ = [
     "wilson_interval",
 ]
 
-_EXACT_SWEEP_BUDGET = 10_000_000
-# cells of the (2^k, messages, observations) law; the table is never built,
-# but its p log p terms are, so this bounds that float64 array
+# cells of the (2^k, messages, observations) law, 2^k * l^(N(1+|U|)): the
+# table is never built, but its p log p terms are, and the per-block law and
+# its q-fold product are no larger, so this bounds every float64 array the
+# enumeration builds; _leakage_is_exact holds the encoder's tests to it too
 _EXACT_TABLE_BUDGET = 20_000_000
 # float64 source samples of one trial, n*q*(1+L); also the samples of one
 # chunk of trials (at least one trial)
@@ -135,10 +136,6 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == total else min(1.0, center + half)
     return lo, hi
-
-
-def _fmt_subset(subset: tuple[int, ...]) -> str:
-    return "{" + ",".join(str(p) for p in subset) + "}"
 
 
 @dataclass(frozen=True)
@@ -257,12 +254,12 @@ def run_protocol(
     Reproducible: the report is a pure function of (spec, structure, config).
     Every chunk of trials is one pass: the dealer's blocks and hash seeds,
     then one batched decode per authorized coalition, whose errors add to
-    that coalition's tally.  Raises BudgetExceeded, before any trial, when
-    exact_leakage=True on an instance too large to enumerate, or, before any
-    work, when a trial would sample more than _SAMPLE_BUDGET values; and,
-    from hashing.seed_length before the codebook is drawn, DomainError for a
-    k > 0 secret over a non-power-of-two auxiliary alphabet and KTooLarge
-    for k above the N log2|V| input bits.
+    that coalition's tally.  Raises BudgetExceeded, before the codebook is
+    drawn, when exact_leakage=True on an instance too large to enumerate,
+    or, before any work, when a trial would sample more than _SAMPLE_BUDGET
+    values; and, from hashing.seed_length before the codebook is drawn,
+    DomainError for a k > 0 secret over a non-power-of-two auxiliary
+    alphabet and KTooLarge for k above the N log2|V| input bits.
     """
     if config.total_symbols * (1 + spec.l) > _SAMPLE_BUDGET:
         raise BudgetExceeded(f"n*q = {config.total_symbols} symbols of {1 + spec.l} values "
@@ -273,6 +270,7 @@ def run_protocol(
     n_v = model.n_v
     # refuses a non-power-of-two alphabet and k > N log2|V| before any draw
     d = hashing.seed_length(big_n, n_v, k)
+    exact = _leakage_is_exact(structure, config)
 
     # child i of SeedSequence(seed).spawn(), made only when it is used:
     # child 0 draws the codebook, child 1 + t drives trial t
@@ -280,7 +278,6 @@ def run_protocol(
         model.joint_xv(), n, config.rv, config.rv_prime,
         np.random.SeedSequence(config.seed, spawn_key=(0,)),
     )
-    exact = _leakage_is_exact(structure, codebook, config)
     authorized = structure.authorized
     joint_vy = {a: model.joint_vy(a) for a in authorized}
     # one row per authorized coalition, added to in place through the row views:
@@ -358,11 +355,7 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 
 
-def _leakage_is_exact(
-    structure: AccessStructure,
-    codebook: Codebook,
-    config: ProtocolConfig,
-) -> bool:
+def _leakage_is_exact(structure: AccessStructure, config: ProtocolConfig) -> bool:
     """Decide the leakage mode before any trial: True for exact, always so
     when k = 0, which leaks nothing.  Raises BudgetExceeded when
     exact_leakage=True forces an enumeration past the budget."""
@@ -372,9 +365,11 @@ def _leakage_is_exact(
         return False
     u_max = max((len(u) for u in structure.unauthorized), default=0)
     l = config.l_quant
-    sweep = (l ** (config.n * (1 + u_max))) * codebook.m_omega * codebook.m_nu
     table = (2 ** min(config.k, 60)) * (l ** (config.total_symbols * (1 + u_max)))
-    budget_ok = sweep <= _EXACT_SWEEP_BUDGET and table <= _EXACT_TABLE_BUDGET
+    # _block_law tests each of the l^n x-blocks against at most l^n distinct
+    # words; only when no nonempty coalition is unauthorized can that pass
+    # the table's cells
+    budget_ok = max(table, l ** (2 * config.n)) <= _EXACT_TABLE_BUDGET
     if config.exact_leakage is None:
         # l == 2 also makes V binary: both auxiliary modes quantize V into l bins
         return config.total_symbols <= 8 and l == 2 and budget_ok

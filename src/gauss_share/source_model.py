@@ -71,9 +71,10 @@ class SourceSpec:
     @staticmethod
     def from_covariance(matrix) -> "SourceSpec":
         try:
-            cov = _check_reals(matrix, "covariance", NonPositiveDefinite)
-        except ValueError as exc:  # rows of different lengths
-            raise NonPositiveDefinite("covariance must be a square matrix") from exc
+            np.shape(matrix)
+        except ValueError:  # rows of different lengths
+            raise NonPositiveDefinite("covariance must be a square matrix") from None
+        cov = _check_reals(matrix, "covariance", NonPositiveDefinite)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise NonPositiveDefinite("covariance must be a square matrix")
         if cov.shape[0] < 2:

@@ -871,6 +871,20 @@ class TestConfigErrors:
         assert (code, out) == (2, "")
         assert err == f"error: {path}:{line_of(path, 'oracle')}: oracle must be an object\n"
 
+    @pytest.mark.parametrize("command, access", [
+        ("region", EXAMPLE_ACCESS), ("threshold", {"threshold_sweep": True}),
+    ])
+    def test_grid_points_that_repeat_after_spacing(self, tmp_path, capsys, command, access):
+        # np.linspace gives 1.0 twice here; rate_region refuses the grid
+        path = write_config(tmp_path, {
+            "version": 1, "source": EXAMPLE_SOURCE, "access": access,
+            "rp": {"grid": {"min": 1.0, "max": 1.0000000000000002, "points": 3}},
+        })
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert (code, out) == (2, "")
+        line = line_of(path, "grid")
+        assert err == f"error: {path}:{line}: rp grid must be strictly increasing\n"
+
     def test_bad_grid_bounds(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "version": 1, "source": EXAMPLE_SOURCE, "access": EXAMPLE_ACCESS,

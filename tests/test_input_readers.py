@@ -71,6 +71,8 @@ NONFINITE = (([np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.1]), "samples must be fi
 BOOLS_AMONG = (([0.5, True], [0.25, np.True_]), "got a bool among them")
 NOT_MEMBERS = ((0, 3), "is not a set of participants 1..2")
 LABELS = ((*COUNTS[0], np.array([1.0])), "must be integers")
+RAGGED_SYMBOLS = (([[0, 1], [0]],), "symbols must be a regular array")
+RAGGED_REALS = (([[1.0], [0.5, 0.2]],), "must be a regular array")
 
 # (entry point and argument, kind of bad value, call with the bad value, error)
 SLOTS = [
@@ -194,6 +196,15 @@ SLOTS = [
      lambda v: sample_source(SPEC, np.random.default_rng(0), v), DomainError),
     ("from_gains gains", BOOLS_AMONG, lambda v: SourceSpec.from_gains(2.0, v), DomainError),
     ("rate_region rp_grid", BOOLS_AMONG, lambda v: rate_region(SPEC, BOTH, v), DomainError),
+    ("privacy_amplify v_seq", RAGGED_SYMBOLS, lambda v: privacy_amplify(v, [0, 1], 1, 2),
+     DomainError),
+    ("symbols_to_bits v_seq", RAGGED_SYMBOLS, lambda v: symbols_to_bits(v, 2), DomainError),
+    ("is_letter_typical seq", RAGGED_SYMBOLS, lambda v: is_letter_typical(v, [0.5, 0.5], 0.1),
+     DomainError),
+    ("from_gains gains", RAGGED_REALS, lambda v: SourceSpec.from_gains(2.0, v), DomainError),
+    ("discretize_source x", RAGGED_REALS,
+     lambda v: discretize_source(MODEL.x_quantizer, MODEL.y_quantizers, v, [[0.1, 0.2]] * 2),
+     DomainError),
 ]
 
 # arrays are refused by their dtype, so each bad value is a whole array
@@ -226,6 +237,8 @@ REFUSALS = [
                  id="wilson_interval negative successes"),
     pytest.param(lambda v: ONE_OF_THREE.is_authorized(v), 3, IndexOutOfRange,
                  "must be a set", id="is_authorized of a bare id"),
+    pytest.param(SourceSpec.from_covariance, [[2.0, 1.0], [1.0]], NonPositiveDefinite,
+                 "covariance must be a square matrix", id="from_covariance ragged rows"),
     pytest.param(lambda v: sample_source(SPEC, np.random.default_rng(0), v), -1, DomainError,
                  "size must be nonnegative", id="sample_source negative size"),
     *[pytest.param(lambda v: discretize_source(MODEL.x_quantizer, MODEL.y_quantizers, *v),

@@ -369,10 +369,32 @@ class TestLeakageModes:
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(simulate, "sample_source", sample)
+        monkeypatch.setattr(simulate, "build_codebook", sample)
         cfg = config(n=10, q=3, k=25, rv=0.5, rv_prime=0.5,
                      trials=100_000, exact_leakage=True)
         with pytest.raises(BudgetExceeded, match="exact leakage enumeration"):
             run_protocol(NOISELESS, ONE_OF_ONE, cfg)
+
+    def test_forcing_counts_the_encoder_tests(self, monkeypatch):
+        # 1-of-2 leaves only the empty set unauthorized, so the law has just
+        # 2 * 2^13 cells, but _block_law would test each of 2^13 x-blocks
+        # against up to 2^13 distinct words
+        def draw(*args, **kwargs):
+            raise AssertionError("the codebook was drawn")
+
+        monkeypatch.setattr(simulate, "build_codebook", draw)
+        with pytest.raises(BudgetExceeded, match="exact leakage enumeration"):
+            run_protocol(PAIR, monotone_closure(2, [[1], [2]]),
+                         config(n=13, q=1, k=1, exact_leakage=True))
+
+    @pytest.mark.parametrize("forced", [None, True])
+    def test_codebook_size_does_not_count_against_the_budget(self, forced):
+        # 2^10 x 2^10 labels, but the encoder tests at most 2^4 distinct
+        # words per x-block and the law has 2^2 * 2^8 cells
+        report = run_protocol(PAIR, BOTH_NEEDED, config(
+            n=4, q=1, rv=2.5, rv_prime=2.5, trials=1, exact_leakage=forced))
+        assert (report.m_omega, report.m_nu) == (1024, 1024)
+        assert report.leakage_mode == "exact"
 
     def test_sample_budget_is_checked_before_the_codebook_and_trials(self, monkeypatch):
         class Sampled(Exception):
