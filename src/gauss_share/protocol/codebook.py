@@ -3,11 +3,13 @@
 Typicality is letter typicality with a relative tolerance: a sequence is
 epsilon-typical for pmf p when every letter count satisfies
 |N(a)/n - p(a)| <= epsilon * p(a), which forces N(a) = 0 whenever p(a) = 0.
-Joint typicality applies the same test to the pair alphabet.  A consequence
-worth knowing when choosing instances: any pair letter with positive
-probability below (1 - epsilon)/n can never be matched at blocklength n, so
-typical sets of heavily skewed distributions are empty at small n and the
-encoder's (1, 1) fallback dominates.
+Joint typicality applies the same test to the pair alphabet.  The counts
+0..n that pass for one letter form one range [lo, hi], so some count vector
+of blocklength n is typical exactly when every letter passes some count and
+sum(lo) <= n <= sum(hi).  When none is (a letter of positive probability
+below 1/((1 + epsilon) n) passes no count, for one), every block falls back
+(the encoder to (1, 1), the decoder to nu = 1), and the kernel decides the
+whole batch from that one table of counts 0..n, without a bincount.
 
 Codewords are drawn i.i.d. from p_V, bit for bit as Generator.choice with
 p=p_V draws them: the same uniforms, drawn _DRAW_CHUNK at a time into one
@@ -68,12 +70,36 @@ _KERNEL_CELLS = 20_000_000  # index and count cells of one bincount
 _DRAW_CHUNK = 2**16  # uniforms drawn at a time for the codebook table
 
 
+def _letters_pass(
+    counts: np.ndarray, pmf: np.ndarray, n: int, epsilon: float
+) -> np.ndarray:
+    """Relative-tolerance test of each count against its letter of pmf,
+    which the last axis indexes."""
+    target = n * pmf
+    return np.abs(counts - target) <= epsilon * target
+
+
 def _typical_from_counts(
     counts: np.ndarray, pmf: np.ndarray, n: int, epsilon: float
 ) -> np.ndarray:
     """Relative-tolerance test over the last axis, the alphabet of pmf."""
-    target = n * pmf
-    return (np.abs(counts - target) <= epsilon * target).all(axis=-1)
+    return _letters_pass(counts, pmf, n, epsilon).all(axis=-1)
+
+
+def _admits_typical(pmf: np.ndarray, n: int, epsilon: float) -> bool:
+    """Whether some count vector over pmf's letters that sums to n passes
+    _typical_from_counts.
+
+    fl(c - n p) is monotone in c, so the counts 0..n that pass for one
+    letter form one range [lo, hi]; a passing vector exists exactly when
+    every letter passes some count and sum(lo) <= n <= sum(hi).
+    """
+    passes = _letters_pass(np.arange(n + 1)[:, None], pmf, n, epsilon)  # (n+1, letters)
+    if not passes.any(axis=0).all():
+        return False
+    lo = passes.argmax(axis=0)
+    hi = n - passes[::-1].argmax(axis=0)
+    return bool(lo.sum() <= n <= hi.sum())
 
 
 def is_letter_typical(seq: np.ndarray, pmf: np.ndarray, epsilon: float) -> bool:
@@ -258,6 +284,14 @@ def _block(seq, n: int, n_letters: int, name: str) -> np.ndarray:
     return block
 
 
+def _epsilon(epsilon) -> float:
+    """The tolerance read as a finite nonnegative real number."""
+    epsilon = _check_real(epsilon, "epsilon", DomainError)
+    if not 0.0 <= epsilon < math.inf:
+        raise DomainError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    return epsilon
+
+
 def _first_typical(
     blocks: np.ndarray,
     groups: np.ndarray,
@@ -271,12 +305,15 @@ def _first_typical(
     words is (G, W, n) over the joint's n_v codeword letters; joint[a, v] is
     the pmf of block letter a with codeword letter v.  Each bincount covers
     as many blocks as fit in _KERNEL_CELLS index and count cells, and at
-    least one.
+    least one.  When no count vector of n pair letters is typical for the
+    joint, no block has a typical word, and nothing is counted.
     """
     n_blocks, n = blocks.shape
     n_words = words.shape[1]
     n_v = joint.shape[1]
     pmf = joint.ravel()
+    if not _admits_typical(pmf, n, epsilon):
+        return np.full(n_blocks, n_words, dtype=np.int64)
     step = max(1, _KERNEL_CELLS // (n_words * (n + pmf.size)))
     # offset of each (block, candidate) row in the flat count array
     rows = np.arange(min(step, n_blocks) * n_words).reshape(-1, n_words, 1) * pmf.size
@@ -301,7 +338,7 @@ def _encode_blocks(
     distinct, inverse = np.unique(x_blocks, axis=0, return_inverse=True)
     hit = _first_typical(
         distinct, np.zeros(len(distinct), dtype=np.intp), words[None],
-        codebook.joint_xv, float(epsilon),
+        codebook.joint_xv, epsilon,
     )
     rows, cols = np.divmod(np.append(first, 0)[hit][inverse.reshape(-1)], codebook.m_nu)
     return rows + 1, cols + 1
@@ -316,14 +353,14 @@ def _decode_blocks(
 ) -> np.ndarray:
     """nu of each (B, n) y-block in its bin omegas[b] (1-based): the
     smallest typical one, else 1."""
-    hit = _first_typical(y_blocks, omegas - 1, codebook.words, joint_vy.T, float(epsilon))
+    hit = _first_typical(y_blocks, omegas - 1, codebook.words, joint_vy.T, epsilon)
     return np.where(hit < codebook.m_nu, hit + 1, 1)
 
 
 def wz_encode(codebook: Codebook, x_seq: np.ndarray, epsilon: float) -> tuple[int, int]:
     """First (row-major) codeword label jointly typical with x, else (1, 1)."""
     x = _block(x_seq, codebook.n, codebook.joint_xv.shape[0], "x")
-    omegas, nus = _encode_blocks(codebook, x[None], epsilon)
+    omegas, nus = _encode_blocks(codebook, x[None], _epsilon(epsilon))
     return int(omegas[0]), int(nus[0])
 
 
@@ -342,6 +379,7 @@ def wz_decode(
     omega = _check_count(omega, "omega", IndexOutOfRange)
     if not 1 <= omega <= codebook.m_omega:
         raise IndexOutOfRange(f"omega {omega} outside 1..{codebook.m_omega}")
+    epsilon = _epsilon(epsilon)
     joint_vy = _check_reals(joint_vy, "joint_vy", DomainError)
     n_v, n_y = joint_vy.shape
     if n_v != codebook.n_v:

@@ -3,7 +3,9 @@
 The count-kernel encoder and decoder are checked exhaustively against plain
 Python loops over is_jointly_typical, and the typicality predicate itself
 against hand-counted cases.  The chunked codeword draw is checked bit for
-bit against Generator.choice, the draw it replaced.
+bit against Generator.choice, the draw it replaced.  The kernel's shortcut
+for a pair law that admits no typical count vector is checked against a
+search over every count vector, and against the kernel without it.
 """
 
 import itertools
@@ -15,8 +17,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gauss_share.access_structure import monotone_closure
 from gauss_share.errors import BudgetExceeded, DomainError, IndexOutOfRange
 from gauss_share.protocol import codebook
+from gauss_share.protocol.model import build_quantized_source
 from gauss_share.protocol.codebook import (
     Codebook,
     _decode_blocks,
@@ -27,6 +31,7 @@ from gauss_share.protocol.codebook import (
     wz_decode,
     wz_encode,
 )
+from gauss_share.source_model import SourceSpec
 
 UNIFORM2 = np.array([0.5, 0.5])
 DIAG2 = np.diag([0.5, 0.5])
@@ -526,3 +531,135 @@ class TestCachedDistinctWords:
                     for form in (list(x), np.array(x, np.int8), np.array(x, np.int64)):
                         fresh = make_codebook(book.words, self.JOINT)
                         assert wz_encode(book, form, eps) == wz_encode(fresh, x, eps)
+
+
+def compositions(n, n_letters):
+    """Every count vector over n_letters letters that sums to n, one per
+    row: stars and bars, one set of bar positions per vector."""
+    rows = []
+    for bars in itertools.combinations(range(n + n_letters - 1), n_letters - 1):
+        edges = (-1, *bars, n + n_letters - 1)
+        rows.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+    return np.array(rows, dtype=np.int64)
+
+
+class TestAdmitsTypical:
+    """_admits_typical decides from one table of counts 0..n per letter
+    whether any count vector is typical; when none is, the kernel returns
+    "none typical" for the whole batch without counting."""
+
+    # 0.5 of n p = 2 (p = 0.5, n = 4) and 0.25 of n p = 4 (p = 0.5, n = 8)
+    # are whole counts: the test's edges fall on integers
+    EPSILONS = (0.0, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.6, 1.0, 1.5, 2.5)
+    README_SPEC = SourceSpec.from_gains(2.0, [0.5, 1.0, 0.8])
+    README_STRUCTURE = monotone_closure(3, [[1, 2], [2, 3]])
+
+    @staticmethod
+    def pmfs():
+        """Hand-picked pmfs of 2-6 letters, then random ones with no, one
+        and half of their cells zero."""
+        fixed = [[0.5, 0.5], [0.9, 0.1], [0.5, 0.5, 0.0], [0.4, 0.1, 0.1, 0.4],
+                 [0.25] * 4, [0.2] * 5, [1 / 6] * 6, [0.2, 0.1, 0.05, 0.0, 0.4, 0.25]]
+        pmfs = [np.array(p) for p in fixed]
+        rng = np.random.default_rng(0)
+        for n_letters in range(2, 7):
+            for zeros in (0, 1, n_letters // 2):
+                weights = rng.random(n_letters)
+                weights[rng.permutation(n_letters)[:zeros]] = 0.0
+                pmfs.append(weights / weights.sum())
+        return pmfs
+
+    def test_equals_a_search_over_every_count_vector(self):
+        outcomes = set()
+        sum_decides = 0  # every letter passes some count, yet no vector does
+        for pmf in self.pmfs():
+            for n in range(1, 9):
+                counts = compositions(n, pmf.size)
+                table = np.arange(n + 1)[:, None]
+                for eps in self.EPSILONS:
+                    want = bool(codebook._typical_from_counts(counts, pmf, n, eps).any())
+                    assert codebook._admits_typical(pmf, n, eps) == want, (pmf, n, eps)
+                    outcomes.add(want)
+                    letters = codebook._letters_pass(table, pmf, n, eps).any(axis=0).all()
+                    sum_decides += letters and not want
+        assert outcomes == {False, True}
+        assert sum_decides > 0
+
+    def test_whole_count_edges(self):
+        # n p = 2 with tolerance 1: counts 1..3 pass, so (1, 3) is typical
+        pmf = np.array([0.5, 0.5])
+        assert codebook._typical_from_counts(np.array([1, 3]), pmf, 4, 0.5)
+        assert codebook._admits_typical(pmf, 4, 0.5)
+        # at epsilon 0 only the count n p passes: a whole count at n = 4,
+        # none at n = 3
+        assert codebook._admits_typical(pmf, 4, 0.0)
+        assert not codebook._admits_typical(pmf, 3, 0.0)
+        # p = 0.1 at n = 4 needs a count in [0.2, 0.6]
+        assert not codebook._admits_typical(np.array([0.9, 0.1]), 4, 0.5)
+
+    def test_encoder_batches_match_the_kernel_without_the_shortcut(self, monkeypatch):
+        # the TestEncoder books, every x-block in one batch
+        joint = np.array([[0.4, 0.1], [0.1, 0.4]])
+        books = [
+            build_codebook(joint, 4, 0.5, 0.5, np.random.SeedSequence(9)),
+            build_codebook(joint, 3, 1.0, 1.0, np.random.SeedSequence(9)),
+            build_codebook([[0.30, 0.05], [0.10, 0.15], [0.05, 0.35]], 4, 0.5, 0.5,
+                           np.random.SeedSequence(9)),
+        ]
+        admitted = set()
+        for book in books:
+            blocks = all_blocks(book.joint_xv.shape[0], book.n)
+            for eps in (0.2, 0.6, 1.5, 2.5):
+                admitted.add(codebook._admits_typical(book.joint_xv.ravel(), book.n, eps))
+                want = _encode_blocks(book, blocks, eps)
+                with monkeypatch.context() as patch:
+                    patch.setattr(codebook, "_admits_typical", lambda *args: True)
+                    got = _encode_blocks(book, blocks, eps)
+                np.testing.assert_array_equal(got, want)
+        assert admitted == {False, True}  # 0.2 against 0.4/0.1 at n = 4 admits none
+
+    @pytest.mark.parametrize("joint_vy, rv, rv_prime, n, seed", [
+        ([[0.35, 0.15], [0.1, 0.4]], 0.5, 0.5, 4, 15),  # square
+        ([[0.35, 0.15], [0.1, 0.4]], 1.0, 1.0, 3, 9),  # repeated words
+        ([[0.25, 0.1, 0.1, 0.05], [0.05, 0.1, 0.1, 0.25]], 0.5, 0.75, 4, 21),  # composite y
+    ])
+    def test_decoder_batches_match_the_kernel_without_the_shortcut(
+        self, monkeypatch, joint_vy, rv, rv_prime, n, seed
+    ):
+        # the TestDecoder books, every (y-block, bin) pair in one batch
+        joint_vy = np.array(joint_vy)
+        book = build_codebook([[0.4, 0.1], [0.1, 0.4]], n, rv, rv_prime,
+                              np.random.SeedSequence(seed))
+        ys = all_blocks(joint_vy.shape[1], n)
+        blocks = np.repeat(ys, book.m_omega, axis=0)
+        omegas = np.tile(np.arange(1, book.m_omega + 1), len(ys))
+        admitted = set()
+        for eps in (0.3, 0.5, 0.8, 1.0, 3.0):
+            admitted.add(codebook._admits_typical(joint_vy.T.ravel(), n, eps))
+            want = _decode_blocks(book, blocks, omegas, eps, joint_vy)
+            with monkeypatch.context() as patch:
+                patch.setattr(codebook, "_admits_typical", lambda *args: True)
+                got = _decode_blocks(book, blocks, omegas, eps, joint_vy)
+            np.testing.assert_array_equal(got, want)
+        assert admitted == {False, True}
+
+    def test_readme_source_decodes_without_counting(self, monkeypatch):
+        # the mc-reconcile configuration, n = 6 at epsilon 0.2: no authorized
+        # coalition's pair law admits a typical count vector; the encoder's does
+        n, eps = 6, 0.2
+        model = build_quantized_source(self.README_SPEC, self.README_STRUCTURE, 2)
+        assert codebook._admits_typical(model.joint_xv().ravel(), n, eps)
+        book = build_codebook(model.joint_xv(), n, 1.0, 1.0, np.random.SeedSequence(0))
+        rng = np.random.default_rng(0)
+        omegas = rng.integers(1, book.m_omega + 1, 50)
+
+        def counted(*args):
+            raise AssertionError("a batch that admits no typical word was counted")
+
+        monkeypatch.setattr(codebook, "_typical_from_counts", counted)
+        for a in self.README_STRUCTURE.authorized:
+            joint_vy = model.joint_vy(a)
+            assert not codebook._admits_typical(joint_vy.T.ravel(), n, eps)
+            y = rng.integers(0, joint_vy.shape[1], (50, n))
+            nus = _decode_blocks(book, y, omegas, eps, joint_vy)
+            np.testing.assert_array_equal(nus, np.ones(50, dtype=np.int64))

@@ -73,6 +73,7 @@ NOT_MEMBERS = ((0, 3), "is not a set of participants 1..2")
 LABELS = ((*COUNTS[0], np.array([1.0])), "must be integers")
 RAGGED_SYMBOLS = (([[0, 1], [0]],), "symbols must be a regular array")
 RAGGED_REALS = (([[1.0], [0.5, 0.2]],), "must be a regular array")
+TOLERANCES = ((np.nan, np.inf, -np.inf, -1.0), "epsilon must be finite and nonnegative")
 
 # (entry point and argument, kind of bad value, call with the bad value, error)
 SLOTS = [
@@ -143,6 +144,12 @@ SLOTS = [
      lambda v: is_jointly_typical([0, 1], v, UNIFORM, 0.2), DomainError),
     ("wz_encode x_seq", SYMBOLS, lambda v: wz_encode(BOOK, v, 0.2), DomainError),
     ("wz_decode y_seq", SYMBOLS, lambda v: wz_decode(BOOK, v, 1, 0.2, UNIFORM), DomainError),
+    ("wz_encode epsilon", REALS, lambda v: wz_encode(BOOK, [0, 1], v), DomainError),
+    ("wz_decode epsilon", REALS, lambda v: wz_decode(BOOK, [0, 1], 1, v, UNIFORM),
+     DomainError),
+    ("wz_encode epsilon", TOLERANCES, lambda v: wz_encode(BOOK, [0, 1], v), DomainError),
+    ("wz_decode epsilon", TOLERANCES, lambda v: wz_decode(BOOK, [0, 1], 1, v, UNIFORM),
+     DomainError),
     ("symbols_to_bits v_seq", SYMBOLS, lambda v: symbols_to_bits(v, 2), DomainError),
     ("symbols_to_bits v_seq", OUTSIDE, lambda v: symbols_to_bits(v, 2), DomainError),
     ("privacy_amplify v_seq", SYMBOLS,
@@ -306,6 +313,7 @@ NUMPY_CASES = [
     (verify_rate_formulas, (SPEC, BOTH, 1.0)),
     (MODEL.joint, ((1, 2),)),
     (BOOK.word, (2, 1)),
+    (wz_encode, (BOOK, [0, 1], 0.2)),
     (wz_decode, (BOOK, [0, 1], 2, 0.2, UNIFORM)),
     (wilson_interval, (3, 10)),
 ]
