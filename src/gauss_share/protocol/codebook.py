@@ -13,9 +13,12 @@ whole batch from that one table of counts 0..n, without a bincount.
 
 Codewords are drawn i.i.d. from p_V, bit for bit as Generator.choice with
 p=p_V draws them: the same uniforms, drawn _DRAW_CHUNK at a time into one
-reused buffer, each mapped to its count of choice's CDF entries <= it.  The
-draw holds the table plus one chunk, where choice held a second
-table-sized array of uniforms.
+reused buffer, each mapped to its count of choice's CDF entries <= it.  A
+row of the table is drawn the first time a reader reaches it, in stream
+order, so a prefix extended any number of times equals one full draw and
+every reader sees the table Generator.choice gives.  A full read holds the
+table plus one chunk, where choice held a second table-sized array of
+uniforms.
 
 The encoder returns the row-major first jointly typical codeword label
 (omega, nu), both 1-based; the decoder searches one omega row and returns the
@@ -39,6 +42,10 @@ candidate therefore carries the first typical label.  When the codebook has
 more words than its alphabet has blocks (n_v^n), the distinct words are
 found by their base-n_v codes, so each x-block meets at most n_v^n
 candidates whatever the rates; otherwise every word is its own candidate.
+A drawn table holds only letters of positive mass, so the encoder reads
+rows until every word p_V can produce has appeared, and no later row holds
+a word it has not labeled (a table that one chunk of uniforms fills is
+read whole); the decoder reads up to the largest bin asked for.
 A batch encodes each of its distinct x-blocks once (np.unique), so blocks
 that repeat within a batch cost one count; the codebook keeps only its
 distinct words between calls.  The decoder's candidates are the m_nu words
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,30 +130,56 @@ def is_jointly_typical(
     return is_letter_typical(pair, joint.ravel(), epsilon)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Codebook:
-    """Immutable table of i.i.d. codewords over the auxiliary alphabet.
+    """Table of i.i.d. codewords over the auxiliary alphabet.
 
     words[i, j] is the blocklength-n codeword labeled (omega=i+1, nu=j+1).
     joint_xv is the source/auxiliary joint p(x, v) the encoder tests against;
-    its V marginal is the generating distribution.  Equality and hashing are
-    by identity, so two draws of equal words are different codebooks.
+    its V marginal is the generating distribution.  A codebook from
+    build_codebook draws each row of its table the first time a reader
+    reaches it, in stream order, so every reader sees the table one full
+    draw gives; words is that whole table.  One built from a table,
+    Codebook(words, joint_xv), is drawn already.  A first read writes the
+    table, so concurrent first reads from threads are not supported.
+    Equality and hashing are by identity, so two draws of equal words are
+    different codebooks.
     """
 
-    words: np.ndarray  # (m_omega, m_nu, n) integer symbols
     joint_xv: np.ndarray  # (n_x, n_v)
+    _table: np.ndarray = field(repr=False, compare=False)  # (m_omega, m_nu, n) integer symbols
+    _rng: np.random.Generator | None = field(repr=False, compare=False)  # None for a given table
+    _drawn: int = field(repr=False, compare=False)  # leading rows of _table drawn so far
+
+    def __init__(self, words: np.ndarray, joint_xv: np.ndarray, *, _rng=None):
+        object.__setattr__(self, "joint_xv", joint_xv)
+        object.__setattr__(self, "_table", words)
+        object.__setattr__(self, "_rng", _rng)
+        object.__setattr__(self, "_drawn", 0 if _rng is not None else words.shape[0])
+
+    def _rows(self, r: int) -> np.ndarray:
+        """The first r rows of the table, drawing those not drawn yet."""
+        if r > self._drawn:
+            _draw_letters(self._rng, self.p_v, self._table[self._drawn : r])
+            object.__setattr__(self, "_drawn", r)
+        return self._table[:r]
+
+    @property
+    def words(self) -> np.ndarray:
+        """The whole (m_omega, m_nu, n) table of integer symbols."""
+        return self._rows(self.m_omega)
 
     @property
     def m_omega(self) -> int:
-        return self.words.shape[0]
+        return self._table.shape[0]
 
     @property
     def m_nu(self) -> int:
-        return self.words.shape[1]
+        return self._table.shape[1]
 
     @property
     def n(self) -> int:
-        return self.words.shape[2]
+        return self._table.shape[2]
 
     @property
     def n_v(self) -> int:
@@ -167,22 +200,39 @@ class Codebook:
             raise IndexOutOfRange(
                 f"a label lies outside the {self.m_omega} x {self.m_nu} codebook"
             )
-        return self.words[omega - 1, nu - 1]
+        return self._rows(int(omega.max(initial=0)))[omega - 1, nu - 1]
 
     @functools.cached_property
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """(words, first): the codebook's distinct words, and first[j], the
-        smallest row-major flat label of word j, in increasing order."""
-        flat = self.words.reshape(-1, self.n)  # (W, n)
-        size = flat.shape[0]
-        if self.n_v ** self.n <= size:
-            codes = flat @ (self.n_v ** np.arange(self.n - 1, -1, -1))
-            first = np.full(self.n_v ** self.n, size, dtype=np.int64)
-            np.minimum.at(first, codes, np.arange(size))
-            first = np.sort(first[first < size])
+        smallest row-major flat label of word j, in increasing order.
+
+        A drawn table holds only letters of positive mass, so at most
+        reach = (letters with p_V > 0)^n codes occur in it.  Rows are read
+        from ceil(reach / m_nu), doubling, until all reach codes have a
+        first label or the table ends.  A given table is read whole, and so
+        is one of at most _DRAW_CHUNK cells, which one draw call fills.
+        """
+        m_omega, m_nu, n = self._table.shape
+        blocks = self.n_v ** n
+        if blocks > m_omega * m_nu:
+            flat = self.words.reshape(-1, n)
+            return flat, np.arange(len(flat))
+        reach = np.count_nonzero(self.p_v > 0) ** n
+        if self._rng is None or self._table.size <= _DRAW_CHUNK:
+            rows = m_omega
         else:
-            first = np.arange(size)
-        return flat[first], first
+            rows = -(-reach // m_nu)
+        places = self.n_v ** np.arange(n - 1, -1, -1)
+        while True:
+            flat = self._rows(min(rows, m_omega)).reshape(-1, n)
+            size = len(flat)
+            first = np.full(blocks, size, dtype=np.int64)
+            np.minimum.at(first, flat @ places, np.arange(size))
+            first = np.sort(first[first < size])
+            if len(first) == reach or rows >= m_omega:
+                return flat[first], first
+            rows *= 2
 
 
 def _label_count(n: int, rate: float) -> int:
@@ -201,20 +251,21 @@ def _label_count(n: int, rate: float) -> int:
     return max(1, math.ceil(2.0 ** exponent - 1e-12))
 
 
-def _draw_letters(
-    rng: np.random.Generator, p_v: np.ndarray, shape: tuple[int, ...]
-) -> np.ndarray:
-    """rng.choice(p_v.size, size=shape, p=p_v / p_v.sum()), bit for bit.
+def _draw_letters(rng: np.random.Generator, p_v: np.ndarray, out: np.ndarray) -> None:
+    """Fill the C-contiguous out with rng.choice(p_v.size, size=out.shape,
+    p=p_v / p_v.sum()), bit for bit.
 
     choice draws one uniform u per symbol in row-major order and returns
     the number of its CDF entries <= u (searchsorted, side="right").  Here
-    the uniforms come _DRAW_CHUNK at a time, which consumes the bit
-    generator's stream exactly as one draw of the whole shape does, and the
-    count is a binary search over the interior CDF padded with +inf to
-    2^height - 1 entries: height gather-and-compare steps, the first against
-    one entry for every uniform.  Comparisons are exact, so a zero-mass
-    letter is never drawn, as in choice; the last CDF entry is 1.0, above
-    every uniform, so it is left out (a one-letter pmf has only padding).
+    the uniforms come _DRAW_CHUNK at a time; rng.random takes one 64-bit
+    output per uniform, so chunks, and calls filling consecutive slices of
+    one table, consume the bit generator's stream exactly as one draw of
+    the whole shape does.  The count is a binary search over the interior
+    CDF padded with +inf to 2^height - 1 entries: height gather-and-compare
+    steps, the first against one entry for every uniform.  Comparisons are
+    exact, so a zero-mass letter is never drawn, as in choice; the last CDF
+    entry is 1.0, above every uniform, so it is left out (a one-letter pmf
+    has only padding).
     """
     p = p_v / p_v.sum()
     cdf = p.cumsum()
@@ -222,8 +273,7 @@ def _draw_letters(
     height = max(1, (p.size - 1).bit_length())
     bounds = np.full(2**height - 1, np.inf)
     bounds[: p.size - 1] = cdf[:-1]
-    words = np.empty(shape, dtype=np.int64)
-    flat = words.reshape(-1)
+    flat = out.reshape(-1)
     uniforms = np.empty(min(_DRAW_CHUNK, flat.size))
     for lo in range(0, flat.size, _DRAW_CHUNK):
         letters = flat[lo : lo + _DRAW_CHUNK]
@@ -234,7 +284,6 @@ def _draw_letters(
         while step > 1:
             step >>= 1
             letters += step * (bounds[letters + (step - 1)] <= u)
-    return words
 
 
 def build_codebook(
@@ -244,14 +293,17 @@ def build_codebook(
     rv_prime: float,
     seed_seq: np.random.SeedSequence,
 ) -> Codebook:
-    """Draw ceil(2^(n rv)) x ceil(2^(n rv')) codewords i.i.d. from p_V.
+    """A codebook of ceil(2^(n rv)) x ceil(2^(n rv')) codewords i.i.d.
+    from p_V.
 
     joint_xv must be a 2-D table of finite, nonnegative cells with a
     positive finite sum; p_V is its column sum, normalized.  The words equal
     np.random.default_rng(seed_seq).choice(n_v, size=(m_omega, m_nu, n),
-    p=p_V) bit for bit, but are drawn in chunks of _DRAW_CHUNK uniforms, so
-    the draw holds the int64 table plus one chunk.  The table may hold at
-    most _MAX_TABLE_CELLS cells, checked before anything is drawn.
+    p=p_V) bit for bit.  The int64 table is allocated here and nothing is
+    drawn: each row is drawn, in chunks of _DRAW_CHUNK uniforms, the first
+    time a reader reaches it, so a full read holds the table plus one chunk.
+    The table may hold at most _MAX_TABLE_CELLS cells, checked before it is
+    allocated.
     """
     joint_xv = _check_reals(joint_xv, "joint_xv", DomainError)
     if joint_xv.ndim != 2:
@@ -272,8 +324,8 @@ def build_codebook(
         raise BudgetExceeded(
             f"codebook table would hold {m_omega * m_nu * n} cells"
         )
-    words = _draw_letters(np.random.default_rng(seed_seq), p_v, (m_omega, m_nu, n))
-    return Codebook(words=words, joint_xv=joint_xv)
+    table = np.empty((m_omega, m_nu, n), dtype=np.int64)
+    return Codebook(table, joint_xv, _rng=np.random.default_rng(seed_seq))
 
 
 def _block(seq, n: int, n_letters: int, name: str) -> np.ndarray:
@@ -353,7 +405,8 @@ def _decode_blocks(
 ) -> np.ndarray:
     """nu of each (B, n) y-block in its bin omegas[b] (1-based): the
     smallest typical one, else 1."""
-    hit = _first_typical(y_blocks, omegas - 1, codebook.words, joint_vy.T, epsilon)
+    words = codebook._rows(int(omegas.max(initial=0)))
+    hit = _first_typical(y_blocks, omegas - 1, words, joint_vy.T, epsilon)
     return np.where(hit < codebook.m_nu, hit + 1, 1)
 
 

@@ -3,7 +3,8 @@
 The count-kernel encoder and decoder are checked exhaustively against plain
 Python loops over is_jointly_typical, and the typicality predicate itself
 against hand-counted cases.  The chunked codeword draw is checked bit for
-bit against Generator.choice, the draw it replaced.  The kernel's shortcut
+bit against Generator.choice, the draw it replaced, also when readers draw
+the table a few rows at a time in any order.  The kernel's shortcut
 for a pair law that admits no typical count vector is checked against a
 search over every count vector, and against the kernel without it.
 """
@@ -259,11 +260,11 @@ def assert_draws_like_choice(joint_xv, n, rv, rv_prime, seed):
 
 
 @st.composite
-def letter_weights(draw):
+def letter_weights(draw, max_letters=300):
     """Unnormalized p_V over 1 to 300 letters (the model admits l_quant up
-    to 271 at one observer): random weights with zero-mass letters first,
-    in the middle or last, or a point mass."""
-    n_v = draw(st.integers(1, 300))
+    to 271 at one observer), or to max_letters: random weights with
+    zero-mass letters first, in the middle or last, or a point mass."""
+    n_v = draw(st.integers(1, max_letters))
     weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n_v)
     if draw(st.booleans()):
         weights = np.where(np.arange(n_v) == draw(st.integers(0, n_v - 1)), weights, 0.0)
@@ -326,16 +327,149 @@ class TestDrawMatchesChoice:
 
     def test_peak_memory_is_the_table_plus_one_chunk(self):
         # Generator.choice held a float64 array of uniforms as large as the
-        # int64 table, so it peaked at twice the table
+        # int64 table, so it peaked at twice the table; the build draws
+        # nothing, so the full draw is the first read of words
         tracemalloc.start()
         try:
             book = build_codebook(TestBuildCodebook.JOINT, 8, 1.0, 1.0,
                                   np.random.SeedSequence(0))
+            words = book.words
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert book.words.nbytes == 4 * 2**20
-        assert peak < 1.5 * book.words.nbytes
+        assert words.nbytes == 4 * 2**20
+        assert peak < 1.5 * words.nbytes
+
+
+RATES = [0.0, 0.25, 0.5, 1.0]
+
+
+class TestDrawOnDemand:
+    """build_codebook draws each row on its first read, in stream order:
+    whatever reads the codebook, in whatever order, sees the table
+    Generator.choice draws, and the encoder's distinct words are those of
+    that whole table."""
+
+    # alphabets of at most 4 letters give tables that hold more words than
+    # n_v^n, where the encoder reads a prefix of the rows
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        weights=st.one_of(letter_weights(), letter_weights(max_letters=4)),
+        n=st.integers(1, 8),
+        rv=st.sampled_from(RATES),
+        rv_prime=st.sampled_from(RATES),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_reads_in_any_order_see_the_choice_table(self, weights, n, rv, rv_prime,
+                                                     seed, data):
+        joint_xv = np.atleast_2d(weights)
+        joint_vy = joint_xv.T  # one y letter, so every y-block is all zeros
+        want = choice_words(joint_xv, n, rv, rv_prime, np.random.SeedSequence(seed))
+        given_table = make_codebook(want, joint_xv)
+        reads = data.draw(st.lists(st.sampled_from(["word", "distinct", "decode"]),
+                                   max_size=6))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codebook, "_DRAW_CHUNK", 7)
+            book = build_codebook(joint_xv, n, rv, rv_prime, np.random.SeedSequence(seed))
+            for read in reads:
+                omegas = np.array(data.draw(st.lists(st.integers(1, book.m_omega),
+                                                     max_size=4)), dtype=np.int64)
+                if read == "word":
+                    nus = np.array(data.draw(st.lists(
+                        st.integers(1, book.m_nu), min_size=len(omegas), max_size=len(omegas)
+                    )), dtype=np.int64)
+                    got = book.word(omegas, nus)
+                    assert got.shape == (len(omegas), n)
+                    assert (got == want[omegas - 1, nus - 1]).all()
+                elif read == "distinct":
+                    words, first = book._distinct
+                    assert (words == want.reshape(-1, n)[first]).all()
+                else:
+                    y_blocks = np.zeros((len(omegas), n), dtype=np.int64)
+                    got = _decode_blocks(book, y_blocks, omegas, 0.5, joint_vy)
+                    assert (got == _decode_blocks(given_table, y_blocks, omegas, 0.5,
+                                                  joint_vy)).all()
+            assert (book.words == want).all()
+
+    @pytest.mark.parametrize("joint, n, rv, rv_prime", [
+        ([[0.4, 0.1], [0.1, 0.4]], 8, 1.0, 1.0),  # 65,536 words over 2^8 codes
+        ([[0.4, 0.1], [0.1, 0.4]], 3, 1.0, 1.0),  # 64 words over 2^3 codes
+        ([[0.4, 0.1], [0.1, 0.4]], 4, 0.5, 0.5),  # 16 words over 2^4: read whole
+        ([[0.4, 0.1], [0.1, 0.4]], 8, 0.5, 0.5),  # 256 words, fewer than 2^8 codes
+        ([[0.1, 0.0, 0.3], [0.2, 0.0, 0.4]], 5, 1.0, 0.5),  # a zero-mass letter
+        ([[0.1, 0.2, 0.3], [0.2, 0.1, 0.1]], 6, 1.0, 0.75),  # 3^6 codes, rows of 23
+        ([[0.0, 0.5], [0.0, 0.5]], 6, 0.5, 0.5),  # a point mass: one code
+        ([[0.0, 0.5, 0.0]], 1, 0.0, 0.0),  # a point mass in a one-word table
+    ])
+    @pytest.mark.parametrize("chunk", [7, codebook._DRAW_CHUNK])
+    def test_distinct_words_are_those_of_the_whole_table(self, monkeypatch, joint, n, rv,
+                                                         rv_prime, chunk):
+        # a table that one chunk fills is read whole, so chunks of 7
+        # uniforms send the smaller tables through the prefix reads too
+        monkeypatch.setattr(codebook, "_DRAW_CHUNK", chunk)
+        for seed in (0, 1, 2**31 + 5):
+            book = build_codebook(joint, n, rv, rv_prime, np.random.SeedSequence(seed))
+            want = choice_words(joint, n, rv, rv_prime, np.random.SeedSequence(seed))
+            words, first = book._distinct
+            want_words, want_first = make_codebook(want, joint)._distinct
+            assert (first == want_first).all()
+            assert (words == want_words).all()
+            assert (book.words == want).all()
+
+    def test_a_point_mass_reads_one_row(self):
+        # 256 x 256 words of length 8, of which the first shows the only one
+        book = build_codebook([[0.0, 0.5], [0.0, 0.5]], 8, 1.0, 1.0, np.random.SeedSequence(3))
+        words, first = book._distinct
+        assert first.tolist() == [0]
+        assert words.tolist() == [[1] * 8]
+        assert book._drawn == 1 < book.m_omega
+
+    def test_a_table_one_chunk_fills_is_drawn_whole(self):
+        # 16 x 16 words of length 4 (the exact-leakage table): ceil(2^4 / 16)
+        # is one row, but one draw call fills all 1,024 cells
+        book = build_codebook([[0.4, 0.1], [0.1, 0.4]], 4, 1.0, 1.0, np.random.SeedSequence(3))
+        book._distinct
+        assert book._drawn == book.m_omega == 16
+
+    def test_a_given_table_is_read_whole(self, monkeypatch):
+        # letter 1 has no mass, so a drawn table never holds it; a given one
+        # may, and its typical word (2, 1) lies past the one word p_V can
+        # produce that row 1 already shows.  Chunks of one uniform keep the
+        # four cells from being read whole as a table one chunk fills
+        monkeypatch.setattr(codebook, "_DRAW_CHUNK", 1)
+        joint = np.array([[1.0, 0.0]])
+        book = make_codebook([[[1]], [[0]], [[0]], [[1]]], joint)
+        assert wz_encode(book, [0], 0.5) == (2, 1)
+        assert book._distinct[1].tolist() == [0, 1]
+
+    def test_the_encoder_reads_a_prefix_on_the_long_block_config(self):
+        # the README source at l_quant 2, n 8, rv = rv' = 1 and codebook
+        # seed 0: a 256 x 256 table, of whose rows the encoder over all
+        # 256 x-blocks draws only those that show every word p_V can produce
+        spec = SourceSpec.from_gains(2.0, [0.5, 1.0, 0.8])
+        structure = monotone_closure(3, [[1, 2], [2, 3]])
+        model = build_quantized_source(spec, structure, 2)
+        seed_seq = np.random.SeedSequence(0, spawn_key=(0,))
+        book = build_codebook(model.joint_xv(), 8, 1.0, 1.0, seed_seq)
+        blocks = all_blocks(model.joint_xv().shape[0], 8)
+        omegas, nus = _encode_blocks(book, blocks, 0.2)
+        assert book.m_omega == 256
+        assert book._drawn < book.m_omega
+        fresh = make_codebook(
+            choice_words(model.joint_xv(), 8, 1.0, 1.0, seed_seq), model.joint_xv()
+        )
+        want = _encode_blocks(fresh, blocks, 0.2)
+        assert (omegas == want[0]).all() and (nus == want[1]).all()
+
+    def test_empty_reads(self):
+        book = build_codebook(TestBuildCodebook.JOINT, 4, 0.5, 0.25, np.random.SeedSequence(1))
+        none = np.array([], dtype=np.int64)
+        assert book.word(none, none).shape == (0, 4)
+        got = _decode_blocks(book, np.zeros((0, 4), dtype=np.int64), none, 0.5,
+                             TestBuildCodebook.JOINT.T)
+        assert got.shape == (0,)
+        assert book._drawn == 0
 
 
 class TestEncoder:

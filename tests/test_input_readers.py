@@ -32,6 +32,7 @@ from gauss_share.errors import (
     ThresholdOutOfRange,
 )
 from gauss_share.protocol.codebook import (
+    Codebook,
     build_codebook,
     is_jointly_typical,
     is_letter_typical,
@@ -276,6 +277,9 @@ def _numpy(value):
 
 
 def _same(a, b) -> bool:
+    if isinstance(a, Codebook):
+        # rows are drawn on first read, so no compared field holds the table
+        return type(a) is type(b) and _same((a.words, a.joint_xv), (b.words, b.joint_xv))
     if dataclasses.is_dataclass(a):
         return type(a) is type(b) and all(
             _same(getattr(a, f.name), getattr(b, f.name))
