@@ -22,6 +22,9 @@ per-block law at the drawn codebook, with the seed averaged out by the
 full-rank rule of the Toeplitz hash; larger instances report leakage as
 unavailable, never estimated.  That rule leaves two distinct secret rows in
 the joint law, so the enumeration forms its entropies from those two alone.
+Its grouped sums go through np.bincount, which adds each cell's terms from
+0.0 in input order, so every cell of the law sums its x-blocks, and of the
+joint law its combos, in the order a fill one at a time would.
 """
 
 from __future__ import annotations
@@ -433,25 +436,86 @@ def _stacked_sum(first: np.ndarray, uniform: np.ndarray, copies: int) -> np.ndar
     return acc
 
 
+def _grouped_sum(groups: np.ndarray, rows: np.ndarray, n_groups: int) -> np.ndarray:
+    """Row r of `rows` added into row groups[r] of an (n_groups, columns)
+    zero array: np.add.at on zeros, bit for bit.
+
+    np.bincount takes the flat (group, column) index in row-major order with
+    the rows as weights, and adds each cell's terms from 0.0 in input order,
+    so a cell sums its rows in row order, as np.add.at does; a numpy
+    reduction would sum a single column pairwise instead.
+    """
+    cols = rows.shape[1]
+    flat = (groups * cols)[:, None] + np.arange(cols)
+    sums = np.bincount(flat.ravel(), weights=rows.ravel(), minlength=n_groups * cols)
+    # an empty input comes back as integer zeros
+    return sums.astype(np.float64, copy=False).reshape(n_groups, cols)
+
+
+def _outer_power(p: np.ndarray, times: int) -> np.ndarray:
+    """The chain np.kron(...np.kron(p, p)..., p) of `times` factors of a 2-D
+    p, bit for bit: each step is one broadcast product of the product so far
+    with p, so every cell is the same left-to-right product of `times`
+    entries, the first factor's row and column most significant."""
+    out = p
+    for _ in range(times - 1):
+        shape = (out.shape[0] * p.shape[0], out.shape[1] * p.shape[1])
+        out = (out[:, None, :, None] * p[None, :, None, :]).reshape(shape)
+    return out
+
+
+def _row_codes(rows: np.ndarray, radices) -> np.ndarray:
+    """One integer per row of nonnegative integers, column j below
+    radices[j]: the row read as a number with column 0 most significant.
+
+    The codes ascend as the rows do lexicographically, which is how
+    np.unique(axis=0) sorts them, so a 1-D np.unique of the codes gives that
+    call's row order and inverse.  The product of the radices must stay
+    below 2^63.
+    """
+    place = np.cumprod((1,) + tuple(radices[:0:-1]))[::-1]
+    return rows @ place
+
+
 def _block_law(model: DiscreteSourceModel, codebook: Codebook, n: int, epsilon: float):
     """The law of one block at a fixed codebook: the distinct encoder outcomes,
     rows [omega, word...] ascending, from one encode of every x-block, and a
-    function giving p(outcome, y_S-block) of one coalition S per call."""
+    function giving p(outcome, y_S-block) of one coalition S per call.
+
+    An outcome's code is omega * n_v^n plus the word in base n_v, so the
+    outcomes and each x-block's outcome come from a 1-D np.unique.  The
+    x-block rows of p(x-block, y_S-block) are grouped by outcome with
+    `_grouped_sum`, each cell adding its x-blocks in x-block order.
+    """
     x_blocks = np.indices((model.n_x,) * n).reshape(n, -1).T
     omegas, nus = _encode_blocks(codebook, x_blocks, epsilon)
     rows = np.column_stack([omegas, codebook.word(omegas, nus)])
-    outcomes, x_out = np.unique(rows, axis=0, return_inverse=True)
-    x_out = x_out.reshape(-1)  # numpy 2.0 changed the inverse's shape
+    # the codes stay far below 2^63: m_omega is within the codebook's cell
+    # cap, and an exact instance has n_v^n <= l^n, l^(2n) within the budget
+    codes = _row_codes(rows, (codebook.m_omega + 1,) + (codebook.n_v,) * n)
+    _, first, x_out = np.unique(codes, return_index=True, return_inverse=True)
+    outcomes = rows[first]
 
     def law(coalition: tuple[int, ...]) -> np.ndarray:
-        p_block = p_xy = model.joint_xy(coalition)
-        for _ in range(n - 1):
-            p_block = np.kron(p_block, p_xy)
-        p_oy = np.zeros((len(outcomes), p_block.shape[1]))
-        np.add.at(p_oy, x_out, p_block)  # x-block rows in x-block order
-        return p_oy
+        p_block = _outer_power(model.joint_xy(coalition), n)
+        return _grouped_sum(x_out, p_block, len(outcomes))
 
     return outcomes, law
+
+
+def _message_ids(omegas: np.ndarray, combos: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each combo's message id and the number of messages, where a combo's
+    message is the omegas of its outcomes: the inverse and the length of
+    np.unique(omegas[combos], axis=0, return_inverse=True), bit for bit.
+
+    `combos` holds every q-tuple of outcomes, so every q-tuple of distinct
+    omegas is a message.  A message's id is then its tuple of omega ranks in
+    base (distinct omegas), which ascends as np.unique sorts the tuples and
+    takes every value below (distinct omegas)^q.
+    """
+    distinct, rank = np.unique(omegas, return_inverse=True)
+    base, q = len(distinct), combos.shape[1]
+    return _row_codes(rank[combos], (base,) * q), base**q
 
 
 def _exact_leakage(
@@ -470,43 +534,42 @@ def _exact_leakage(
     so neither GF(2) elimination nor a seed sweep is needed.
 
     The (secret, message, observation) law is two grouped sums over the
-    combos of q block outcomes, each taken in combo order: every secret
-    s >= 1 gets the 2^-k share of the nonzero combos (the row `uniform`),
-    and secret 0 gets that share plus the full mass of the all-zero combo
-    (the row `first`).  The 2^k-row table is never built: its entropies and
-    marginals come from the two rows, with the additions numpy would make
-    over the table, so the results are the table's bit for bit.
+    combos of q block outcomes: every secret s >= 1 gets the 2^-k share of
+    the nonzero combos (the row `uniform`), and secret 0 gets that share
+    plus the full mass of the all-zero combos (the row `first`).  Both go
+    through np.bincount (`_grouped_sum`), which adds each cell's terms from
+    0.0 in input order, so every cell sums its combos in combo order, as a
+    per-combo fill would.  The 2^k-row table is never built: its entropies
+    and marginals come from the two rows, with the additions numpy would
+    make over the table, so the results are the table's bit for bit.
     """
     q, k = config.q, config.k
     outcomes, law = _block_law(model, codebook, config.n, config.epsilon)
 
-    # combos of q outcomes, block 0 most significant; their message ids
-    # (outcomes ascend by omega, so messages first appear in sorted order);
-    # all-zero dealer strings, the only ones whose secret is not uniform
+    # combos of q outcomes, block 0 most significant, as in the q-fold
+    # product; their message ids; the all-zero dealer strings, the only ones
+    # whose secret is not uniform
     combos = np.indices((len(outcomes),) * q).reshape(q, -1).T
-    messages, combo_m = np.unique(outcomes[combos, 0], axis=0, return_inverse=True)
-    combo_m = combo_m.reshape(-1)
-    combo_zero = ~outcomes[:, 1:].any(axis=1)[combos].any(axis=1)
-    nonzero_m = combo_m[~combo_zero]
+    combo_m, n_messages = _message_ids(outcomes[:, 0], combos)
+    zero_combos = np.flatnonzero(~outcomes[:, 1:].any(axis=1)[combos].any(axis=1))
     copies = 2**k - 1  # secrets s >= 1, which all share the row `uniform`
 
     # the empty coalition comes first (the masks ascend) and observes one
     # cell, so its row gives I(S; M) and H(S)
     per_u = []
     for u in structure.unauthorized:
-        p_full = p_block_oy = law(u)
-        for _ in range(q - 1):
-            p_full = np.kron(p_full, p_block_oy)
-
-        # combo index in the kron product is the base-len(outcomes) number
-        # whose most significant digit is block 0, as in `combos`.
-        # np.add.at applies rows in index order, so every cell sums the same
-        # terms in the same (row) order as a per-combo fill would
-        spread = 2.0**-k * p_full
-        uniform = np.zeros((len(messages), p_full.shape[1]))
-        np.add.at(uniform, nonzero_m, spread[~combo_zero])
-        first = np.zeros_like(uniform)
-        np.add.at(first, combo_m, np.where(combo_zero[:, None], p_full, spread))
+        # the combos' law (a fresh array, also at q = 1), scaled in place to
+        # the 2^-k share; an all-zero combo adds +0.0 to `uniform`, which
+        # changes no sum, and without one `first` and `uniform` sum the same
+        # rows
+        rows = _outer_power(law(u), q)
+        full_zero = rows[zero_combos]
+        rows *= 2.0**-k
+        rows[zero_combos] = 0.0
+        uniform = first = _grouped_sum(combo_m, rows, n_messages)
+        if zero_combos.size:
+            rows[zero_combos] = full_zero
+            first = _grouped_sum(combo_m, rows, n_messages)
 
         # the (secret, message, observation) table is [first, uniform, ...,
         # uniform]; each quantity below is read from the two rows alone

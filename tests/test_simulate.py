@@ -524,7 +524,8 @@ class TestBlockLawAgainstBruteForce:
                 want[distinct.index(outcome)] += p_xy[np.array(xb), y_blocks].prod(axis=1)
             got = law(u)
             assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            # the brute force multiplies and adds in the kernel's order
+            assert np.array_equal(got, want)
             assert math.isclose(got.sum(), 1.0, rel_tol=1e-12)
 
 
@@ -666,6 +667,99 @@ class TestExactLeakageMatchesPerComboFill:
         assert summed.shape == shape
         assert np.array_equal(summed, stack.sum(axis=0))
         assert simulate._stacked_entropy(first, uniform, copies) == info.entropy(stack)
+
+
+def _add_at(groups, rows, n_groups):
+    out = np.zeros((n_groups, rows.shape[1]))
+    np.add.at(out, groups, rows)
+    return out
+
+
+@st.composite
+def _grouped_rows(draw):
+    """(groups, rows, n_groups): unsorted ids, groups that may get no rows,
+    zero weights, magnitudes far enough apart that the order of additions
+    shows, and inputs with no rows or a single column."""
+    n_groups = draw(st.integers(1, 6))
+    n_rows = draw(st.integers(0, 24))
+    cols = draw(st.sampled_from([1, 1, 2, 5]))
+    groups = draw(st.lists(st.integers(0, n_groups - 1), min_size=n_rows, max_size=n_rows))
+    cell = st.one_of(st.just(0.0), st.sampled_from([1.0, 1e-16, 0.1, 3.0]),
+                     st.floats(0.0, 1e3, allow_subnormal=False))
+    values = draw(st.lists(cell, min_size=n_rows * cols, max_size=n_rows * cols))
+    return (np.array(groups, dtype=np.int64), np.array(values).reshape(n_rows, cols),
+            n_groups)
+
+
+class TestLeakageKernelsMatchNumpy:
+    """Each kernel of the exact evaluation equals, bit for bit, the numpy
+    call it replaced: np.add.at on zeros, np.kron chains, and
+    np.unique(axis=0, return_inverse=True)."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_grouped_rows())
+    def test_grouped_sum_is_add_at_on_zeros(self, drawn):
+        groups, rows, n_groups = drawn
+        got = simulate._grouped_sum(groups, rows, n_groups)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _add_at(groups, rows, n_groups))
+
+    @pytest.mark.parametrize("groups, n_groups", [
+        ([], 3),  # an empty input
+        ([2, 0, 2, 2], 4),  # unsorted ids; groups 1 and 3 get no rows
+        ([1, 1, 1], 2),  # one group gets every row
+    ])
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_grouped_sum_edge_cases(self, groups, n_groups, cols):
+        groups = np.array(groups, dtype=np.int64)
+        rows = np.arange(1.0, 1.0 + len(groups) * cols).reshape(-1, cols) / 7.0
+        rows[::2] = 0.0  # zero weights
+        got = simulate._grouped_sum(groups, rows, n_groups)
+        assert got.shape == (n_groups, cols)
+        assert np.array_equal(got, _add_at(groups, rows, n_groups))
+
+    def test_one_column_sums_in_row_order(self):
+        # in row order 1e-16 vanishes against 1.0 twice; in reverse order the
+        # two tiny terms add first and survive, so the order is pinned
+        groups = np.zeros(3, dtype=np.int64)
+        rows = np.array([[1.0], [1e-16], [1e-16]])
+        want = _add_at(groups, rows, 1)
+        assert want[0, 0] == 1.0
+        assert not np.array_equal(_add_at(groups[::-1], rows[::-1], 1), want)
+        assert np.array_equal(simulate._grouped_sum(groups, rows, 1), want)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.data())
+    def test_outer_power_is_the_kron_chain(self, n_rows, cols, times, data):
+        cell = st.floats(0.0, 1.0, allow_subnormal=False)
+        p = np.array(data.draw(st.lists(cell, min_size=n_rows * cols,
+                                        max_size=n_rows * cols))).reshape(n_rows, cols)
+        want = p
+        for _ in range(times - 1):
+            want = np.kron(want, p)
+        got = simulate._outer_power(p, times)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(1, 30), st.data())
+    def test_row_codes_order_rows_as_unique_does(self, radices, n_rows, data):
+        rows = np.array([[data.draw(st.integers(0, r - 1)) for r in radices]
+                         for _ in range(n_rows)], dtype=np.int64)
+        want_rows, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        _, first, inverse = np.unique(simulate._row_codes(rows, radices),
+                                      return_index=True, return_inverse=True)
+        assert np.array_equal(rows[first], want_rows)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=6), st.integers(1, 3))
+    def test_message_ids_are_unique_over_the_combos(self, omegas, q):
+        omegas = np.array(omegas, dtype=np.int64)
+        combos = np.indices((len(omegas),) * q).reshape(q, -1).T
+        messages, want = np.unique(omegas[combos], axis=0, return_inverse=True)
+        got, n_messages = simulate._message_ids(omegas, combos)
+        assert n_messages == len(messages)
+        assert np.array_equal(got, want.reshape(-1))
 
 
 def _sources_and_configs():
