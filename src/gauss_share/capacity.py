@@ -46,7 +46,6 @@ __all__ = [
     "UNLIMITED",
     "UnlimitedRate",
     "CapacityPoint",
-    "RateRegion",
     "SaddleCheck",
     "ThresholdComparison",
     "is_unlimited",
@@ -177,12 +176,6 @@ class CapacityPoint:
     extremal: ExtremalSets
 
 
-@dataclass(frozen=True)
-class RateRegion:
-    points: tuple[CapacityPoint, ...]
-    cs_infinity: float
-
-
 def _capacity_value(spec: SourceSpec, ext: ExtremalSets, rp) -> float:
     """Closed-form capacity given precomputed extremal SNRs (clamped at 0)."""
     sx = spec.sigma2_x
@@ -202,23 +195,24 @@ def _capacity_value(spec: SourceSpec, ext: ExtremalSets, rp) -> float:
     return max(0.0, 0.5 * math.log2(num / den))
 
 
+def _point(spec: SourceSpec, ext: ExtremalSets, rp) -> CapacityPoint:
+    """The capacity point at a checked rate rp, given the extremal pair."""
+    s = None if is_unlimited(rp) else optimal_conditional_variance(spec, ext.snr_authorized, rp)
+    return CapacityPoint(rp=rp, cs=_capacity_value(spec, ext, rp), sigma2_star=s, extremal=ext)
+
+
 def secret_capacity(spec: SourceSpec, structure: AccessStructure, rp) -> CapacityPoint:
     """Secret capacity at public rate rp (float >= 0 or UNLIMITED)."""
     rp = _check_rate(rp)
-    ext = extremal_sets(structure, spec)
-    cs = _capacity_value(spec, ext, rp)
-    sigma2_star = (
-        None
-        if is_unlimited(rp)
-        else optimal_conditional_variance(spec, ext.snr_authorized, rp)
-    )
-    return CapacityPoint(rp=rp, cs=cs, sigma2_star=sigma2_star, extremal=ext)
+    return _point(spec, extremal_sets(structure, spec), rp)
 
 
 def rate_region(
     spec: SourceSpec, structure: AccessStructure, rp_grid: Sequence[float]
-) -> RateRegion:
-    """Capacity sweep over a strictly increasing nonnegative rp grid."""
+) -> tuple[CapacityPoint, ...]:
+    """Capacity sweep over a strictly increasing nonnegative rp grid: one
+    CapacityPoint per rate, in grid order.  The saturation value is
+    secret_capacity(spec, structure, UNLIMITED).cs."""
     grid = _check_reals(rp_grid, "rp grid", DomainError) + 0.0  # -0.0 reads as 0.0
     if grid.ndim != 1:
         raise DomainError("rp grid must be a sequence of rates")
@@ -230,16 +224,7 @@ def rate_region(
         raise DomainError("rp grid must be strictly increasing")
 
     ext = extremal_sets(structure, spec)
-    points = tuple(
-        CapacityPoint(
-            rp=rp,
-            cs=_capacity_value(spec, ext, rp),
-            sigma2_star=optimal_conditional_variance(spec, ext.snr_authorized, rp),
-            extremal=ext,
-        )
-        for rp in grid.tolist()
-    )
-    return RateRegion(points=points, cs_infinity=_capacity_value(spec, ext, UNLIMITED))
+    return tuple(_point(spec, ext, rp) for rp in grid.tolist())
 
 
 class Dominance:
@@ -259,7 +244,6 @@ class ThresholdComparison:
     verdict: str  # Dominance token
     cs_t: float
     cs_t_plus_i: float
-    used_fallback: bool
 
 
 def threshold_compare(spec: SourceSpec, rp) -> tuple[ThresholdComparison, ...]:
@@ -298,8 +282,7 @@ def threshold_compare(spec: SourceSpec, rp) -> tuple[ThresholdComparison, ...]:
                 raise NumericError("ratio test says at_most but capacities disagree")
 
             comparisons.append(ThresholdComparison(
-                t=t, i=i, rp=rp, lhs=lhs, rhs=rhs, verdict=verdict,
-                cs_t=cs_t, cs_t_plus_i=cs_ti, used_fallback=lhs is None,
+                t=t, i=i, rp=rp, lhs=lhs, rhs=rhs, verdict=verdict, cs_t=cs_t, cs_t_plus_i=cs_ti,
             ))
     return tuple(comparisons)
 

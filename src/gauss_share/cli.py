@@ -345,7 +345,7 @@ def _capacity_points(cfg: _Config, spec: SourceSpec, structure, rp) -> tuple[Cap
     if not isinstance(rp, np.ndarray):
         return (secret_capacity(spec, structure, rp),)
     try:
-        return rate_region(spec, structure, rp).points
+        return rate_region(spec, structure, rp)
     except ValidationError as exc:
         raise cfg.fail("grid", str(exc)) from exc
 

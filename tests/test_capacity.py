@@ -163,18 +163,17 @@ def test_degraded_structure_capacity_is_exactly_zero():
 
 def test_capacity_nondecreasing_in_rate_exactly():
     grid = np.linspace(0.0, 6.0, 400)
-    region = rate_region(SPEC3, STRUCT3, grid)
-    values = [p.cs for p in region.points]
+    values = [p.cs for p in rate_region(SPEC3, STRUCT3, grid)]
     assert all(b >= a for a, b in zip(values, values[1:]))
-    assert values[-1] <= region.cs_infinity
+    assert values[-1] <= secret_capacity(SPEC3, STRUCT3, UNLIMITED).cs
 
 
 def test_rate_region_fields():
     region = rate_region(SPEC3, STRUCT3, [0.0, 1.0, 2.0])
-    assert len(region.points) == 3
-    assert region.points[0].rp == 0.0
-    assert region.cs_infinity == 0.5 * math.log2(3.5 / 3.0)
-    for p in region.points:
+    assert len(region) == 3
+    assert region[0].rp == 0.0
+    assert secret_capacity(SPEC3, STRUCT3, UNLIMITED).cs == 0.5 * math.log2(3.5 / 3.0)
+    for p in region:
         assert p.sigma2_star is not None
 
 
@@ -195,15 +194,15 @@ def test_negative_zero_rate_reads_as_zero():
     """-0.0 is a valid rate and reads as +0.0, so no result prints "-0"."""
     for rp in (secret_capacity(SPEC3, STRUCT3, -0.0).rp,
                saddle_check(SPEC3, STRUCT3, -0.0, 100).rp,
-               rate_region(SPEC3, STRUCT3, [-0.0, 1.0]).points[0].rp):
+               rate_region(SPEC3, STRUCT3, [-0.0, 1.0])[0].rp):
         assert rp == 0.0 and math.copysign(1.0, rp) == 1.0
 
 
 def test_rate_region_points_match_secret_capacity():
     grid = np.linspace(0.0, 5.0, 300)
     region = rate_region(SPEC3, STRUCT3, grid)
-    assert len(region.points) == 300
-    for rp, point in zip(grid, region.points):
+    assert len(region) == 300
+    for rp, point in zip(grid, region):
         assert point == secret_capacity(SPEC3, STRUCT3, float(rp))
 
 
@@ -246,7 +245,6 @@ class TestThresholdCompare:
         assert comp.verdict == "at_most"
         assert comp.lhs == pytest.approx(0.7225, abs=1e-12)
         assert comp.rhs == pytest.approx(6.425 / 6.995, rel=1e-12)
-        assert not comp.used_fallback
         assert comp.cs_t <= comp.cs_t_plus_i + 1e-12
 
     def test_first_threshold_dominates(self):
@@ -272,7 +270,6 @@ class TestThresholdCompare:
     def test_zero_gain_participants_trigger_fallback(self):
         spec = SourceSpec.from_gains(1.0, [0.0, 0.0, 1.0])
         comp = self.pair(spec, 1, 1, 0.7)
-        assert comp.used_fallback
         assert comp.lhs is None
 
     @pytest.mark.parametrize("l", [1, 2, 3, 5, 8])
@@ -292,6 +289,10 @@ class TestThresholdCompare:
             threshold_compare(self.SPEC5, math.nan)
 
 
+# bitexact: the oracle computes its gaps in place in a block buffer while
+# the per-pair reference allocates fresh arrays, so an oracle whose two
+# routes reach different log2 loops fails here on one loop set or the other
+@pytest.mark.bitexact
 class TestSaddleOracle:
     def test_oracle_matches_closed_form_example(self):
         for rp in (0.25, 1.0, 4.0):
@@ -700,6 +701,8 @@ rates = st.one_of(st.just(UNLIMITED), st.floats(0.0, 12.0))
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 
+# bitexact: see TestSaddleOracle
+@pytest.mark.bitexact
 @PROPERTY_SETTINGS
 @given(sources_and_structures(), rates)
 def test_property_oracle_matches_closed_form(case, rp):
@@ -718,11 +721,10 @@ def test_property_oracle_matches_closed_form(case, rp):
 )
 def test_property_region_nondecreasing_and_bounded(case, grid):
     spec, structure = case
-    region = rate_region(spec, structure, grid)
-    values = [p.cs for p in region.points]
+    values = [p.cs for p in rate_region(spec, structure, grid)]
     assert values[0] >= 0.0
     assert all(b >= a for a, b in zip(values, values[1:]))
-    assert values[-1] <= region.cs_infinity
+    assert values[-1] <= secret_capacity(spec, structure, UNLIMITED).cs
 
 
 @PROPERTY_SETTINGS
@@ -745,6 +747,8 @@ def test_property_threshold_verdict_agrees_with_direct_capacities(gains, sigma2_
             assert cs_t <= cs_t_plus_i + 1e-9
 
 
+# bitexact: see TestSaddleOracle
+@pytest.mark.bitexact
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(
     sources_and_structures(),

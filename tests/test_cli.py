@@ -48,6 +48,9 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# bitexact: which zero max and min return may differ between SIMD loop sets,
+# and no loop set may print -0
+@pytest.mark.bitexact
 @pytest.mark.parametrize("command, access, rp", [
     ("capacity", EXAMPLE_ACCESS, {"value": -0.0}),
     ("oracle", EXAMPLE_ACCESS, {"value": -0.0}),
@@ -136,7 +139,7 @@ class TestRegionCommand:
         structure = monotone_closure(3, [[1, 2], [2, 3]])
         region = rate_region(spec, structure, np.linspace(0.0, 2.0, 5))
         rows = out.splitlines()[1:6]
-        for row, point in zip(rows, region.points):
+        for row, point in zip(rows, region):
             for cell, value in zip(row.split(",")[:3],
                                    (point.rp, point.cs, point.sigma2_star)):
                 assert format(float(cell), ".12g") == cell
@@ -402,6 +405,9 @@ class TestSimulateCommand:
         assert "missing keys" in err and "epsilon" in err
 
 
+# bitexact: the oracle's printed values must keep their bits under each BLAS
+# kernel and SIMD loop set (see test_capacity.py's TestSaddleOracle)
+@pytest.mark.bitexact
 class TestOracleCommand:
     def config(self, tmp_path):
         return write_config(tmp_path, {
@@ -470,6 +476,10 @@ class TestOracleCommand:
         assert err.startswith("numeric failure: saddle orders disagree: ")
 
 
+# bitexact: from rp 512 on, 2^(2 rp) passes the largest float, and the printed
+# capacity, the oracle's included, must still carry the rp = infinity digits
+# under each BLAS kernel and SIMD loop set
+@pytest.mark.bitexact
 @pytest.mark.parametrize("command, access, rp", [
     ("capacity", EXAMPLE_ACCESS, {"value": 600}),
     ("oracle", EXAMPLE_ACCESS, {"value": 600}),
@@ -497,6 +507,9 @@ GOLDEN_POINT = {"access": {"threshold": 5}, "rp": {"value": 2.589892},
                 "oracle": {"grid_size": 1000}}
 
 
+# bitexact: forcing other BLAS kernels and switching numpy's dispatched
+# SIMD loops off makes a printed number that depends on either fail here
+@pytest.mark.bitexact
 class TestGoldenCapacityOutput:
     """stdout of the capacity commands on an l=10 source at threshold 5,
     pinned byte for byte to output recorded before extremal_sets gained its
@@ -528,6 +541,9 @@ README_SIM_CONFIG = {
 }
 
 
+# bitexact: forcing other BLAS kernels and switching numpy's dispatched
+# SIMD loops off makes a printed number that depends on either fail here
+@pytest.mark.bitexact
 class TestGoldenOutput:
     """stdout of output forms the capacity goldens above leave out (CSV,
     "infinity", and simulate on the README source with exact leakage),

@@ -34,6 +34,8 @@ from gauss_share.protocol.codebook import (
 )
 from gauss_share.source_model import SourceSpec
 
+from brute_force import compositions
+
 UNIFORM2 = np.array([0.5, 0.5])
 DIAG2 = np.diag([0.5, 0.5])
 
@@ -274,6 +276,10 @@ def letter_weights(draw, max_letters=300):
     return weights
 
 
+# bitexact: the draw's <= compares and the encoder's base-n_v code product
+# go through dispatched loops, and the table drawn a row at a time must
+# equal Generator.choice's under each loop set
+@pytest.mark.bitexact
 class TestDrawMatchesChoice:
     """build_codebook's words equal Generator.choice over p_V bit for bit."""
 
@@ -344,6 +350,10 @@ class TestDrawMatchesChoice:
 RATES = [0.0, 0.25, 0.5, 1.0]
 
 
+# bitexact: the draw's <= compares and the encoder's base-n_v code product
+# go through dispatched loops, and the table drawn a row at a time must
+# equal Generator.choice's under each loop set
+@pytest.mark.bitexact
 class TestDrawOnDemand:
     """build_codebook draws each row on its first read, in stream order:
     whatever reads the codebook, in whatever order, sees the table
@@ -472,6 +482,10 @@ class TestDrawOnDemand:
         assert book._drawn == 0
 
 
+# bitexact: the counts are integer bincounts, which no BLAS kernel touches;
+# checked against scalar loops under each kernel, so a change that puts a
+# BLAS product back into the count path fails here
+@pytest.mark.bitexact
 class TestEncoder:
     def test_picks_the_typical_word(self):
         words = [[[0, 0, 0, 0]], [[0, 1, 0, 1]]]  # (2, 1, 4)
@@ -562,6 +576,10 @@ class TestEncoder:
                 wz_encode(book, x, 0.1)
 
 
+# bitexact: the counts are integer bincounts, which no BLAS kernel touches;
+# checked against scalar loops under each kernel, so a change that puts a
+# BLAS product back into the count path fails here
+@pytest.mark.bitexact
 class TestDecoder:
     def test_recovers_the_matching_word(self):
         words = [[[1, 1, 0, 0], [0, 1, 0, 1]]]  # (1, 2, 4)
@@ -667,16 +685,11 @@ class TestCachedDistinctWords:
                         assert wz_encode(book, form, eps) == wz_encode(fresh, x, eps)
 
 
-def compositions(n, n_letters):
-    """Every count vector over n_letters letters that sums to n, one per
-    row: stars and bars, one set of bar positions per vector."""
-    rows = []
-    for bars in itertools.combinations(range(n + n_letters - 1), n_letters - 1):
-        edges = (-1, *bars, n + n_letters - 1)
-        rows.append([b - a - 1 for a, b in zip(edges, edges[1:])])
-    return np.array(rows, dtype=np.int64)
-
-
+# bitexact: the feasibility table that lets the count kernel skip a batch
+# and the kernel's own count test share one float expression (abs,
+# subtract, multiply, compare), which must agree with a search over every
+# count vector under each BLAS kernel and SIMD loop set
+@pytest.mark.bitexact
 class TestAdmitsTypical:
     """_admits_typical decides from one table of counts 0..n per letter
     whether any count vector is typical; when none is, the kernel returns

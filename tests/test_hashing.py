@@ -92,6 +92,9 @@ class TestSymbolBits:
             symbols_to_bits([-1], 4)
 
 
+# bitexact: the Toeplitz hash is an integer matmul, checked against the
+# direct convolution sum under each BLAS kernel
+@pytest.mark.bitexact
 class TestToeplitzHash:
     """The Toeplitz product itself: privacy_amplify on raw bits (alphabet 2)."""
 
@@ -199,6 +202,9 @@ class TestToeplitzHash:
             np.testing.assert_array_equal(mat @ seed % 2, privacy_amplify(v, seed, k, 2))
 
 
+# bitexact: the Toeplitz hash is an integer matmul, checked against the
+# direct convolution sum under each BLAS kernel
+@pytest.mark.bitexact
 class TestPrivacyAmplify:
     def test_consistent_with_bit_pipeline(self):
         rng = np.random.default_rng(8)

@@ -375,8 +375,8 @@ EXEMPT = {
         "no arguments to read: it takes library objects (a ProtocolConfig's fields "
         "have rows above), or any value (is_unlimited)"),
     **dict.fromkeys(
-        ["CapacityPoint", "RateRegion", "SaddleCheck", "ThresholdComparison",
-         "ExtremalSets", "SubsetGain", "UnlimitedRate", "ErrorStats", "MetricsReport"],
+        ["CapacityPoint", "SaddleCheck", "ThresholdComparison", "ExtremalSets",
+         "SubsetGain", "UnlimitedRate", "ErrorStats", "MetricsReport"],
         "no arguments to read: a result record the library builds and returns"),
 }
 

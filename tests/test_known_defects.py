@@ -16,15 +16,24 @@ Defects that cannot be checked cheaply yet:
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
-from gauss_share.access_structure import threshold_structure
+from gauss_share.access_structure import monotone_closure, threshold_structure
+from gauss_share.protocol import codebook
 from gauss_share.protocol.codebook import build_codebook, wz_encode
 from gauss_share.protocol.model import build_quantized_source
 from gauss_share.protocol.simulate import ProtocolConfig, run_protocol
 from gauss_share.source_model import SourceSpec
+
+from brute_force import compositions
+
+# the README's source and access structure
+README_SPEC = SourceSpec.from_gains(2.0, [0.5, 1.0, 0.8])
+README_STRUCTURE = monotone_closure(3, [[1, 2], [2, 3]])
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -50,3 +59,61 @@ def test_constant_key_has_no_secret_entropy(epsilon):
     # H(S | T = t) = 0 at every seed t
     report = run_protocol(spec, structure, cfg)
     assert report.secret_entropy <= 1e-9
+
+
+def _sign_information(sigma2_x, snr):
+    """I(V; Z) in bits for V the sign of X ~ N(0, sigma2_x) and Z = X + W/sqrt(snr)
+    with W ~ N(0, 1): 1 - E_z h2(P(V = 1 | z)), by quadrature over z."""
+    if snr == 0.0:
+        return 0.0
+    noise = 1.0 / snr
+    slope = sigma2_x / (sigma2_x + noise)  # E[X | z] = slope * z
+    sd_x = math.sqrt(sigma2_x * noise / (sigma2_x + noise))  # of X given z
+    sd_z = math.sqrt(sigma2_x + noise)
+
+    def weighted_h2(z):
+        p = float(special.ndtr(slope * z / sd_x))
+        h2 = -sum(q * math.log2(q) for q in (p, 1.0 - p) if q > 0.0)
+        return math.exp(-0.5 * (z / sd_z) ** 2) / (sd_z * math.sqrt(2.0 * math.pi)) * h2
+
+    return 1.0 - integrate.quad(weighted_h2, -math.inf, math.inf)[0]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "quantized eavesdropper (ROADMAP item 4): the model reads Y_U in l_quant "
+    "bins, so its rate 0.049 overstates the -0.072 against the continuous Y_U"))
+def test_rate_holds_against_a_continuous_eavesdropper():
+    spec, structure = README_SPEC, README_STRUCTURE
+    model = build_quantized_source(spec, structure, 2)  # V = X: the sign of X
+    weakest = min(model.mi_v_y(a) for a in structure.authorized)
+    model_rate = weakest - max(model.mi_v_y(u) for u in structure.unauthorized)
+    # Y_U tells about X only through its statistic sum g_i Y_i, whose SNR is
+    # sum g_i^2
+    continuous = {u: _sign_information(spec.sigma2_x, sum(spec.gains[i - 1] ** 2 for i in u))
+                  for u in structure.unauthorized}
+    # Y_U's bins are a function of Y_U, so they cannot tell more about V
+    for u, bits in continuous.items():
+        if model.mi_v_y(u) > bits + 1e-6:
+            pytest.fail(f"the quadrature is off: {u} bins tell {model.mi_v_y(u)} > {bits}")
+    assert model_rate <= weakest - max(continuous.values())
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "fallback-only block errors (ROADMAP items 1(c) and 6): no authorized pair "
+    "law admits a typical count vector, so every block error measures the "
+    "fallback, and no report field decoders_cannot_succeed names them"))
+def test_report_flags_decoders_that_cannot_succeed():
+    # the README's JSON config, whose report is tests/golden/simulate_3party_text.txt
+    spec, structure = README_SPEC, README_STRUCTURE
+    cfg = ProtocolConfig(l_quant=2, n=2, q=2, epsilon=0.2, rv=1.0, rv_prime=1.0,
+                         k=2, seed=7, trials=200)
+    model = build_quantized_source(spec, structure, cfg.l_quant, cfg.rp_target)
+    for a in structure.authorized:
+        pmf = model.joint_vy(a).ravel()
+        counts = compositions(cfg.n, pmf.size)
+        if (codebook._typical_from_counts(counts, pmf, cfg.n, cfg.epsilon).any()
+                or codebook._admits_typical(pmf, cfg.n, cfg.epsilon)):
+            pytest.fail(f"the config no longer shows the defect: {a} admits a typical vector")
+    report = run_protocol(spec, structure, cfg)
+    flagged = getattr(report, "decoders_cannot_succeed", None)
+    assert flagged is not None and set(flagged) == set(structure.authorized)

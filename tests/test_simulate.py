@@ -132,6 +132,9 @@ class TestDeterminism:
         assert sizes == [12 * per_chunk] * chunks + [12 * last] * (last > 0)
 
 
+# bitexact: forcing other BLAS kernels and switching numpy's dispatched
+# SIMD loops off makes a printed number that depends on either fail here
+@pytest.mark.bitexact
 class TestGoldenReports:
     """Seeded reports pinned to values recorded before the encoder and
     decoder were rewritten around a shared count kernel and label memo.
@@ -485,6 +488,11 @@ class TestExactLeakageValues:
         assert saw_positive  # at least one pinned instance actually leaks
 
 
+# bitexact: the exact leakage evaluation's block products, grouped sums and
+# row codes must equal the np.kron chains, np.add.at sums and row-wise
+# np.unique they replaced, and a per-combo fill, bit for bit, under each
+# SIMD loop set
+@pytest.mark.bitexact
 class TestBlockLawAgainstBruteForce:
     """_block_law equals the law summed over every (x^n, y^n) pair, each
     x-block encoded on its own by wz_encode."""
@@ -586,6 +594,11 @@ def _per_combo_leakage(model, structure, codebook, cfg):
     return (tuple(per_u), max(0.0, msg_leak), max(0.0, h_s)), any(combo_zero)
 
 
+# bitexact: the exact leakage evaluation's block products, grouped sums and
+# row codes must equal the np.kron chains, np.add.at sums and row-wise
+# np.unique they replaced, and a per-combo fill, bit for bit, under each
+# SIMD loop set
+@pytest.mark.bitexact
 class TestExactLeakageMatchesPerComboFill:
     """The grouped-sum table equals the per-combo fill bit for bit."""
 
@@ -691,6 +704,11 @@ def _grouped_rows(draw):
             n_groups)
 
 
+# bitexact: the exact leakage evaluation's block products, grouped sums and
+# row codes must equal the np.kron chains, np.add.at sums and row-wise
+# np.unique they replaced, and a per-combo fill, bit for bit, under each
+# SIMD loop set
+@pytest.mark.bitexact
 class TestLeakageKernelsMatchNumpy:
     """Each kernel of the exact evaluation equals, bit for bit, the numpy
     call it replaced: np.add.at on zeros, np.kron chains, and
