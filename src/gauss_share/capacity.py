@@ -12,6 +12,9 @@ closed form obtained by substituting the optimal s (optimal_conditional_variance
 saddle_check re-derives it by brute force over a s-grid, in both min-min-max
 and max-min-min order, to verify the saddle-point structure numerically.
 All rates are bits per source symbol, all logs base 2.
+
+Each public function reads its caller's values once (_check_rate reads a
+public rate); internal callers pass the private helpers checked floats.
 """
 
 from __future__ import annotations
@@ -84,21 +87,15 @@ def is_unlimited(rp) -> bool:
     return isinstance(rp, UnlimitedRate)
 
 
-def _check_finite_rate(rp) -> float:
+def _check_rate(rp):
     if is_unlimited(rp):
-        raise DomainError("this operation needs a finite public rate")
+        return UNLIMITED
     rp = _check_real(rp, "public rate", DomainError)
     if math.isnan(rp) or math.isinf(rp):
         raise DomainError("non-finite public rate; use UNLIMITED for an unbounded channel")
     if rp < 0:
         raise NegativeRate("public rate must be nonnegative")
     return rp + 0.0  # -0.0 reads as 0.0
-
-
-def _check_rate(rp):
-    if is_unlimited(rp):
-        return UNLIMITED
-    return _check_finite_rate(rp)
 
 
 def _check_sigma(sigma2_cond: float, spec: SourceSpec) -> float:
@@ -112,7 +109,6 @@ def _check_sigma(sigma2_cond: float, spec: SourceSpec) -> float:
 
 def _rate_gap(sigma2_cond: float, snr: float, spec: SourceSpec) -> float:
     """(1/2) log2((sigma2_x*snr + 1) / (sigma2_cond*snr + 1)); 0 at snr=0."""
-    snr = _check_real(snr, "snr", DomainError)
     sx = spec.sigma2_x
     return 0.5 * math.log2((sx * snr + 1.0) / (sigma2_cond * snr + 1.0))
 
@@ -124,8 +120,9 @@ def public_rate(sigma2_cond: float, snr_authorized: float, spec: SourceSpec) -> 
     visible to the authorized coalition.  Nonnegative and nonincreasing in s.
     """
     s = _check_sigma(sigma2_cond, spec)
+    snr_a = _check_real(snr_authorized, "snr", DomainError)
     base = 0.5 * (math.log2(spec.sigma2_x) - math.log2(s))  # no overflow at a subnormal s
-    return base - _rate_gap(s, snr_authorized, spec)
+    return base - _rate_gap(s, snr_a, spec)
 
 
 def secret_rate(
@@ -138,20 +135,17 @@ def secret_rate(
     (snr_authorized < snr_unauthorized).
     """
     s = _check_sigma(sigma2_cond, spec)
-    return _rate_gap(s, snr_authorized, spec) - _rate_gap(s, snr_unauthorized, spec)
+    snr_a = _check_real(snr_authorized, "snr", DomainError)
+    snr_u = _check_real(snr_unauthorized, "snr", DomainError)
+    return _rate_gap(s, snr_a, spec) - _rate_gap(s, snr_u, spec)
 
 
-def optimal_conditional_variance(spec: SourceSpec, snr_authorized: float, rp) -> float:
-    """The conditional variance at which public_rate exactly spends rp.
-
-    Closed form: sigma2_x / (sigma2_x * snr_a * (2^(2 rp) - 1) + 2^(2 rp)).
-    rp = 0 returns sigma2_x exactly.  From rp = 512 on, 2^(2 rp) passes the
-    largest float, so numerator and denominator are divided by it; below
-    that, a denominator that overflows is divided through by sigma2_x.
-    """
-    rp = _check_finite_rate(rp)
-    snr_a = _check_real(snr_authorized, "snr_authorized", DomainError)
-    sx = spec.sigma2_x
+def _sigma2_star(sx: float, snr_a: float, rp: float) -> float:
+    """optimal_conditional_variance's closed form at checked floats:
+    sx / (sx * snr_a * (2^(2 rp) - 1) + 2^(2 rp)).  rp = 0 gives sx exactly.
+    From rp = 512 on, 2^(2 rp) passes the largest float, so numerator and
+    denominator are divided by it; below that, a denominator that overflows
+    is divided through by sx."""
     if rp >= 512.0:
         shrink = 2.0 ** (-2.0 * rp)
         return sx * shrink / (sx * snr_a * (1.0 - shrink) + 1.0)
@@ -160,6 +154,16 @@ def optimal_conditional_variance(spec: SourceSpec, snr_authorized: float, rp) ->
     if not math.isfinite(denominator):
         return 1.0 / (snr_a * (growth - 1.0) + growth / sx)
     return sx / denominator
+
+
+def optimal_conditional_variance(spec: SourceSpec, snr_authorized: float, rp) -> float:
+    """The conditional variance at which public_rate exactly spends rp, a
+    finite rate (see _sigma2_star for the closed form)."""
+    rp = _check_rate(rp)
+    if is_unlimited(rp):
+        raise DomainError("this operation needs a finite public rate")
+    snr_a = _check_real(snr_authorized, "snr_authorized", DomainError)
+    return _sigma2_star(spec.sigma2_x, snr_a, rp)
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ def _capacity_value(spec: SourceSpec, ext: ExtremalSets, rp) -> float:
 
 def _point(spec: SourceSpec, ext: ExtremalSets, rp) -> CapacityPoint:
     """The capacity point at a checked rate rp, given the extremal pair."""
-    s = None if is_unlimited(rp) else optimal_conditional_variance(spec, ext.snr_authorized, rp)
+    s = None if is_unlimited(rp) else _sigma2_star(spec.sigma2_x, ext.snr_authorized, rp)
     return CapacityPoint(rp=rp, cs=_capacity_value(spec, ext, rp), sigma2_star=s, extremal=ext)
 
 
@@ -371,7 +375,7 @@ def saddle_check(
     def boundary(snr: float) -> float:
         if is_unlimited(rp):
             return float(grid[0])
-        return optimal_conditional_variance(spec, snr, rp)
+        return _sigma2_star(sx, snr, rp)
 
     # Only the live columns, grid points at or above the smallest authorized
     # edge, are evaluated.  An A reads no column below its own edge, where it
@@ -488,23 +492,16 @@ def verify_rate_formulas(
     s = _check_sigma(sigma2_cond, spec)
     sx = spec.sigma2_x
 
-    def logdet_form(subset: tuple[int, ...], var: float) -> float:
-        h = derive_gain_vector(spec, subset).gains
-        mat = var * np.outer(h, h) + np.eye(h.size)
-        return _logdet2(mat)
+    def visible_gap(subset: tuple[int, ...]) -> tuple[float, float]:
+        """(logdet, scalar) forms of the auxiliary information subset sees,
+        from one whitening of its observations."""
+        h = derive_gain_vector(spec, subset)
+        outer, eye = np.outer(h.gains, h.gains), np.eye(h.gains.size)
+        logdet = 0.5 * (_logdet2(sx * outer + eye) - _logdet2(s * outer + eye))
+        return logdet, _rate_gap(s, h.snr, spec)
 
-    def visible_gaps(subsets) -> tuple[np.ndarray, np.ndarray]:
-        """(logdet, scalar) forms of the auxiliary information each subset sees."""
-        return np.array([
-            (
-                0.5 * (logdet_form(subset, sx) - logdet_form(subset, s)),
-                _rate_gap(s, derive_gain_vector(spec, subset).snr, spec),
-            )
-            for subset in subsets
-        ]).T
-
-    a_ld, a_sc = visible_gaps(structure.authorized)
-    u_ld, u_sc = visible_gaps(structure.unauthorized)
+    a_ld, a_sc = np.array([visible_gap(a) for a in structure.authorized]).T
+    u_ld, u_sc = np.array([visible_gap(u) for u in structure.unauthorized]).T
 
     # two logs, not log2(sx / s), which overflows for a subnormal s
     base = 0.5 * (math.log2(sx) - math.log2(s))

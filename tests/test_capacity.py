@@ -288,6 +288,16 @@ class TestThresholdCompare:
         with pytest.raises(DomainError):
             threshold_compare(self.SPEC5, math.nan)
 
+    # the chain's capacities made to grow (sign 1) or fall (sign -1) with t:
+    # SPEC5's first at_least pair, or its first at_most pair, then disagrees
+    @pytest.mark.parametrize("sign, verdict", [(1.0, "at_least"), (-1.0, "at_most")])
+    def test_capacities_against_the_verdict_raise(self, monkeypatch, sign, verdict):
+        monkeypatch.setattr(capacity, "_capacity_value",
+                            lambda spec, ext, rp: sign * len(ext.min_authorized))
+        with pytest.raises(NumericError,
+                           match=f"^ratio test says {verdict} but capacities disagree$"):
+            threshold_compare(self.SPEC5, 1.0)
+
 
 # bitexact: the oracle computes its gaps in place in a block buffer while
 # the per-pair reference allocates fresh arrays, so an oracle whose two
@@ -560,12 +570,49 @@ class TestSaddleOracle:
         saddle_check(spec, structure, 1.1, 100)
         assert len(calls) == 2**7
 
+    def test_the_rate_is_read_once(self, monkeypatch):
+        # the authorized edges take the checked rate: one _check_real call
+        # (the rate's) for 638 authorized coalitions, no public closed form
+        spec = SourceSpec.from_gains(2.0, np.linspace(0.9, 1.1, 10))
+        counts = count_calls(monkeypatch, "_check_real", "optimal_conditional_variance")
+        saddle_check(spec, threshold_structure(10, 5), 1.1, 100)
+        assert counts == {"_check_real": 1, "optimal_conditional_variance": 0}
+
     def test_one_coalition_per_block_gives_the_same_values(self, monkeypatch):
         spec, structure = self.WIDE
         chk = saddle_check(spec, structure, 1.0, 100)
         monkeypatch.setattr(capacity, "_ORACLE_BLOCK_CELLS", 1)
         one = saddle_check(spec, structure, 1.0, 100)
         assert (one.min_min_max, one.max_min_min) == (chk.min_min_max, chk.max_min_min)
+
+
+def count_calls(monkeypatch, *names):
+    """{name: calls} of each capacity module global, counted from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(capacity, name)
+
+        def counted(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(capacity, name, counted)
+    return counts
+
+
+def test_a_region_reads_no_real(monkeypatch):
+    # the grid is read as one array; each point takes the checked rate
+    spec = SourceSpec.from_gains(2.0, np.linspace(0.9, 1.1, 10))
+    counts = count_calls(monkeypatch, "_check_real", "optimal_conditional_variance")
+    points = rate_region(spec, threshold_structure(10, 5), np.linspace(0.0, 4.0, 256))
+    assert len(points) == 256
+    assert counts == {"_check_real": 0, "optimal_conditional_variance": 0}
+
+
+def test_verify_rate_formulas_whitens_each_coalition_once(monkeypatch):
+    counts = count_calls(monkeypatch, "derive_gain_vector")
+    verify_rate_formulas(SPEC3, STRUCT3, 1.0)
+    assert counts == {"derive_gain_vector": 2**3}
 
 
 def test_verify_rate_formulas_routes_agree():
@@ -606,6 +653,13 @@ def test_verify_rate_formulas_at_a_subnormal_variance():
 def test_verify_rate_formulas_raises_on_a_non_finite_route(monkeypatch):
     monkeypatch.setattr(capacity, "_logdet2", lambda matrix: math.inf)
     with pytest.raises(NumericError):
+        verify_rate_formulas(SPEC3, STRUCT3, 1.0)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 0.0])
+def test_verify_rate_formulas_refuses_a_determinant_that_is_not_positive(monkeypatch, sign):
+    monkeypatch.setattr(np.linalg, "slogdet", lambda matrix: (sign, 0.0))
+    with pytest.raises(NumericError, match="^expected a positive determinant$"):
         verify_rate_formulas(SPEC3, STRUCT3, 1.0)
 
 

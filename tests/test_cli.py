@@ -17,6 +17,7 @@ from gauss_share import access_structure, capacity, cli
 from gauss_share.access_structure import monotone_closure
 from gauss_share.capacity import rate_region
 from gauss_share.errors import NumericError
+from gauss_share.protocol import simulate
 from gauss_share.source_model import SourceSpec
 
 EXAMPLE_SOURCE = {"sigma2_x": 2.0, "gains": [0.5, 1.0, 0.8]}
@@ -207,6 +208,18 @@ class TestThresholdCommand:
         assert calls == {"extremal_sets": 10, "threshold_extremal_chain": 1,
                          "threshold_compare": 1}
 
+    # threshold_compare's cross-check against the chain's capacities: see
+    # test_capacity's TestThresholdCompare for the two substitutions
+    @pytest.mark.parametrize("sign, verdict", [(1.0, "at_least"), (-1.0, "at_most")])
+    def test_capacities_against_a_verdict_exit_3(self, tmp_path, capsys, monkeypatch,
+                                                 sign, verdict):
+        monkeypatch.setattr(capacity, "_capacity_value",
+                            lambda spec, ext, rp: sign * len(ext.min_authorized))
+        path = self.config(tmp_path, [1.0, 0.85, 0.9, 0.95, 0.75], {"value": 1.0})
+        code, out, err = run_cli(capsys, "threshold", "--config", path)
+        assert (code, out) == (3, "")
+        assert err == f"numeric failure: ratio test says {verdict} but capacities disagree\n"
+
     def test_single_participant_has_no_comparisons(self, tmp_path, capsys):
         path = self.config(tmp_path, [1.0], {"value": 1.0})
         code, out, _ = run_cli(capsys, "threshold", "--config", path)
@@ -258,6 +271,19 @@ class TestSimulateCommand:
 
     SIM = {"l_quant": 2, "n": 2, "q": 1, "epsilon": 0.2, "rv": 1.0,
            "rv_prime": 1.0, "k": 1, "seed": 0, "trials": 1}
+
+    def test_secret_entropy_above_k_exits_3(self, tmp_path, capsys, monkeypatch):
+        real = simulate._exact_leakage
+
+        def inflated(model, structure, book, cfg):
+            leak, msg_leak, _ = real(model, structure, book, cfg)
+            return leak, msg_leak, cfg.k + 0.5
+
+        monkeypatch.setattr(simulate, "_exact_leakage", inflated)
+        path = self.config(tmp_path, dict(self.SIM, exact_leakage=True))
+        code, out, err = run_cli(capsys, "simulate", "--config", path)
+        assert (code, out) == (3, "")
+        assert err == "numeric failure: uniformity gap -0.5 fell below zero\n"
 
     def test_covariance_source_is_refused_on_the_source_line(self, tmp_path, capsys):
         path = write_config(tmp_path, {
@@ -1025,6 +1051,8 @@ class TestArgumentParsing:
         assert captured.err.endswith(f"error: --seed applies to the simulate command only, "
                             f"not {command}\n")
 
+    # installed: runs the gauss-share script, which only an install puts on PATH
+    @pytest.mark.installed
     def test_console_script_is_installed(self, tmp_path):
         path = write_config(tmp_path, {
             "version": 1, "source": EXAMPLE_SOURCE,
@@ -1058,6 +1086,8 @@ class TestArgumentParsing:
             )
             assert (script.returncode, script.stdout) == (result.returncode, result.stdout)
 
+    # installed: python -m gauss_share must run from the installed package too
+    @pytest.mark.installed
     def test_module_entry_point(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "version": 1, "source": EXAMPLE_SOURCE,
@@ -1073,6 +1103,8 @@ class TestArgumentParsing:
         assert result.stdout == out
         assert "secret capacity: 0.111196210668" in out
 
+    # installed: the installed package must import and run without scipy
+    @pytest.mark.installed
     def test_package_runs_without_scipy(self, tmp_path):
         # A fresh interpreter in which importing scipy raises runs the four
         # capacity-layer commands and the README simulate config; the

@@ -402,6 +402,36 @@ class TestDrawOnDemand:
                                                   joint_vy)).all()
             assert (book.words == want).all()
 
+    # The examples above are drawn through st.data(), so @example cannot pin
+    # one, and which tables they reach depends on the test modules collected
+    # beside this one (Hypothesis also draws from literals it finds in every
+    # loaded module).  This case keeps a large table in every run: 256 x 256
+    # words of length 8, of which the encoder's search reads 32 rows
+    @pytest.mark.parametrize("reads", itertools.permutations(["word", "distinct", "decode"]),
+                             ids="-".join)
+    def test_reads_in_each_order_on_a_large_binary_table(self, monkeypatch, reads):
+        monkeypatch.setattr(codebook, "_DRAW_CHUNK", 7)
+        joint_xv = np.array([[0.35, 0.65]])
+        joint_vy = joint_xv.T
+        want = choice_words(joint_xv, 8, 1.0, 1.0, np.random.SeedSequence(5))
+        given_table = make_codebook(want, joint_xv)
+        book = build_codebook(joint_xv, 8, 1.0, 1.0, np.random.SeedSequence(5))
+        omegas, nus = np.array([4, 1, 2]), np.array([256, 1, 17])
+        decoded, y_blocks = np.array([9, 6]), np.zeros((2, 8), dtype=np.int64)
+        for read in reads:
+            if read == "word":
+                assert (book.word(omegas, nus) == want[omegas - 1, nus - 1]).all()
+            elif read == "distinct":
+                words, first = book._distinct
+                assert (first == given_table._distinct[1]).all()
+                assert (words == want.reshape(-1, 8)[first]).all()
+            else:
+                got = _decode_blocks(book, y_blocks, decoded, 0.5, joint_vy)
+                assert (got == _decode_blocks(given_table, y_blocks, decoded, 0.5,
+                                              joint_vy)).all()
+        assert book._drawn == 32
+        assert (book._rows(32) == want[:32]).all()
+
     @pytest.mark.parametrize("joint, n, rv, rv_prime", [
         ([[0.4, 0.1], [0.1, 0.4]], 8, 1.0, 1.0),  # 65,536 words over 2^8 codes
         ([[0.4, 0.1], [0.1, 0.4]], 3, 1.0, 1.0),  # 64 words over 2^3 codes

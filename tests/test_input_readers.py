@@ -254,6 +254,20 @@ REFUSALS = [
                    id=f"discretize_source x {np.shape(v[0])} against y {np.shape(v[1])}")
       for v in [(np.zeros(5), np.zeros((3, 2))), (np.zeros((3, 2)), np.zeros((3, 2))),
                 (0.5, np.zeros((1, 2))), (np.zeros(1), np.zeros((0, 2)))]],
+    # an int too large for a float is refused, not rounded to inf; the
+    # command line refuses such a number before any library call reads it
+    *[pytest.param(call, 10**400, DomainError, message, id=f"{name} an int past the floats")
+      for name, call, message in [
+          ("secret_capacity rp", lambda v: secret_capacity(SPEC, BOTH, v),
+           "public rate must be a number"),
+          ("optimal_conditional_variance rp",
+           lambda v: optimal_conditional_variance(SPEC, 1.0, v), "public rate must be a number"),
+          ("optimal_conditional_variance snr",
+           lambda v: optimal_conditional_variance(SPEC, v, 1.0),
+           "snr_authorized must be a number"),
+      ]],
+    pytest.param(lambda v: rate_region(SPEC, BOTH, v), [[0.5, 1.0]], DomainError,
+                 "rp grid must be a sequence of rates", id="rate_region a 2-D grid"),
 ]
 
 

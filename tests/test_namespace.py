@@ -19,6 +19,9 @@ PACKAGES = [
 ]
 
 
+# installed: the installed package must re-export exactly its modules'
+# __all__, as the checkout does
+@pytest.mark.installed
 @pytest.mark.parametrize("package, modules, own", PACKAGES)
 class TestNamespace:
     def test_no_name_is_listed_twice(self, package, modules, own):

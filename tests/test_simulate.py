@@ -10,7 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gauss_share.access_structure import monotone_closure, threshold_structure
-from gauss_share.errors import BudgetExceeded, DomainError, InvalidConfig, KTooLarge
+from gauss_share.errors import (
+    BudgetExceeded,
+    DomainError,
+    InvalidConfig,
+    KTooLarge,
+    NumericError,
+)
 from gauss_share.protocol import info
 from gauss_share.protocol.codebook import build_codebook, wz_decode, wz_encode
 from gauss_share.protocol.model import build_quantized_source, discretize_source
@@ -460,6 +466,17 @@ class TestExactLeakageValues:
         text = report.to_text()
         assert "  secret entropy: 0.000000000000 bits\n" in text
         assert "-0.0" not in text
+
+    def test_secret_entropy_above_k_raises(self, monkeypatch):
+        # H(S) can reach k but not pass it: a law giving more is refused
+        def inflated(model, structure, book, cfg):
+            leak, msg_leak, _ = _exact_leakage(model, structure, book, cfg)
+            return leak, msg_leak, cfg.k + 0.5
+
+        monkeypatch.setattr(simulate, "_exact_leakage", inflated)
+        with pytest.raises(NumericError, match="^uniformity gap -0.5 fell below zero$"):
+            run_protocol(PAIR, BOTH_NEEDED,
+                         config(n=2, q=1, k=1, seed=0, trials=1, exact_leakage=True))
 
     def test_skewed_codebook_shows_a_positive_gap(self):
         report = run_protocol(

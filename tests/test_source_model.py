@@ -12,10 +12,12 @@ import sys
 import numpy as np
 import pytest
 
+from gauss_share import source_model
 from gauss_share.errors import (
     DomainError,
     IndexOutOfRange,
     NonPositiveDefinite,
+    NumericError,
 )
 from gauss_share.source_model import (
     SourceSpec,
@@ -130,6 +132,29 @@ def test_mutual_information_covariance_self_check_passes():
         subset = sorted(rng.choice(l, size=int(rng.integers(1, l + 1)), replace=False) + 1)
         value = mutual_information(spec, subset)
         assert value >= 0.0
+
+
+CORRELATED = SourceSpec.from_covariance([[2.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 1.5]])
+
+
+def test_mutual_information_refuses_a_scalar_route_off_the_log_det(monkeypatch):
+    real = source_model.subset_snr
+    monkeypatch.setattr(source_model, "subset_snr",
+                        lambda spec, members: real(spec, members) * (1.0 + 1e-6))
+    with pytest.raises(NumericError, match="^log-det mutual information .* disagrees with "
+                                           "scalar form "):
+        mutual_information(CORRELATED, [1, 2])
+
+
+# the log-det route's two determinants: of (X, Y_S), 3 x 3, and of Y_S, 2 x 2
+@pytest.mark.parametrize("size", [3, 2])
+def test_mutual_information_refuses_a_determinant_that_is_not_positive(monkeypatch, size):
+    real = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet",
+                        lambda m: (-1.0, 0.0) if len(m) == size else real(m))
+    with pytest.raises(NonPositiveDefinite,
+                       match="^covariance sub-block has non-positive determinant$"):
+        mutual_information(CORRELATED, [1, 2])
 
 
 def test_mutual_information_monotone_in_subset():
