@@ -23,6 +23,14 @@ there are off by up to a few 1e-6 relative (gain 0.5, sigma2_x 2).
 Extremely steep gains make the conditional rectangle terms nearly
 discontinuous inside a bin, which costs quadrature accuracy in the smallest
 cells but never their strict positivity pattern.
+
+The 80-node rule is numpy's leggauss(80), recorded here as literals rather
+than computed: leggauss solves an eigenproblem through LAPACK, which wakes
+OpenBLAS's worker pool, and the woken worker then spins for about 0.13 s of
+CPU, longer than a whole protocol run.  So no build calls LAPACK.
+tests/test_quantize_model.py::TestQuadratureRule pins the literals to
+leggauss(80) and runs the protocol with numpy.linalg and numpy's quadrature
+rules made to raise.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from ..access_structure import AccessStructure
 from ..capacity import extremal_sets, optimal_conditional_variance
@@ -54,18 +61,49 @@ _QUAD_NODES = 80  # Gauss-Legendre nodes per X bin
 _MODEL_CELL_BUDGET = 20_000_000  # float64 cells of the kept laws or one X bin's product
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """leggauss(_QUAD_NODES), computed once per process and read-only.
-
-    leggauss solves an eigenproblem through LAPACK, which wakes the BLAS
-    thread pool.  Its idle worker then spins for about as long as a whole
-    protocol run.  Computing the rule once keeps that off every build.
-    """
-    nodes, weights = leggauss(_QUAD_NODES)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+# leggauss(80), recorded rather than computed, so that no process pays its
+# LAPACK call and the BLAS worker that call leaves spinning: the rule's 40
+# positive nodes in increasing order and their weights, as float literals
+# that round-trip exactly.  leggauss symmetrizes the rule it returns, so the
+# mirror below gives its 80 nodes and weights bit for bit.
+# TestQuadratureRule pins them to leggauss(80), which CI runs again under
+# forced BLAS kernels and without numpy's dispatched SIMD loops.
+_HALF_NODES = (
+    0.019511383256794, 0.058504437152420666, 0.0974083984415846,
+    0.1361640228091439, 0.1747122918326468, 0.21299450285766613,
+    0.25095235839227215, 0.28852805488451183, 0.32566437074770194,
+    0.3623047534994873, 0.39839340588196925, 0.4338753708317561,
+    0.46869661517054445, 0.5028041118887849, 0.536145920897132,
+    0.5686712681227097, 0.6003306228297517, 0.631075773046872,
+    0.6608598989861199, 0.6896376443420276, 0.7173651853620999,
+    0.7440002975835973, 0.7695024201350413, 0.7938327175046055,
+    0.8169541386814635, 0.8388314735802552, 0.8594314066631111,
+    0.8787225676782138, 0.8966755794387706, 0.9132631025717577,
+    0.9284598771724458, 0.9422427613098727, 0.9545907663436349,
+    0.9654850890437993, 0.9749091405857278, 0.982848572738629,
+    0.9892913024997555, 0.9942275409656882, 0.9976498643982377,
+    0.9995538226516306,
+)
+_HALF_WEIGHTS = (
+    0.03901781365630669, 0.03895839596276953, 0.03883965105905192,
+    0.03866175977407642, 0.038424993006959444, 0.03812971131447762,
+    0.03777636436200141, 0.0373654902387305, 0.03689771463827604,
+    0.03637374990583596, 0.03579439395341604, 0.035160529044747604,
+    0.03447312045175391, 0.03373321498461149, 0.03294193939764544,
+    0.03210049867348791, 0.031210174188114764, 0.030272321759557897,
+    0.029288369583267835, 0.028259816057277006, 0.027188227500486294,
+    0.026075235767564948, 0.02492253576411566, 0.02373188286592992,
+    0.022505090246332377, 0.021244026115782185, 0.019950610878141723,
+    0.018626814208299293, 0.017274652056269577, 0.015896183583725444,
+    0.014493508040508753, 0.013068761592401376, 0.011624114120797488,
+    0.01016176604110297, 0.008683945269261181, 0.007192904768117926,
+    0.005690922451403788, 0.00418031312469486, 0.002663533589513107,
+    0.0011449500031856929,
+)
+_LEGENDRE_NODES = np.concatenate([-np.array(_HALF_NODES[::-1]), _HALF_NODES])
+_LEGENDRE_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
+_LEGENDRE_NODES.flags.writeable = False
+_LEGENDRE_WEIGHTS.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=64)
@@ -77,8 +115,7 @@ def _node_quantiles(l_quant: int) -> np.ndarray:
     uniform measure on (0, 1), so one rule serves every bin and every build
     with l_quant bins, and so does this grid.
     """
-    nodes, _ = _gauss_legendre()
-    u = (np.arange(l_quant)[:, None] + (nodes + 1.0) / 2.0) / l_quant
+    u = (np.arange(l_quant)[:, None] + (_LEGENDRE_NODES + 1.0) / 2.0) / l_quant
     quantiles = ndtri(u)
     quantiles.flags.writeable = False
     return quantiles
@@ -317,8 +354,7 @@ def build_quantized_source(
     # X at the quadrature nodes of each bin, (n_x, nodes); P[bin | x] of every
     # observer and of the auxiliary come from one ndtr call each over all
     # their (bin, node, boundary) lanes
-    _, weights = _gauss_legendre()
-    w = weights / (2.0 * l_quant)
+    w = _LEGENDRE_WEIGHTS / (2.0 * l_quant)
     x_vals = math.sqrt(sx) * _node_quantiles(l_quant)
     y_boundaries = np.stack([q.boundaries for q in y_quants])[:, None, None, :]
     node_y = _rectangle_probs(y_boundaries - (gains[:, None, None] * x_vals)[..., None])

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from gauss_share.protocol.model import (
 )
 from gauss_share.protocol.quantize import build_quantizer
 from gauss_share.source_model import SourceSpec, mutual_information, subset_snr
+
+from test_cli import README_SIM_CONFIG, suite_env, write_config
 
 SPEC = SourceSpec.from_gains(2.0, [1.0, 0.6])
 STRUCT = threshold_structure(2, 2)
@@ -164,25 +168,52 @@ class TestAdditiveAuxiliary:
 
 
 class TestQuadratureRule:
-    def test_the_rule_is_computed_once_per_process(self, monkeypatch):
-        first = build_quantized_source(SPEC, STRUCT, 2)
-
-        def no_lapack(*args):
-            raise AssertionError("leggauss called after its first use")
-
-        monkeypatch.setattr(model, "leggauss", no_lapack)
-        again = build_quantized_source(SPEC, STRUCT, 2)
-        assert np.array_equal(again.node_v, first.node_v)
-        assert np.array_equal(again.node_y, first.node_y)
-        assert np.array_equal(again.joint((1, 2)), first.joint((1, 2)))
-        build_quantized_source(SPEC, STRUCT, 4, rp_target=1.0)
-
+    # bitexact: the model no longer computes its rule; it records the bits
+    # of leggauss(80).  Under forced BLAS kernels and with numpy's dispatched
+    # SIMD loops off, a LAPACK or numpy that computes other bits for that
+    # rule fails here
+    @pytest.mark.bitexact
     def test_the_rule_is_leggauss_with_80_nodes(self):
-        nodes, weights = model._gauss_legendre()
         ref_nodes, ref_weights = leggauss(80)
-        assert np.array_equal(nodes, ref_nodes)
-        assert np.array_equal(weights, ref_weights)
-        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert np.array_equal(model._LEGENDRE_NODES, ref_nodes)
+        assert np.array_equal(model._LEGENDRE_WEIGHTS, ref_weights)
+        assert not model._LEGENDRE_NODES.flags.writeable
+        assert not model._LEGENDRE_WEIGHTS.flags.writeable
+
+    def test_the_protocol_calls_no_lapack_and_no_quadrature_rule(self, tmp_path):
+        # LAPACK wakes the BLAS worker pool, whose idle worker then spins for
+        # about as long as a protocol run.  A fresh interpreter in which every
+        # public numpy.linalg function, leggauss and hermegauss raise runs
+        # the protocol in each mode and the README simulate config.
+        config = write_config(tmp_path, dict({"version": 1}, **README_SIM_CONFIG))
+        script = (
+            "import contextlib, io\n"
+            "import numpy.linalg, numpy.polynomial.hermite_e, numpy.polynomial.legendre\n"
+            "def refuse(name):\n"
+            "    def call(*args, **kwargs):\n"
+            "        raise AssertionError(f'{name} called')\n"
+            "    return call\n"
+            "for name in numpy.linalg.__all__:\n"
+            "    if callable(getattr(numpy.linalg, name)) and name != 'LinAlgError':\n"
+            "        setattr(numpy.linalg, name, refuse('numpy.linalg.' + name))\n"
+            "numpy.polynomial.legendre.leggauss = refuse('leggauss')\n"
+            "numpy.polynomial.hermite_e.hermegauss = refuse('hermegauss')\n"
+            "from gauss_share import cli\n"
+            "from gauss_share.access_structure import monotone_closure\n"
+            "from gauss_share.protocol.simulate import ProtocolConfig, run_protocol\n"
+            "from gauss_share.source_model import SourceSpec\n"
+            "spec = SourceSpec.from_gains(2.0, [0.5, 1.0, 0.8])\n"
+            "structure = monotone_closure(3, [[1, 2], [2, 3]])\n"
+            "knobs = dict(n=2, q=2, epsilon=0.2, rv=1.0, rv_prime=1.0, k=2, seed=0, trials=20)\n"
+            "for l_quant, rp_target, exact in ((2, None, False), (2, None, True), (4, 1.0, False)):\n"
+            "    run_protocol(spec, structure, ProtocolConfig(\n"
+            "        l_quant=l_quant, rp_target=rp_target, exact_leakage=exact, **knobs))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['simulate', '--config', {config!r}]) == 0\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=suite_env(), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
 
 
 class TestModelValidation:
@@ -231,7 +262,9 @@ def _coalitions(l):
 
 def _full_tensor(m):
     """Reference route: the pmf over (V, X, Y_1..Y_L) on all observers at
-    once, by the same quadrature; a coalition's law is its marginal."""
+    once, by the same quadrature; a coalition's law is its marginal.  The
+    rule comes from leggauss(80), not the model's recorded arrays, so the
+    model and this route reach it independently."""
     nodes, weights = leggauss(80)
     l_quant = m.n_x
 
